@@ -228,7 +228,7 @@ def apply_sweep_value(config, variable, value):
 
 
 def sweep(config, variable=None, values=None, out_dir=None):
-    """Repeat run_scenario per (value, seed), holding everything else fixed.
+    """Repeat run_scenario per value, holding everything else fixed.
 
     Emits long-format rows; identical config and seeds produce byte-identical
     CSV output.
@@ -240,20 +240,9 @@ def sweep(config, variable=None, values=None, out_dir=None):
     SweepSpec(variable=variable, values=tuple(values))  # range checks
     rows = []
     for value in values:
-        cell_cfg = apply_sweep_value(config, variable, value)
-        for seed in config.seeds:
-            scenario = build_scenario(cell_cfg, seed)
-            for method in config.methods:
-                outcome = run_method(scenario, method)
-                rows.append({
-                    "variable": variable,
-                    "value": value,
-                    "seed": seed,
-                    "method": method,
-                    "expected_stm": outcome.report.expected_stm,
-                    "fbar": outcome.report.fbar,
-                    "unserved": outcome.report.unserved,
-                })
+        cell_rows, _, _ = run_scenario(apply_sweep_value(config, variable, value))
+        rows.extend({"variable": variable, "value": value, **{k: r[k] for k in SWEEP_FIELDS[2:]}}
+                    for r in cell_rows)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         _write_csv(os.path.join(out_dir, "sweep.csv"), SWEEP_FIELDS, rows)
@@ -280,11 +269,11 @@ def _tiny_random_instance(rng, tau, sigma, alpha):
     n_t = 1e4 / se
     kappa = np.full(m, 1.0 / 1600.0)
     xi_t = kappa[:, None] * (n_t * se)
-    sets = []
+    links = np.zeros((m, l), dtype=bool)
     for i in range(m):
         size = int(rng.integers(1, l + 1))
-        sets.append(tuple(sorted(int(v) for v in rng.choice(l, size=size, replace=False))))
-    feasible = FeasibleSets(num_bs=l, sets=tuple(sets))
+        links[i, rng.choice(l, size=size, replace=False)] = True
+    feasible = FeasibleSets(links)
     per_bs_users = max(1.0, m / l)
     budgets = np.full(l, float(n_t.mean() * per_bs_users * rng.uniform(1.2, 2.5)))
     obj = DeterministicObjective.for_confidence(tau, sigma, alpha, xi_t)

@@ -6,6 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .objective import confidence_bound
+from .solver import Allocation, Association
+
 _ORACLE_MAX_USERS = 8
 _ORACLE_MAX_BS = 4
 _ORACLE_MAX_COMBOS = 3_000_000
@@ -32,24 +35,9 @@ def expected_stm(assoc, alloc, profile, channel, tau):
     return float(tau * per_user_message_rate(assoc, alloc, profile, channel).sum())
 
 
-def realized_stm(assoc, alloc, profile, channel, eta):
-    """System throughput for one realization of the matching coefficients."""
-    s = per_user_message_rate(assoc, alloc, profile, channel)
-    eta = np.asarray(eta, dtype=float)
-    if eta.shape != s.shape:
-        raise ValueError("eta must have one entry per user")
-    return float((eta * s).sum())
-
-
 def bit_throughput(assoc, alloc, channel):
     """Total delivered bit-rate over all served links."""
     return float(np.einsum("ml,ml->", assoc.x * alloc.n, np.log2(1.0 + channel.gamma)))
-
-
-def confidence_bound(rates, tau, sigma, q):
-    """Alpha-confidence lower bound on the realized throughput."""
-    s = np.asarray(rates, dtype=float)
-    return float(tau * s.sum() - sigma * q * np.sqrt((s * s).sum()))
 
 
 def instance_message_rates(assoc, alloc, inst):
@@ -140,7 +128,7 @@ def oracle_enumerate(inst, quantum=None):
         quantum = float(inst.n_t[mask].min())
     if quantum <= 0:
         raise ValueError("quantum must be positive")
-    options = [tuple(s) for s in inst.feasible.sets]
+    options = [tuple(np.flatnonzero(row).tolist()) for row in mask]
     result = _oracle_search(inst, options, quantum)
     if result is None:
         result = _oracle_search(inst, [opt + (None,) for opt in options], quantum)
@@ -148,8 +136,6 @@ def oracle_enumerate(inst, quantum=None):
 
 
 def _oracle_search(inst, options, quantum):
-    from .solver import Allocation, Association  # local import to avoid a cycle
-
     m, l = inst.n_t.shape
     c = inst.rate_per_hz()
     obj = inst.objective

@@ -113,12 +113,6 @@ class DeterministicObjective:
         return self.xi_t.shape
 
 
-@dataclass(frozen=True, eq=False)
-class ObjectiveEval:
-    value: float
-    gradient: np.ndarray
-
-
 def _check_shape(obj, x):
     x = np.asarray(x, dtype=float)
     if x.shape != obj.xi_t.shape:
@@ -126,11 +120,17 @@ def _check_shape(obj, x):
     return x
 
 
+def confidence_bound(rates, tau, sigma, q):
+    """Alpha-confidence lower bound tau * sum(s) - sigma * q * ||s||_2 on the
+    realized throughput of per-user message rates s."""
+    s = np.asarray(rates, dtype=float)
+    return float(tau * s.sum() - sigma * q * np.sqrt((s * s).sum()))
+
+
 def objective_value(obj, x):
-    """Fbar(x) = tau * sum(y) - sigma * q * ||y||_2 with y_i = sum_j x_ij xi_ij."""
+    """Fbar(x): the confidence bound of y_i = sum_j x_ij xi_ij."""
     x = _check_shape(obj, x)
-    y = np.einsum("ml,ml->m", x, obj.xi_t)
-    return float(obj.tau * y.sum() - obj.sigma * obj.q * np.sqrt((y * y).sum()))
+    return confidence_bound(np.einsum("ml,ml->m", x, obj.xi_t), obj.tau, obj.sigma, obj.q)
 
 
 def objective_gradient(obj, x):
@@ -142,10 +142,6 @@ def objective_gradient(obj, x):
     if denom == 0.0:
         return obj.tau * obj.xi_t.copy()
     return obj.xi_t * (obj.tau - obj.sigma * obj.q * (y / denom)[:, None])
-
-
-def evaluate(obj, x):
-    return ObjectiveEval(value=objective_value(obj, x), gradient=objective_gradient(obj, x))
 
 
 def chance_check(obj, x_binary, fbar, eta_model, trials, seed=0, clamp=True, chunk=20000):

@@ -1,4 +1,4 @@
-"""Knowledge bases, feasible BS sets, bit-to-message conversion, and the
+"""Knowledge bases, feasible BS sets, bit-to-message profiles, and the
 stochastic knowledge-matching coefficient."""
 
 from dataclasses import dataclass
@@ -37,29 +37,33 @@ class KnowledgeModel:
                 raise ConfigError("user needs outside domain range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeasibleSets:
-    """Per-user set of base stations achieving the maximum knowledge overlap."""
+    """Users x BSs boolean mask: links[i, j] is True when BS j achieves
+    user i's maximum knowledge overlap. Stored read-only."""
 
-    num_bs: int
-    sets: tuple  # per-MU sorted tuple of BS indices
+    links: np.ndarray
 
     def __post_init__(self):
-        for i, s in enumerate(self.sets):
-            if not s:
-                raise ConfigError(f"user {i} has an empty feasible set")
-            if min(s) < 0 or max(s) >= self.num_bs:
-                raise ConfigError(f"user {i}: BS index out of range")
+        links = np.array(self.links, dtype=bool)
+        if links.ndim != 2:
+            raise ConfigError("feasible sets must be a users x BSs mask")
+        empty = np.flatnonzero(~links.any(axis=1))
+        if empty.size:
+            raise ConfigError(f"user {empty[0]} has an empty feasible set")
+        links.flags.writeable = False
+        object.__setattr__(self, "links", links)
+
+    @property
+    def num_bs(self):
+        return self.links.shape[1]
 
     @property
     def num_users(self):
-        return len(self.sets)
+        return self.links.shape[0]
 
     def mask(self):
-        out = np.zeros((len(self.sets), self.num_bs), dtype=bool)
-        for i, s in enumerate(self.sets):
-            out[i, list(s)] = True
-        return out
+        return self.links
 
 
 def assign_knowledge(num_domains, kb_per_bs, needs_per_mu, topology, seed=0):
@@ -81,15 +85,21 @@ def assign_knowledge(num_domains, kb_per_bs, needs_per_mu, topology, seed=0):
     return KnowledgeModel(num_domains=num_domains, bs_kbs=bs_kbs, mu_needs=mu_needs)
 
 
+def _indicator(subsets, num_domains):
+    """0/1 matrix whose row r marks the domain labels (1..K) in subsets[r]."""
+    out = np.zeros((len(subsets), num_domains + 1))
+    rows = np.repeat(np.arange(len(subsets)), [len(s) for s in subsets])
+    out[rows, np.fromiter((k for s in subsets for k in s), dtype=int, count=rows.size)] = 1.0
+    return out
+
+
 def feasible_bs_sets(model):
     """All base stations that maximize |KB(j) ∩ needs(i)|, ties included."""
-    L = len(model.bs_kbs)
-    sets = []
-    for need in model.mu_needs:
-        overlap = np.array([len(kb & need) for kb in model.bs_kbs])
-        best = overlap.max()
-        sets.append(tuple(int(j) for j in np.flatnonzero(overlap == best)))
-    return FeasibleSets(num_bs=L, sets=tuple(sets))
+    need = _indicator(model.mu_needs, model.num_domains)
+    kb = _indicator(model.bs_kbs, model.num_domains)
+    overlap = need @ kb.T
+    # initial=0 keeps a model without users valid; overlaps are never negative.
+    return FeasibleSets(overlap == overlap.max(axis=1, keepdims=True, initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,14 +117,6 @@ class B2mProfile:
     @classmethod
     def uniform(cls, num_users, msg_per_bit=DEFAULT_MSG_PER_BIT):
         return cls(np.full(num_users, float(msg_per_bit)))
-
-
-def b2m_rate(profile, user, bit_rate_bps):
-    """Message rate of one user under perfect knowledge matching."""
-    b = np.asarray(bit_rate_bps, dtype=float)
-    if np.any(b < 0):
-        raise ValueError("bit rate must be nonnegative")
-    return profile.msg_per_bit[user] * b
 
 
 @dataclass(frozen=True)

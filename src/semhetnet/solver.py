@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import InfeasibleError, SolverError
 from .objective import DeterministicObjective, objective_gradient, objective_value
+from .semantics import FeasibleSets
 from .topology import bit_rate
 
 _ARMIJO = 1e-4
@@ -25,7 +26,7 @@ class UaInstance:
     and the fixed minimum bandwidth n^T per link."""
 
     objective: DeterministicObjective
-    feasible: object  # FeasibleSets
+    feasible: FeasibleSets
     budgets: np.ndarray
     n_t: np.ndarray
 
@@ -194,8 +195,10 @@ def solve_relaxed_ua(inst, barrier=None, record_trace=False):
     """Barrier-method solve of the relaxed association problem.
 
     Projected gradient ascent with backtracking maximizes W(x, r) for a
-    decreasing barrier schedule r0, r0/mu, ..., r_min. The returned iterate
-    has projected-gradient norm <= tol at the final r.
+    decreasing barrier schedule r0, r0/mu, ..., r_min. Each stage ends at
+    projected-gradient norm <= tol, after a 25-iteration window that gains
+    too little (see BarrierParams.stall_rtol), or when no step is accepted;
+    the norm reached at the final r is returned in pg_norm.
 
     Raises
     ------
@@ -404,8 +407,10 @@ def _residual_pga(cv, floors, budget, tau, sq, tol, max_iter=5000):
 def allocate_residual(assoc, inst, kkt_rtol=1e-8):
     """Optimal split of each BS's leftover bandwidth among its users.
 
-    Starting from an even split, projected gradient ascent drives the
-    per-BS confidence objective to a KKT residual below kkt_rtol * N_j.
+    Starting from an even split, projected gradient ascent on the per-BS
+    confidence objective runs until its KKT residual falls to kkt_rtol * N_j
+    or no step is accepted. The worst reached residual relative to N_j is
+    returned in kkt_residual.
     """
     n_t, budgets = inst.n_t, inst.budgets
     c = inst.rate_per_hz()
@@ -433,17 +438,13 @@ def usable_links(inst):
 
 
 def _restricted_instance(inst, usable, rows):
-    from .semantics import FeasibleSets  # local import to avoid a cycle
-
-    sub_mask = usable[rows]
-    sets = tuple(tuple(int(j) for j in np.flatnonzero(r)) for r in sub_mask)
     obj = inst.objective
     sub_obj = DeterministicObjective(
         tau=obj.tau, sigma=obj.sigma, q=obj.q, xi_t=obj.xi_t[rows], eps_norm=obj.eps_norm
     )
     return UaInstance(
         objective=sub_obj,
-        feasible=FeasibleSets(num_bs=inst.num_bs, sets=sets),
+        feasible=FeasibleSets(usable[rows]),
         budgets=inst.budgets,
         n_t=inst.n_t[rows],
     )

@@ -36,11 +36,6 @@ def dbm_to_watts(power_dbm):
     return 10.0 ** ((np.asarray(power_dbm, dtype=float) - 30.0) / 10.0)
 
 
-def watts_to_dbm(power_w):
-    """Convert linear watts to dBm (scalar or array)."""
-    return 10.0 * np.log10(np.asarray(power_w, dtype=float)) + 30.0
-
-
 @dataclass(frozen=True)
 class BaseStation:
     id: int

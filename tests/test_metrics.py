@@ -4,7 +4,7 @@ import pytest
 from conftest import make_instance
 from semhetnet.metrics import (bit_throughput, confidence_bound, expected_stm,
                                feasibility_violations, instance_fbar, oracle_enumerate,
-                               per_user_message_rate, realized_stm)
+                               per_user_message_rate)
 from semhetnet.objective import std_normal_quantile
 from semhetnet.semantics import B2mProfile
 from semhetnet.solver import Allocation, Association, two_stage
@@ -37,33 +37,6 @@ def test_expected_stm_tau_one_recovers_perfect_rate():
     assoc, alloc, profile, channel = _simple_solution()
     s = per_user_message_rate(assoc, alloc, profile, channel)
     assert expected_stm(assoc, alloc, profile, channel, tau=1.0) == pytest.approx(s.sum())
-
-
-def test_realized_stm_at_mean_matches_expected():
-    assoc, alloc, profile, channel = _simple_solution()
-    got = realized_stm(assoc, alloc, profile, channel, eta=np.array([0.5]))
-    assert got == pytest.approx(expected_stm(assoc, alloc, profile, channel, tau=0.5))
-
-
-def test_realized_stm_degenerate_matching():
-    assoc, alloc, profile, channel = _simple_solution()
-    assert realized_stm(assoc, alloc, profile, channel, eta=np.array([1e-9])) < 1e-2
-
-
-def test_realized_stm_monte_carlo_mean(rng):
-    assoc, alloc, profile, channel = _simple_solution()
-    etas = rng.normal(0.5, 0.1, size=100_000)
-    sample = [realized_stm(assoc, alloc, profile, channel, eta=np.array([e]))
-              for e in etas[:100]]
-    assert np.allclose(sample, etas[:100] * 2000.0)
-    mean = float(np.mean(etas) * 2000.0)  # realized is linear in eta
-    assert mean == pytest.approx(expected_stm(assoc, alloc, profile, channel, 0.5), rel=0.005)
-
-
-def test_realized_stm_shape_check():
-    assoc, alloc, profile, channel = _simple_solution()
-    with pytest.raises(ValueError):
-        realized_stm(assoc, alloc, profile, channel, eta=np.array([0.5, 0.5]))
 
 
 def test_bit_throughput_values():

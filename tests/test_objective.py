@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semhetnet.objective import (DeterministicObjective, chance_check, evaluate,
-                                 objective_gradient, objective_value, std_normal_cdf,
-                                 std_normal_quantile)
+from semhetnet.objective import (DeterministicObjective, chance_check, objective_gradient,
+                                 objective_value, std_normal_cdf, std_normal_quantile)
 from semhetnet.semantics import EtaModel
 
 
@@ -103,13 +102,6 @@ def test_gradient_matches_finite_differences(rng):
     g = objective_gradient(obj, x)
     fd = finite_difference_gradient(obj, x)
     assert np.allclose(g, fd, rtol=1e-6, atol=1e-9)
-
-
-def test_evaluate_bundles_value_and_gradient():
-    obj = _scalar_objective()
-    ev = evaluate(obj, np.array([[1.0]]))
-    assert ev.value == objective_value(obj, np.array([[1.0]]))
-    assert ev.gradient.shape == (1, 1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from semhetnet.errors import ConfigError
-from semhetnet.semantics import (B2mProfile, EtaModel, KnowledgeModel, assign_knowledge,
-                                 b2m_rate, feasible_bs_sets, sample_eta)
+from semhetnet.semantics import (B2mProfile, EtaModel, FeasibleSets, KnowledgeModel,
+                                 assign_knowledge, feasible_bs_sets, sample_eta)
 from semhetnet.topology import generate_topology
 
 
@@ -18,13 +18,13 @@ def test_single_domain_everyone_matches(small_topology):
     assert all(kb == frozenset({1}) for kb in model.bs_kbs)
     assert all(need == frozenset({1}) for need in model.mu_needs)
     fs = feasible_bs_sets(model)
-    assert all(s == tuple(range(small_topology.num_bs)) for s in fs.sets)
+    assert fs.mask().all()
 
 
 def test_full_coverage_all_bs_feasible(small_topology):
     model = assign_knowledge(10, 10, 3, small_topology, seed=2)
     fs = feasible_bs_sets(model)
-    assert all(s == tuple(range(small_topology.num_bs)) for s in fs.sets)
+    assert fs.mask().all()
 
 
 def test_assignment_deterministic(small_topology):
@@ -45,7 +45,7 @@ def test_strict_dominance_single_winner():
                            bs_kbs=(frozenset({1, 2}), frozenset({1})),
                            mu_needs=(frozenset({1, 2}),))
     fs = feasible_bs_sets(model)
-    assert fs.sets == ((0,),)
+    assert fs.mask().tolist() == [[True, False]]
 
 
 def test_identical_kbs_keep_all_maximizers():
@@ -53,35 +53,57 @@ def test_identical_kbs_keep_all_maximizers():
                            bs_kbs=(frozenset({1, 2}),) * 4,
                            mu_needs=(frozenset({2}), frozenset({3})))
     fs = feasible_bs_sets(model)
-    assert fs.sets == ((0, 1, 2, 3), (0, 1, 2, 3))
+    assert fs.mask().tolist() == [[True] * 4, [True] * 4]
 
 
 def test_feasible_mask_shape(small_topology):
     model = assign_knowledge(3, 2, 1, small_topology, seed=5)
     fs = feasible_bs_sets(model)
     mask = fs.mask()
+    assert mask.dtype == bool
     assert mask.shape == (small_topology.num_users, small_topology.num_bs)
-    assert np.array_equal(mask.sum(axis=1), [len(s) for s in fs.sets])
+    assert (fs.num_users, fs.num_bs) == mask.shape
+    assert mask.any(axis=1).all()
 
 
-def test_b2m_rate_values():
-    profile = B2mProfile(np.array([1e-3, 2e-3]))
-    assert b2m_rate(profile, 0, 2e6) == pytest.approx(2000.0)
-    assert b2m_rate(profile, 1, 0.0) == 0.0
+def reference_feasible_mask(model):
+    """Per-user argmax of |KB(j) & needs(i)|, ties kept: the definition, looped."""
+    rows = []
+    for need in model.mu_needs:
+        overlap = np.array([len(kb & need) for kb in model.bs_kbs])
+        rows.append(overlap == overlap.max())
+    return np.array(rows, dtype=bool).reshape(len(model.mu_needs), len(model.bs_kbs))
+
+
+@st.composite
+def knowledge_models(draw):
+    k = draw(st.integers(1, 5))
+    labels = st.integers(1, k)
+    bs_kbs = draw(st.lists(st.frozensets(labels, max_size=k), min_size=1, max_size=5))
+    mu_needs = draw(st.lists(st.frozensets(labels, min_size=1, max_size=k), max_size=6))
+    return KnowledgeModel(num_domains=k, bs_kbs=tuple(bs_kbs), mu_needs=tuple(mu_needs))
+
+
+@given(knowledge_models())
+def test_feasible_mask_matches_bruteforce_argmax(model):
+    mask = feasible_bs_sets(model).mask()
+    assert np.array_equal(mask, reference_feasible_mask(model))
+    assert not mask.flags.writeable
     with pytest.raises(ValueError):
-        b2m_rate(profile, 0, -1.0)
+        mask[..., 0] = False
 
 
-@given(st.floats(0.0, 1e8), st.floats(0.0, 1e8))
-def test_b2m_rate_monotone(b1, b2):
-    profile = B2mProfile.uniform(1)
-    lo, hi = sorted((b1, b2))
-    assert b2m_rate(profile, 0, lo) <= b2m_rate(profile, 0, hi)
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_feasible_sets_reject_user_without_bs(m, l, data):
+    links = np.ones((m, l), dtype=bool)
+    links[data.draw(st.integers(0, m - 1))] = False
+    with pytest.raises(ConfigError):
+        FeasibleSets(links)
 
 
-def test_b2m_doubling():
-    profile = B2mProfile.uniform(1)
-    assert b2m_rate(profile, 0, 2e6) == pytest.approx(2 * b2m_rate(profile, 0, 1e6))
+def test_feasible_sets_reject_non_matrix():
+    with pytest.raises(ConfigError):
+        FeasibleSets(np.ones(3, dtype=bool))
 
 
 def test_profile_rejects_nonpositive_coefficients():
@@ -117,7 +139,7 @@ def test_matching_scales_perfect_curve():
     etas = sample_eta(model, 5, seed=2)
     for b in (0.0, 1e3, 5e6):
         for i in range(5):
-            perfect = b2m_rate(profile, i, b)
+            perfect = profile.msg_per_bit[i] * b
             matched = etas[i] * perfect
             assert matched == pytest.approx(etas[i] * perfect)
             if b > 0:

@@ -60,7 +60,7 @@ def test_make_instance_bandwidth_floor_hits_threshold(rng):
     from semhetnet.semantics import B2mProfile, FeasibleSets
     gamma = rng.uniform(0.2, 50.0, size=(4, 3))
     channel = ChannelState(gamma)
-    fs = FeasibleSets(num_bs=3, sets=tuple((0, 1, 2) for _ in range(4)))
+    fs = FeasibleSets(np.ones((4, 3), dtype=bool))
     profile = B2mProfile.uniform(4)
     inst = build_instance(channel, fs, profile, np.full(3, 2e6), 1e4, 0.5, 0.1, 0.95)
     rates = inst.n_t * np.log2(1.0 + gamma)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from semhetnet.errors import ConfigError
-from semhetnet.topology import (Tier, Topology, bit_rate, compute_sinr, dbm_to_watts,
-                                generate_topology, path_loss_db, watts_to_dbm)
+from semhetnet.topology import (Tier, Topology, bit_rate, compute_sinr, generate_topology,
+                                path_loss_db)
 
 
 def test_default_generation_counts():
@@ -143,11 +143,6 @@ def test_bit_rate_linear_in_bandwidth(n, gamma):
 def test_bit_rate_increasing_in_gamma(g1, g2):
     lo, hi = sorted((g1, g2))
     assert bit_rate(1e6, lo) <= bit_rate(1e6, hi)
-
-
-@given(st.floats(-120.0, 60.0))
-def test_dbm_watts_round_trip(p_dbm):
-    assert watts_to_dbm(dbm_to_watts(p_dbm)) == pytest.approx(p_dbm, rel=1e-12, abs=1e-10)
 
 
 def test_topology_json_round_trip():
