@@ -47,6 +47,7 @@ class MethodOutcome:
     iterations: int = 0
     pg_norm: float = 0.0
     relaxed: solver.RelaxedAssociation = None
+    evicted: tuple = ()
 
 
 def build_scenario(config, seed):
@@ -89,6 +90,7 @@ def run_method(scenario, method, record_trace=False):
         sol = solver.two_stage(inst, barrier=cfg.barrier, record_trace=record_trace)
         assoc, alloc = sol.association, sol.allocation
         iters, pg, relaxed = sol.relaxed.iterations, sol.relaxed.pg_norm, sol.relaxed
+        evicted = sol.evicted
     elif method in ("max-sinr-wf", "max-sinr-even"):
         assoc = solver.baseline_max_sinr(
             scenario.channel, scenario.feasible, inst,
@@ -96,7 +98,7 @@ def run_method(scenario, method, record_trace=False):
         )
         mode = "waterfill" if method == "max-sinr-wf" else "even"
         alloc = solver.baseline_ba(assoc, inst, scenario.channel, mode)
-        iters, pg, relaxed = 0, 0.0, None
+        iters, pg, relaxed, evicted = 0, 0.0, None, ()
     else:
         raise ConfigError(f"unknown method {method!r}")
     report = metrics.build_report(
@@ -105,7 +107,7 @@ def run_method(scenario, method, record_trace=False):
     )
     return MethodOutcome(
         method=method, association=assoc, allocation=alloc, report=report,
-        iterations=iters, pg_norm=pg, relaxed=relaxed,
+        iterations=iters, pg_norm=pg, relaxed=relaxed, evicted=evicted,
     )
 
 
@@ -136,6 +138,7 @@ def _method_report(scenario, outcome):
         "bit_throughput": rep.bit_throughput,
         "served": rep.served,
         "unserved": list(outcome.association.unserved),
+        "admission_evicted": list(outcome.evicted),
         "per_bs_load_hz": [float(v) for v in alloc_loads],
         "iterations": outcome.iterations,
         "kkt_residuals": {
@@ -391,7 +394,7 @@ def validate(config, oracle_instances=50, chance_trials=100_000, eta_draws=1_000
 
     worst_assoc, worst_budget, worst_eq = 0, 0.0, 0.0
     for method in config.methods:
-        out = run_method(scenario, method)
+        out = outcome if method == "two-stage" else run_method(scenario, method)
         viol = metrics.feasibility_violations(
             out.association, out.allocation, scenario.instance,
             check_feasible_membership=(method == "two-stage" or config.baseline_respects_kb),

@@ -153,8 +153,20 @@ def _loads(x, n_t):
     return np.einsum("ml,ml->l", x, n_t)
 
 
-def _interior_start(mask, n_t, budgets):
-    """Strictly interior start: uniform rows, else a blend with a greedy packing."""
+def _link_lists(mask, n_t):
+    """Each row's (BS, n^T) pairs on the mask, as Python lists for scalar loops."""
+    rows, cols = np.nonzero(mask)
+    pairs = list(zip(cols.tolist(), n_t[rows, cols].tolist()))
+    ends = np.cumsum(mask.sum(axis=1)).tolist()
+    return [pairs[start:end] for start, end in zip([0] + ends[:-1], ends)]
+
+
+def _interior_start(mask, n_t, budgets, links=None):
+    """Strictly interior start: uniform rows, else a blend with a greedy packing.
+
+    `links` holds each row's `_link_lists` entry; it is built from the mask
+    when omitted and the uniform start fails.
+    """
     sizes = mask.sum(axis=1)
     if np.any(sizes == 0):
         raise InfeasibleError("user with empty feasible set")
@@ -167,17 +179,25 @@ def _interior_start(mask, n_t, budgets):
     if min_rel_slack(x_unif) > 1e-9:
         return x_unif
 
-    # Pack the hardest users first onto the BS with the most room left.
+    # Pack the hardest users first onto the BS with the most room left
+    # (first maximum on ties).
+    if links is None:
+        links = _link_lists(mask, n_t)
     demand = np.where(mask, n_t, np.inf).min(axis=1)
     order = np.argsort(-demand, kind="stable")
+    b = budgets.tolist()
+    loads = [0.0] * len(b)
+    cols = []
+    for i in order.tolist():
+        best = None
+        for j, n in links[i]:
+            spare = b[j] - loads[j] - n
+            if best is None or spare > best_spare:
+                best, best_spare, best_n = j, spare, n
+        cols.append(best)
+        loads[best] += best_n
     x_greedy = np.zeros_like(x_unif)
-    loads = np.zeros_like(budgets)
-    for i in order:
-        js = np.flatnonzero(mask[i])
-        spare = budgets[js] - loads[js] - n_t[i, js]
-        j = js[int(np.argmax(spare))]
-        x_greedy[i, j] = 1.0
-        loads[j] += n_t[i, j]
+    x_greedy[order, cols] = 1.0
 
     for theta in (0.5, 0.25, 0.1, 0.01, 1e-3, 1e-4, 0.0):
         x = theta * x_unif + (1.0 - theta) * x_greedy
@@ -292,24 +312,16 @@ def round_association(xs, inst):
     result may violate budgets and must go through `repair_overload`.
     All-zero rows (users blocked before the relaxed solve) stay unserved.
     """
-    x_star = xs.x_star
     mask = inst.mask()
-    xi = inst.objective.xi_t
-    m, l = x_star.shape
-    x = np.zeros((m, l), dtype=np.int8)
-    unserved = []
-    for i in range(m):
-        js = np.flatnonzero(mask[i])
-        w = x_star[i, js]
-        if w.max() <= 0.0:
-            unserved.append(i)
-            continue
-        best = js[w == w.max()]
-        if best.size > 1:
-            xv = xi[i, best]
-            best = best[xv == xv.max()]
-        x[i, int(best.min())] = 1
-    return Association(x=x, unserved=tuple(unserved))
+    w = np.where(mask, xs.x_star, -np.inf)
+    w_max = w.max(axis=1, keepdims=True)
+    top = w == w_max
+    xv = np.where(top, inst.objective.xi_t, -np.inf)
+    best = np.argmax(top & (xv == xv.max(axis=1, keepdims=True)), axis=1)
+    served = w_max[:, 0] > 0.0
+    x = np.zeros(mask.shape, dtype=np.int8)
+    x[served, best[served]] = 1
+    return Association(x=x, unserved=tuple(np.flatnonzero(~served).tolist()))
 
 
 def _repair_budget(x, weights, inst, cand_mask, unserved=()):
@@ -450,43 +462,66 @@ def _restricted_instance(inst, usable, rows):
     )
 
 
-def two_stage(inst, barrier=None, record_trace=False):
-    """Relaxed solve, rounding, repair, and residual allocation in one call.
+def _admit(usable, n_t, budgets):
+    """Users the relaxed problem can hold with a strictly interior point.
 
-    Users without a single feasible link that fits inside a budget can never
-    be served by a binary association; they are blocked up front and the
-    relaxed problem runs on the remaining users over their usable links.
-    If the remaining users still admit no strictly interior point, the most
-    bandwidth-hungry user touching an overloaded budget is blocked, until
-    the relaxed problem becomes feasible (the same eviction rule the repair
-    step applies after rounding).
+    Starts from every user with a usable link. While the greedy packing of
+    `_interior_start` overloads a budget, blocks the most bandwidth-hungry
+    user (largest minimum usable n^T, ties to the largest index) touching an
+    overloaded BS. Returns the admitted-user mask and the blocked users in
+    eviction order.
     """
-    usable = usable_links(inst)
-    admissible = usable.any(axis=1)
-    x_star = np.zeros_like(inst.n_t)
-    sub = None
-    while np.any(admissible):
-        rows = np.flatnonzero(admissible)
+    admitted = usable.any(axis=1)
+    evicted = []
+    links = None
+    while np.any(admitted):
+        rows = np.flatnonzero(admitted)
         try:
-            sub = solve_relaxed_ua(_restricted_instance(inst, usable, rows),
-                                   barrier=barrier, record_trace=record_trace)
+            _interior_start(usable[rows], n_t[rows], budgets,
+                            None if links is None else [links[i] for i in rows.tolist()])
             break
         except InfeasibleError as err:
-            over = np.zeros(inst.num_bs, dtype=bool)
+            if links is None:
+                links = _link_lists(usable, n_t)
+            over = np.zeros(budgets.size, dtype=bool)
             over[list(err.overloaded)] = True
             touching = rows[usable[rows][:, over].any(axis=1)] if over.any() else rows
             if touching.size == 0:
                 touching = rows
-            demand = np.where(usable[touching], inst.n_t[touching], np.inf).min(axis=1)
-            admissible[int(touching[demand == demand.max()].max())] = False
-    if sub is not None:
-        x_star[np.flatnonzero(admissible)] = sub.x_star
+            demand = np.where(usable[touching], n_t[touching], np.inf).min(axis=1)
+            victim = int(touching[demand == demand.max()].max())
+            admitted[victim] = False
+            evicted.append(victim)
+    return admitted, tuple(evicted)
+
+
+def two_stage(inst, barrier=None, record_trace=False):
+    """Admission, relaxed solve, rounding, repair, and residual allocation.
+
+    Users without a single feasible link that fits inside a budget can never
+    be served by a binary association; they are blocked up front and the
+    relaxed problem runs on the remaining users over their usable links.
+    If the remaining users admit no strictly interior point, admission
+    blocks the most bandwidth-hungry user touching an overloaded budget, one
+    at a time, until one exists (the same eviction rule the repair step
+    applies after rounding); the relaxed problem is then solved once. The
+    users blocked at admission are returned in `evicted`, in order.
+    """
+    usable = usable_links(inst)
+    admitted, evicted = _admit(usable, inst.n_t, inst.budgets)
+    rows = np.flatnonzero(admitted)
+    x_star = np.zeros_like(inst.n_t)
+    if rows.size:
+        sub = solve_relaxed_ua(_restricted_instance(inst, usable, rows),
+                               barrier=barrier, record_trace=record_trace)
+        x_star[rows] = sub.x_star
         relaxed = RelaxedAssociation(x_star, sub.iterations, sub.pg_norm, sub.trace)
     else:
         relaxed = RelaxedAssociation(x_star)
     assoc = repair_overload(round_association(relaxed, inst), relaxed, inst)
     alloc = allocate_residual(assoc, inst)
-    return TwoStageSolution(relaxed=relaxed, association=assoc, allocation=alloc)
+    return TwoStageSolution(relaxed=relaxed, association=assoc, allocation=alloc,
+                            evicted=evicted)
 
 
 @dataclass(frozen=True, eq=False)
@@ -494,6 +529,7 @@ class TwoStageSolution:
     relaxed: RelaxedAssociation
     association: Association
     allocation: Allocation
+    evicted: tuple = ()  # users blocked at admission, in eviction order
 
 
 def baseline_max_sinr(channel, feasible, inst, restrict_to_feasible=False):
@@ -503,13 +539,9 @@ def baseline_max_sinr(channel, feasible, inst, restrict_to_feasible=False):
     benchmark); set restrict_to_feasible to confine it to the feasible sets.
     """
     gamma = channel.gamma
-    m, l = gamma.shape
-    cand = feasible.mask() if restrict_to_feasible else np.ones((m, l), dtype=bool)
-    x = np.zeros((m, l), dtype=np.int8)
-    for i in range(m):
-        js = np.flatnonzero(cand[i])
-        g = gamma[i, js]
-        x[i, int(js[g == g.max()].min())] = 1
+    cand = feasible.mask() if restrict_to_feasible else np.ones(gamma.shape, dtype=bool)
+    x = np.zeros(gamma.shape, dtype=np.int8)
+    x[np.arange(gamma.shape[0]), np.argmax(np.where(cand, gamma, -np.inf), axis=1)] = 1
     return _repair_budget(x, gamma, inst, cand)
 
 

@@ -91,6 +91,21 @@ def test_run_scenario_writes_artifacts(tmp_path):
     assert (tmp_path / "trace_seed1.csv").exists()
 
 
+def test_report_lists_admission_evictions(tmp_path):
+    cfg = config_from_dict({**DESK, "bandwidth_budget_hz": 5e4,
+                            "methods": list(ScenarioConfig().methods)})
+    rows, outcomes, reports = run_scenario(cfg, out_dir=str(tmp_path))
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report == reports
+    for entry in report[0]["methods"]:
+        evicted = outcomes[1][entry["method"]].evicted
+        assert entry["admission_evicted"] == list(evicted)
+        assert set(evicted) <= set(entry["unserved"])
+        if entry["method"] != "two-stage":
+            assert evicted == ()
+    assert outcomes[1]["two-stage"].evicted  # these budgets force admission to block users
+
+
 def test_sweep_holds_bs_placement_fixed():
     cfg = config_from_dict({**DESK})
     tops = {}

@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_instance
+from semhetnet.config import ScenarioConfig
 from semhetnet.errors import InfeasibleError
-from semhetnet.metrics import instance_fbar
+from semhetnet.harness import build_scenario
+from semhetnet.metrics import feasibility_violations, instance_fbar
 from semhetnet.objective import objective_value
 from semhetnet.solver import (Allocation, Association, RelaxedAssociation,
-                              allocate_residual, baseline_ba, baseline_max_sinr,
-                              make_instance as build_instance, project_rows_to_simplex,
-                              repair_overload, round_association, solve_relaxed_ua,
-                              two_stage, usable_links)
+                              _interior_start, _restricted_instance, allocate_residual,
+                              baseline_ba, baseline_max_sinr, make_instance as build_instance,
+                              project_rows_to_simplex, repair_overload, round_association,
+                              solve_relaxed_ua, two_stage, usable_links)
 from semhetnet.topology import ChannelState
 
 
@@ -180,6 +182,61 @@ def test_round_tie_breaks_by_xi_then_index():
                             sets=[(0, 1)])
     assoc = round_association(RelaxedAssociation(np.array([[0.5, 0.5]])), inst_xi)
     assert list(assoc.x[0]) == [0, 1]  # higher xi wins the tie
+
+
+def loop_round_association(x_star, mask, xi):
+    """Per-user rounding loop, the reference for the vectorized rule."""
+    m, l = x_star.shape
+    x = np.zeros((m, l), dtype=np.int8)
+    unserved = []
+    for i in range(m):
+        js = np.flatnonzero(mask[i])
+        w = x_star[i, js]
+        if w.max() <= 0.0:
+            unserved.append(i)
+            continue
+        best = js[w == w.max()]
+        if best.size > 1:
+            xv = xi[i, best]
+            best = best[xv == xv.max()]
+        x[i, int(best.min())] = 1
+    return x, tuple(unserved)
+
+
+def loop_max_sinr(gamma, cand):
+    """Per-user strongest-BS loop, the reference for the vectorized baseline."""
+    x = np.zeros(gamma.shape, dtype=np.int8)
+    for i in range(gamma.shape[0]):
+        js = np.flatnonzero(cand[i])
+        g = gamma[i, js]
+        x[i, int(js[g == g.max()].min())] = 1
+    return x
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_vectorized_rounding_and_max_sinr_match_loops(seed):
+    r = np.random.default_rng(seed)
+    m, l = int(r.integers(1, 9)), int(r.integers(1, 5))
+    mask = r.random((m, l)) < 0.6
+    mask[np.arange(m), r.integers(l, size=m)] = True
+    # few distinct values, so weight, xi and SINR ties are common
+    x_star = r.choice([-0.5, 0.0, 0.25, 0.5], size=(m, l))
+    x_star[r.random(m) < 0.2] = 0.0  # users blocked before the relaxed solve
+    xi = r.choice([1.0, 2.0], size=(m, l))
+    inst = make_instance(xi=xi, n_t=np.full((m, l), 10.0), budgets=[1e3] * l,
+                         sets=[np.flatnonzero(row) for row in mask])
+    assoc = round_association(RelaxedAssociation(x_star), inst)
+    want_x, want_unserved = loop_round_association(x_star, mask, xi)
+    assert np.array_equal(assoc.x, want_x) and assoc.x.dtype == want_x.dtype
+    assert assoc.unserved == want_unserved
+
+    gamma = r.choice([0.5, 1.0, 3.0], size=(m, l))
+    for restrict in (False, True):
+        cand = mask if restrict else np.ones((m, l), dtype=bool)
+        got = baseline_max_sinr(ChannelState(gamma), inst.feasible, inst,
+                                restrict_to_feasible=restrict)
+        assert np.array_equal(got.x, loop_max_sinr(gamma, cand))  # budgets never bind here
 
 
 def test_round_binary_input_unchanged():
@@ -425,3 +482,132 @@ def test_two_stage_full_budget_use_on_active_bs(rng):
     loads = (sol.association.x * sol.allocation.n).sum(axis=0)
     active = sol.association.x.sum(axis=0) > 0
     assert np.allclose(loads[active], inst.budgets[active], rtol=1e-9)
+
+
+# ----------------------------------------------------------------- admission
+
+def array_interior_start(mask, n_t, budgets):
+    """Interior start with the greedy packing on numpy rows, the reference
+    for the scalar packing loop."""
+    sizes = mask.sum(axis=1)
+    x_unif = mask / sizes[:, None]
+
+    def min_rel_slack(x):
+        slack = budgets - np.einsum("ml,ml->l", x, n_t)
+        return float((slack / budgets).min())
+
+    if min_rel_slack(x_unif) > 1e-9:
+        return x_unif
+    demand = np.where(mask, n_t, np.inf).min(axis=1)
+    order = np.argsort(-demand, kind="stable")
+    x_greedy = np.zeros_like(x_unif)
+    loads = np.zeros_like(budgets)
+    for i in order:
+        js = np.flatnonzero(mask[i])
+        spare = budgets[js] - loads[js] - n_t[i, js]
+        j = js[int(np.argmax(spare))]
+        x_greedy[i, j] = 1.0
+        loads[j] += n_t[i, j]
+    for theta in (0.5, 0.25, 0.1, 0.01, 1e-3, 1e-4, 0.0):
+        x = theta * x_unif + (1.0 - theta) * x_greedy
+        if min_rel_slack(x) > 1e-12:
+            return x
+    slack = budgets - np.einsum("ml,ml->l", x_greedy, n_t)
+    return [int(j) for j in np.flatnonzero(slack <= 0)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_interior_start_packing_matches_array_loop(seed):
+    r = np.random.default_rng(seed)
+    m, l = int(r.integers(1, 13)), int(r.integers(1, 5))
+    mask = r.random((m, l)) < 0.6
+    mask[np.arange(m), r.integers(l, size=m)] = True
+    if r.random() < 0.5:  # ties in demand and in spare room, exact or up to rounding
+        n_t = r.choice([0.1, 0.2, 0.3], size=(m, l))
+        budgets = r.choice([0.3, 0.6, 0.9], size=l) * max(1.0, m // l)
+    else:
+        n_t = r.uniform(10.0, 100.0, size=(m, l))
+        budgets = r.uniform(10.0, 100.0, size=l) * max(1.0, m / l)
+    want = array_interior_start(mask, n_t, budgets)
+    try:
+        got = _interior_start(mask, n_t, budgets)
+    except InfeasibleError as err:
+        assert list(err.overloaded) == want
+    else:
+        assert isinstance(want, np.ndarray) and got.tobytes() == want.tobytes()
+
+
+def restart_loop_two_stage(inst):
+    """Admission by restarting the relaxed solve once per eviction.
+
+    The reference for two_stage's array-level admission: each
+    InfeasibleError from solve_relaxed_ua blocks the user with the largest
+    minimum usable n^T (ties to the largest index) touching an overloaded BS.
+    """
+    usable = usable_links(inst)
+    admissible = usable.any(axis=1)
+    x_star = np.zeros_like(inst.n_t)
+    evicted = []
+    while np.any(admissible):
+        rows = np.flatnonzero(admissible)
+        try:
+            x_star[rows] = solve_relaxed_ua(_restricted_instance(inst, usable, rows)).x_star
+            break
+        except InfeasibleError as err:
+            over = np.zeros(inst.num_bs, dtype=bool)
+            over[list(err.overloaded)] = True
+            touching = rows[usable[rows][:, over].any(axis=1)] if over.any() else rows
+            if touching.size == 0:
+                touching = rows
+            demand = np.where(usable[touching], inst.n_t[touching], np.inf).min(axis=1)
+            victim = int(touching[demand == demand.max()].max())
+            admissible[victim] = False
+            evicted.append(victim)
+    relaxed = RelaxedAssociation(x_star)
+    x, unserved = loop_round_association(x_star, inst.mask(), inst.objective.xi_t)
+    assoc = repair_overload(Association(x=x, unserved=unserved), relaxed, inst)
+    return x_star, assoc, tuple(evicted)
+
+
+def assert_matches_restart_loop(inst):
+    sol = two_stage(inst)
+    x_star, assoc, evicted = restart_loop_two_stage(inst)
+    assert sol.relaxed.x_star.tobytes() == x_star.tobytes()
+    assert sol.association.x.tobytes() == assoc.x.tobytes()
+    assert sol.association.unserved == assoc.unserved
+    assert sol.evicted == evicted
+    return sol
+
+
+@pytest.mark.parametrize("num_users", [120, 240])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_admission_matches_restart_loop_on_tight_budgets(num_users, seed):
+    inst = build_scenario(ScenarioConfig(bandwidth_budget_hz=5e4, num_users=num_users),
+                          seed).instance
+    sol = assert_matches_restart_loop(inst)
+    assert sol.evicted  # the budgets are tight enough to need admission
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_admission_fuzz_matches_restart_loop_and_stays_feasible(seed):
+    r = np.random.default_rng(seed)
+    m, l = int(r.integers(1, 11)), int(r.integers(1, 5))
+    if r.random() < 0.5:  # few distinct values, so demand and spare-room ties are common
+        n_t = r.choice([20.0, 30.0, 40.0, 60.0], size=(m, l))
+        budgets = r.choice([10.0, 40.0, 60.0, 90.0, 120.0], size=l) * max(1.0, m / l)
+    else:
+        n_t = r.uniform(10.0, 100.0, size=(m, l))
+        budgets = r.uniform(5.0, 60.0 * max(1.0, m / l), size=l)
+    mask = r.random((m, l)) < 0.6
+    mask[np.arange(m), r.integers(l, size=m)] = True
+    inst = make_instance(xi=r.uniform(0.5, 4.0, size=(m, l)), n_t=n_t, budgets=budgets,
+                         sets=[np.flatnonzero(row) for row in mask],
+                         sigma=float(r.uniform(0.0, 0.4)))
+    sol = assert_matches_restart_loop(inst)
+    viol = feasibility_violations(sol.association, sol.allocation, inst)
+    assert viol["association_defects"] == 0
+    assert viol["budget_overshoot_rel"] <= 1e-9
+    assert viol["full_allocation_gap_rel"] <= 1e-9
+    assert set(sol.evicted) <= set(sol.association.unserved)
