@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, SolverError
-from .objective import DeterministicObjective, objective_gradient, objective_value
+from .objective import (DeterministicObjective, confidence_bound, objective_gradient,
+                        objective_value)
 from .semantics import FeasibleSets
 from .topology import bit_rate
 
@@ -137,18 +138,6 @@ def project_rows_to_simplex(v, mask):
     return x
 
 
-def _project_simplex(v, total):
-    """Euclidean projection of a vector onto {m >= 0, sum m = total}."""
-    if total <= 0:
-        return np.zeros_like(v)
-    u = np.sort(v)[::-1]
-    cs = np.cumsum(u)
-    k = np.arange(1, v.size + 1)
-    rho = np.nonzero(u * k > cs - total)[0][-1] + 1
-    theta = (cs[rho - 1] - total) / rho
-    return np.maximum(v - theta, 0.0)
-
-
 def _loads(x, n_t):
     return np.einsum("ml,ml->l", x, n_t)
 
@@ -172,11 +161,11 @@ def _interior_start(mask, n_t, budgets, links=None):
         raise InfeasibleError("user with empty feasible set")
     x_unif = mask / sizes[:, None]
 
-    def min_rel_slack(x):
-        slack = budgets - _loads(x, n_t)
-        return float((slack / budgets).min())
+    def rel_slack(x):
+        return (budgets - _loads(x, n_t)) / budgets
 
-    if min_rel_slack(x_unif) > 1e-9:
+    slack_unif = rel_slack(x_unif)
+    if slack_unif.min() > 1e-9:
         return x_unif
 
     # Pack the hardest users first onto the BS with the most room left
@@ -199,12 +188,15 @@ def _interior_start(mask, n_t, budgets, links=None):
     x_greedy = np.zeros_like(x_unif)
     x_greedy[order, cols] = 1.0
 
-    for theta in (0.5, 0.25, 0.1, 0.01, 1e-3, 1e-4, 0.0):
-        x = theta * x_unif + (1.0 - theta) * x_greedy
-        if min_rel_slack(x) > 1e-12:
-            return x
-    slack = budgets - _loads(x_greedy, n_t)
-    overloaded = [int(j) for j in np.flatnonzero(slack <= 0)]
+    slack_greedy = rel_slack(x_greedy)
+    # Loads are linear in x: a BS that both ends leave without slack has
+    # none in any blend, so skip the blends.
+    if not np.any((slack_greedy <= 0) & (slack_unif <= 0)):
+        for theta in (0.5, 0.25, 0.1, 0.01, 1e-3, 1e-4, 0.0):
+            x = theta * x_unif + (1.0 - theta) * x_greedy
+            if rel_slack(x).min() > 1e-12:
+                return x
+    overloaded = [int(j) for j in np.flatnonzero(slack_greedy <= 0)]
     raise InfeasibleError(
         f"no strictly interior association; overloaded budgets at BS {overloaded}",
         overloaded=overloaded,
@@ -368,80 +360,186 @@ def repair_overload(assoc, xs, inst):
     return _repair_budget(assoc.x, xs.x_star, inst, inst.mask(), unserved=assoc.unserved)
 
 
-def _residual_pga(cv, floors, budget, tau, sq, tol, max_iter=5000):
-    """Maximize tau*sum(s) - sq*||s|| with s = cv*(floors+m) over the
-    residual simplex sum(m) = budget - sum(floors), m >= 0."""
-    residual = budget - floors.sum()
-    if residual <= 0:
-        return np.zeros_like(cv), 0.0
-    m = np.full(cv.size, residual / cv.size)
+def _water_fill(seg, floors, bp, q, totals):
+    """n_i = f_i + q_i * max(0, w_j - bp_i), with each segment j's level w_j
+    set so that its entries sum to totals[j].
 
-    def value(m):
-        s = cv * (floors + m)
-        return float(tau * s.sum() - sq * np.linalg.norm(s))
-
-    def gradient(m):
-        s = cv * (floors + m)
-        nrm = float(np.linalg.norm(s))
-        if nrm <= 0:
-            return tau * cv
-        return cv * (tau - sq * s / nrm)
-
-    f_cur = value(m)
-    step = residual
-    res = np.inf
-    for _ in range(max_iter):
-        g = gradient(m)
-        gmax = float(np.abs(g).max())
-        if gmax <= 0:
-            res = 0.0
-            break
-        probe = _project_simplex(m + (residual / gmax) * g, residual)
-        res = float(np.abs(probe - m).max())
-        if res <= tol:
-            break
-        step = min(step * 2.0, 1e3 * residual)
-        accepted = False
-        while step > _STEP_FLOOR * residual:
-            cand = _project_simplex(m + step * g, residual)
-            f_new = value(cand)
-            gain = float(np.dot(g, cand - m))
-            if f_new >= f_cur + _ARMIJO * gain and f_new >= f_cur:
-                m, f_cur = cand, f_new
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-    return m, res
+    Exact, without iteration: a segment's sum is piecewise linear and
+    nondecreasing in w_j, with a breakpoint bp_i per entry. One sort by
+    (segment, breakpoint) and segmented cumulative sums give the sum at
+    every breakpoint; the level solves the linear piece that reaches the
+    total. Breakpoints are measured from each segment's lowest, which keeps
+    the sums accurate when q is large. Needs q > 0; a segment whose floors
+    already reach its total keeps them.
+    """
+    order = np.argsort(bp)
+    order = order[np.argsort(seg[order], kind="stable")]  # by segment, then breakpoint
+    seg, f, q, bp = seg[order], floors[order], q[order], bp[order]
+    count = np.bincount(seg, minlength=totals.size)
+    start = np.cumsum(count) - count  # each segment's first entry
+    b = bp - bp[start[seg]]
+    qb = q * b
+    # Sums over the earlier entries of the same segment, one padded row per
+    # segment so that no sum runs across segments.
+    pos = np.arange(seg.size) - start[seg]
+    rows = np.zeros((2, totals.size, int(count.max()) + 1))
+    rows[:, seg, pos + 1] = q, qb
+    q_before, qb_before = np.cumsum(rows, axis=2)[:, seg, pos]
+    floor_sum = np.bincount(seg, f, totals.size)
+    supply = floor_sum[seg] + b * q_before - qb_before  # at each entry's own breakpoint
+    active = np.bincount(seg, supply <= totals[seg], totals.size).astype(int)
+    segs = np.flatnonzero(count)
+    last = start[segs] + np.maximum(active[segs], 1) - 1  # the last entry above its floor
+    level = np.zeros(totals.size)
+    level[segs] = ((totals[segs] - floor_sum[segs] + qb_before[last] + qb[last])
+                   / (q_before[last] + q[last]))
+    n = np.empty_like(f)
+    n[order] = f + q * np.maximum(level[seg] - b, 0.0)
+    return n
 
 
-def allocate_residual(assoc, inst, kkt_rtol=1e-8):
-    """Optimal split of each BS's leftover bandwidth among its users.
+def _fill_budgets(n, floors, seg, totals):
+    """Scale each segment's headroom n - floors to fill its total exactly (an
+    even split where it has none). A segment whose floors already reach its
+    total keeps them; a lone entry takes the whole total."""
+    head = n - floors
+    room = np.maximum(totals - np.bincount(seg, floors, totals.size), 0.0)
+    used = np.bincount(seg, head, totals.size)
+    size = np.bincount(seg, minlength=totals.size)
+    share = np.where(used[seg] > 0, head / np.where(used > 0, used, 1.0)[seg], 1.0 / size[seg])
+    return np.where(size[seg] == 1, totals[seg], floors + room[seg] * share)
 
-    Starting from an even split, projected gradient ascent on the per-BS
-    confidence objective runs until its KKT residual falls to kkt_rtol * N_j
-    or no step is accepted. The worst reached residual relative to N_j is
-    returned in kkt_residual.
+
+def _global_norm_split(seg, c, floors, totals, tau, sq):
+    """argmax of tau * sum(s) - sq * ||s|| (sq > 0) over s = c * n, n >= floors
+    and per-segment sums at totals (segments whose floors reach their total
+    keep them).
+
+    With ||s|| = min_t (||s||^2 / 2t + t / 2), a fixed t leaves one separable
+    quadratic per segment, solved by a water level with
+    n_i = max(f_i, (t / sq) * (tau * c_i - lambda_j) / c_i^2). The best value
+    over s is concave in t with slope sign(||s(t)|| - t), so t is bisected on
+    that sign inside [||s at floors||, ||s at totals||] until both ends have
+    the same users above their floors. On such a piece the KKT conditions
+    are affine in t, so s(t) is affine and ||s(t)|| = t is a quadratic.
+    """
+    c2 = c * c
+
+    def split(t):
+        h = sq / t  # the curvature of the quadratic at this t
+        n = _water_fill(seg, floors, h * c2 * floors - tau * c, 1.0 / (h * c2), totals)
+        return n, n > floors
+
+    def norm(n):
+        return float(np.sqrt(((c * n) ** 2).sum()))
+
+    lo, hi = norm(floors), norm(np.maximum(floors, totals[seg]))
+    (n_lo, up_lo), (n_hi, up_hi) = split(lo), split(hi)
+    while not np.array_equal(up_lo, up_hi):
+        t = 0.5 * (lo + hi)
+        if not lo < t < hi:
+            return n_lo
+        n, up = split(t)
+        if norm(n) >= t:
+            lo, n_lo, up_lo = t, n, up
+        else:
+            hi, n_hi, up_hi = t, n, up
+    if hi <= lo:
+        return n_lo
+    # ||s_lo + d * u||^2 - (lo + u)^2 = a u^2 + b u + c0 falls through zero on [0, hi - lo]
+    s_lo, d = c * n_lo, c * (n_hi - n_lo) / (hi - lo)
+    a = float(d @ d) - 1.0
+    b = 2.0 * (float(s_lo @ d) - lo)
+    c0 = float(s_lo @ s_lo) - lo * lo
+    root = np.sqrt(max(b * b - 4.0 * a * c0, 0.0)) - b
+    u = min(max(2.0 * c0 / root, 0.0), hi - lo) if root > 0 else 0.0
+    return split(lo + u)[0]
+
+
+def _best_response_vertices(seg, c, floors, room, pick, obj):
+    """For sigma * q < 0 Fbar is convex, so its maximum over the split lies at
+    a vertex: each segment's whole room on one user. Starting from `pick`
+    (one position per segment with room), best-response passes over the
+    segments switch a segment to the user that raises Fbar most, while that
+    is a strict gain."""
+    s = c * floors
+    s[pick] += c[pick] * room[seg[pick]]
+    changed = True
+    while changed:
+        changed = False
+        for k, cur in enumerate(pick.tolist()):
+            idx = np.flatnonzero(seg == seg[cur])
+            base = s.copy()
+            base[idx] = c[idx] * floors[idx]
+            trial = c[idx] * (floors[idx] + room[seg[cur]])
+            value = []
+            for i, r in zip(idx.tolist(), trial.tolist()):
+                base[i] = r
+                value.append(confidence_bound(base, obj.tau, obj.sigma, obj.q))
+                base[i] = c[i] * floors[i]
+            best = int(np.argmax(value))
+            if value[best] > value[int(np.searchsorted(idx, cur))]:
+                pick[k] = idx[best]
+                base[idx[best]] = trial[best]
+                s = base
+                changed = True
+    return pick
+
+
+def allocate_residual(assoc, inst):
+    """Split of every BS's leftover bandwidth that maximizes Fbar over all users.
+
+    Each served user keeps at least its n^T on its BS and every BS hands out
+    its whole budget N_j; a BS whose floors fill its budget keeps the floors.
+    The objective tau * sum(s) - sigma * q * ||s||_2 couples the BSs only
+    through the global norm. For sigma * q > 0 it is concave and solved
+    exactly (see `_global_norm_split`). Where sigma * q is at most machine
+    epsilon times tau, the norm term is below the rounding of tau * sum(s),
+    and each BS gives its residual to its best rate per Hz (ties to the
+    lowest user index). For sigma * q < 0 (alpha < 0.5) the optimum lies at
+    a vertex, found by best-response passes from there. Budgets are then
+    matched exactly on the headroom.
+
+    kkt_residual is the global KKT residual: on each BS, the largest move of
+    the projected step m -> P(m + (r_j / gmax_j) * g) of the residual split
+    m, with the global-norm gradient g_i = c_i * (tau - sigma * q * s_i /
+    ||s||), relative to N_j; the worst BS is reported. Raises ValueError if
+    sigma * q > 0 and a served link has no positive rate.
     """
     n_t, budgets = inst.n_t, inst.budgets
-    c = inst.rate_per_hz()
     tau = inst.objective.tau
     sq = inst.objective.sigma * inst.objective.q
-    n = np.zeros_like(n_t)
-    worst = 0.0
-    for j in range(inst.num_bs):
-        users = np.flatnonzero(assoc.x[:, j])
-        if users.size == 0:
-            continue
-        if users.size == 1:
-            n[users[0], j] = budgets[j]
-            continue
-        floors = n_t[users, j]
-        m, res = _residual_pga(c[users, j], floors, budgets[j], tau, sq, tol=kkt_rtol * budgets[j])
-        n[users, j] = floors + m
-        worst = max(worst, res / budgets[j])
-    return Allocation(n=n, kkt_residual=worst)
+    users, bs = np.nonzero(assoc.x)
+    c = inst.rate_per_hz()[users, bs]
+    floors = n_t[users, bs]
+    room = budgets - np.bincount(bs, floors, budgets.size)
+    free = room[bs] > 0
+    n = floors.copy()
+    if free.any() and sq > np.finfo(float).eps * tau:
+        if np.any(c <= 0):
+            raise ValueError("allocate_residual needs positive rates on served links")
+        n = _global_norm_split(bs, c, floors, budgets, tau, sq)
+    elif free.any():
+        order = np.lexsort((-c, bs))  # each BS's best rate per Hz first, ties in user order
+        pick = order[free[order] & (np.diff(bs[order], prepend=-1) != 0)]
+        if sq < 0:
+            pick = _best_response_vertices(bs, c, floors, room, pick, inst.objective)
+        n[pick] += room[bs[pick]]
+    n = _fill_budgets(n, floors, bs, budgets)
+
+    s = c * n
+    norm = float(np.sqrt((s * s).sum()))
+    g = (c * (tau - sq * s / norm) if norm > 0 else tau * c)[free]
+    seg, m = bs[free], (n - floors)[free]
+    gmax = np.zeros(budgets.size)
+    np.maximum.at(gmax, seg, np.abs(g))
+    step = np.divide(room, gmax, out=np.zeros_like(room), where=gmax > 0)
+    v = m + step[seg] * g
+    probe = _water_fill(seg, np.zeros_like(v), -v, np.ones_like(v), room)
+    kkt = float((np.abs(probe - m) / budgets[seg]).max()) if seg.size else 0.0
+    alloc = np.zeros_like(n_t)
+    alloc[users, bs] = n
+    return Allocation(n=alloc, kkt_residual=kkt)
 
 
 def usable_links(inst):
@@ -545,57 +643,24 @@ def baseline_max_sinr(channel, feasible, inst, restrict_to_feasible=False):
     return _repair_budget(x, gamma, inst, cand)
 
 
-def _waterfill(ghat, floors, total):
-    """Bandwidth water-filling for u(n) = n * log2(1 + ghat / n) with floors.
-
-    All users share one marginal-utility shape, so the common water level
-    reduces to a single scale z with n_i = max(floor_i, ghat_i / z); z is
-    found by bisection to 1e-9 relative accuracy and the free allocations
-    are rescaled for an exact budget match.
-    """
-    if floors.size == 1:
-        return np.array([total])
-    if total - floors.sum() <= 0:
-        return floors.copy()
-
-    def supply(z):
-        return float(np.maximum(floors, ghat / z).sum())
-
-    z_lo = z_hi = 1.0
-    while supply(z_hi) > total:
-        z_hi *= 2.0
-    while supply(z_lo) < total:
-        z_lo *= 0.5
-    while z_hi - z_lo > 1e-9 * z_lo:
-        mid = 0.5 * (z_lo + z_hi)
-        if supply(mid) > total:
-            z_lo = mid
-        else:
-            z_hi = mid
-    alloc = np.maximum(floors, ghat / (0.5 * (z_lo + z_hi)))
-    headroom = alloc - floors
-    delta = total - alloc.sum()
-    if headroom.sum() > 0:
-        alloc += delta * headroom / headroom.sum()
-    else:
-        alloc += delta / alloc.size
-    return alloc
-
-
 def baseline_ba(assoc, inst, channel, mode="even"):
-    """Classical per-BS bandwidth allocation: 'even' or 'waterfill'."""
+    """Classical per-BS bandwidth allocation: 'even' or 'waterfill'.
+
+    Water-filling maximizes sum_i n_i * log2(1 + ghat_i / n_i) with
+    ghat = gamma * n^T and n_i >= n^T_i on each BS. All users share one
+    marginal-utility shape, so a BS's water level is one scale w with
+    n_i = max(n^T_i, ghat_i * w), found exactly by `_water_fill`.
+    """
     if mode not in ("even", "waterfill"):
         raise ValueError(f"unknown allocation mode {mode!r}")
-    gamma = channel.gamma
     n_t, budgets = inst.n_t, inst.budgets
+    users, bs = np.nonzero(assoc.x)
     n = np.zeros_like(n_t)
-    for j in range(inst.num_bs):
-        users = np.flatnonzero(assoc.x[:, j])
-        if users.size == 0:
-            continue
-        if mode == "even":
-            n[users, j] = budgets[j] / users.size
-        else:
-            ghat = gamma[users, j] * n_t[users, j]
-            n[users, j] = _waterfill(ghat, n_t[users, j], budgets[j])
+    if mode == "even":
+        n[users, bs] = budgets[bs] / np.bincount(bs, minlength=budgets.size)[bs]
+    else:
+        floors = n_t[users, bs]
+        ghat = channel.gamma[users, bs] * floors
+        split = _water_fill(bs, floors, floors / ghat, ghat, budgets)
+        n[users, bs] = _fill_budgets(split, floors, bs, budgets)
     return Allocation(n=n)

@@ -11,7 +11,7 @@ from semhetnet.harness import build_scenario
 from semhetnet.metrics import feasibility_violations, instance_fbar
 from semhetnet.objective import objective_value
 from semhetnet.solver import (Allocation, Association, RelaxedAssociation,
-                              _interior_start, _restricted_instance, allocate_residual,
+                              _interior_start, _restricted_instance, _water_fill, allocate_residual,
                               baseline_ba, baseline_max_sinr, make_instance as build_instance,
                               project_rows_to_simplex, repair_overload, round_association,
                               solve_relaxed_ua, two_stage, usable_links)
@@ -357,6 +357,172 @@ def test_residual_not_worse_than_even_split(rng):
         assert np.all(alloc.n[:, 0] >= n_t[:, 0] - 1e-9 * budget)
 
 
+KKT_RTOL = 1e-8  # the bound the allocation's global KKT residual must meet
+
+
+def test_sigma_zero_tie_goes_to_lowest_index():
+    xi = np.array([[1.0], [3.0], [3.0]])
+    inst = make_instance(xi=xi, n_t=np.full((3, 1), 100.0), budgets=[1000.0],
+                         sets=[(0,)] * 3, sigma=0.0)
+    alloc = allocate_residual(Association(x=np.ones((3, 1), dtype=np.int8)), inst)
+    assert list(alloc.n[:, 0]) == [100.0, 800.0, 100.0]
+    assert alloc.kkt_residual <= KKT_RTOL
+
+
+def reference_residual_pga(cv, floors, budget, tau, sq, tol, max_iter=5000):
+    """Projected gradient ascent on one BS with its own (per-BS) norm: the
+    former allocation, kept as the reference the global split must beat."""
+    residual = budget - floors.sum()
+    if residual <= 0:
+        return np.zeros_like(cv)
+    m = np.full(cv.size, residual / cv.size)
+    support = np.ones(cv.size, dtype=bool)
+
+    def project(v):  # onto {m >= 0, sum m = residual}
+        return residual * reference_simplex_projection(v / residual, support)
+
+    def value(m):
+        s = cv * (floors + m)
+        return float(tau * s.sum() - sq * np.linalg.norm(s))
+
+    def gradient(m):
+        s = cv * (floors + m)
+        nrm = float(np.linalg.norm(s))
+        return tau * cv if nrm <= 0 else cv * (tau - sq * s / nrm)
+
+    f_cur = value(m)
+    step = residual
+    for _ in range(max_iter):
+        g = gradient(m)
+        gmax = float(np.abs(g).max())
+        if gmax <= 0:
+            break
+        probe = project(m + (residual / gmax) * g)
+        if float(np.abs(probe - m).max()) <= tol:
+            break
+        step = min(step * 2.0, 1e3 * residual)
+        accepted = False
+        while step > 1e-18 * residual:
+            cand = project(m + step * g)
+            f_new = value(cand)
+            if f_new >= f_cur + 1e-4 * float(np.dot(g, cand - m)) and f_new >= f_cur:
+                m, f_cur = cand, f_new
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+    return m
+
+
+def per_bs_pga_allocation(assoc, inst):
+    c = inst.rate_per_hz()
+    sq = inst.objective.sigma * inst.objective.q
+    n = np.zeros_like(inst.n_t)
+    for j in range(inst.num_bs):
+        users = np.flatnonzero(assoc.x[:, j])
+        if users.size == 1:
+            n[users[0], j] = inst.budgets[j]
+        elif users.size:
+            floors = inst.n_t[users, j]
+            n[users, j] = floors + reference_residual_pga(
+                c[users, j], floors, inst.budgets[j], inst.objective.tau, sq,
+                tol=KKT_RTOL * inst.budgets[j])
+    return Allocation(n=n)
+
+
+def random_allocation_case(r, sigma, alpha):
+    """Users spread over a few BSs (some empty, some with no room left)."""
+    m, l = int(r.integers(2, 9)), int(r.integers(1, 5))
+    bs = r.integers(l, size=m)
+    x = np.zeros((m, l), dtype=np.int8)
+    x[np.arange(m), bs] = 1
+    n_t = r.uniform(10.0, 100.0, size=(m, l))
+    floor_sum = np.bincount(bs, n_t[np.arange(m), bs], l)
+    scale = np.where(r.random(l) < 0.15, 1.0, r.uniform(1.0, 4.0, size=l))
+    budgets = np.where(floor_sum > 0, floor_sum * scale, 50.0)
+    inst = make_instance(xi=r.uniform(0.2, 5.0, size=(m, l)), n_t=n_t, budgets=budgets,
+                         sets=[(j,) for j in bs], sigma=sigma, alpha=alpha)
+    return inst, Association(x=x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.floats(0.0, 0.5), st.floats(0.5, 0.99))
+def test_residual_fuzz_global_kkt_and_beats_per_bs_pga(seed, sigma, alpha):
+    inst, assoc = random_allocation_case(np.random.default_rng(seed), sigma, alpha)
+    alloc = allocate_residual(assoc, inst)
+    assert alloc.kkt_residual <= KKT_RTOL
+    fbar = instance_fbar(assoc, alloc, inst)
+    scale = 1e-12 * max(1.0, abs(fbar))
+    assert fbar >= instance_fbar(assoc, per_bs_pga_allocation(assoc, inst), inst) - scale
+    users, bs = np.nonzero(assoc.x)
+    sizes = np.bincount(bs, minlength=inst.num_bs)
+    room = inst.budgets - np.bincount(bs, inst.n_t[users, bs], inst.num_bs)
+    even = np.zeros_like(inst.n_t)
+    even[users, bs] = inst.n_t[users, bs] + np.maximum(room[bs], 0.0) / sizes[bs]
+    assert fbar >= instance_fbar(assoc, Allocation(n=even), inst) - scale
+    n = alloc.n[users, bs]
+    assert np.all(n >= inst.n_t[users, bs] - 1e-12 * inst.budgets[bs])
+    assert np.all(alloc.n[assoc.x == 0] == 0.0)
+    loads = np.bincount(bs, n, inst.num_bs)
+    active = (sizes > 0) & (room > 0)
+    assert np.all(np.abs(loads - inst.budgets)[active] <= 1e-12 * inst.budgets[active])
+    assert np.all(n[room[bs] <= 0] == inst.n_t[users, bs][room[bs] <= 0])
+
+
+def test_residual_uses_global_norm_across_bss():
+    # BS 1's lone, fast user enters the norm that BS 0's split trades against
+    xi = np.array([[2.0, 0.0], [1.9, 0.0], [0.0, 10.0]])
+    inst = make_instance(xi=xi, n_t=np.full((3, 2), 100.0), budgets=[2000.0, 2000.0],
+                         sets=[(0,), (0,), (1,)], tau=0.5, sigma=0.5, alpha=0.95)
+    assoc = Association(x=np.array([[1, 0], [1, 0], [0, 1]], dtype=np.int8))
+    alloc = allocate_residual(assoc, inst)
+    c = inst.rate_per_hz()
+    tau, sq = inst.objective.tau, inst.objective.sigma * inst.objective.q
+    m0 = np.linspace(0.0, 1800.0, 200001)
+    s0, s1, s2 = c[0, 0] * (100.0 + m0), c[1, 0] * (1900.0 - m0), c[2, 1] * 2000.0
+    global_best = m0[np.argmax(tau * (s0 + s1 + s2) - sq * np.sqrt(s0**2 + s1**2 + s2**2))]
+    per_bs_best = m0[np.argmax(tau * (s0 + s1) - sq * np.sqrt(s0**2 + s1**2))]
+    assert abs(global_best - per_bs_best) > 100.0  # the two norms disagree clearly
+    assert alloc.n[0, 0] - 100.0 == pytest.approx(global_best, abs=1e-4 * 2000.0)
+    assert alloc.n[2, 1] == 2000.0
+    assert alloc.kkt_residual <= KKT_RTOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.floats(0.05, 0.49))
+def test_residual_below_median_confidence_is_a_best_response_vertex(seed, alpha):
+    # alpha < 0.5 makes Fbar convex: each BS hands its residual to one user,
+    # and no single BS gains by handing it to another (checked by enumeration)
+    r = np.random.default_rng(seed)
+    m = int(r.integers(2, 4))
+    bs = r.integers(2, size=m)
+    x = np.zeros((m, 2), dtype=np.int8)
+    x[np.arange(m), bs] = 1
+    n_t = 10.0 ** r.uniform(0.0, 2.0, size=(m, 2))
+    budgets = np.bincount(bs, n_t[np.arange(m), bs], 2) * r.uniform(1.2, 4.0, size=2) + 1.0
+    # close rates per Hz on spread floors: handing the residual to a big
+    # user often beats the best rate, as the norm term rewards concentration
+    inst = make_instance(xi=r.uniform(0.5, 1.0, size=(m, 2)) * n_t, n_t=n_t, budgets=budgets,
+                         sets=[(j,) for j in bs], sigma=float(r.uniform(0.05, 0.5)),
+                         alpha=alpha)
+    assoc = Association(x=x)
+    alloc = allocate_residual(assoc, inst)
+    fbar = instance_fbar(assoc, alloc, inst)
+    for j in range(2):
+        users = np.flatnonzero(bs == j)
+        if users.size == 0:
+            continue
+        above = alloc.n[users, j] - n_t[users, j] > 1e-9 * budgets[j]
+        assert above.sum() == 1  # a vertex
+        for i in users:
+            moved = alloc.n.copy()
+            moved[users, j] = n_t[users, j]
+            moved[i, j] = budgets[j] - n_t[users, j].sum() + n_t[i, j]
+            assert instance_fbar(assoc, Allocation(n=moved), inst) <= fbar + 1e-12 * abs(fbar)
+    assert alloc.kkt_residual <= KKT_RTOL
+
+
 # ----------------------------------------------------------------- baselines
 
 def test_max_sinr_association_picks_strongest():
@@ -440,6 +606,82 @@ def test_waterfill_two_users_matches_grid_oracle():
     assert alloc.n[0, 0] == pytest.approx(best_n0, abs=1e-4 * 10000.0)
     assert alloc.n[:, 0].sum() == pytest.approx(10000.0, rel=1e-12)
     assert np.all(alloc.n[:, 0] >= n_t[:, 0] * (1 - 1e-9))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_water_fill_is_one_level_per_segment(seed):
+    r = np.random.default_rng(seed)
+    size, l = int(r.integers(1, 30)), int(r.integers(1, 6))
+    seg = r.integers(l, size=size)
+    floors = r.uniform(0.0, 10.0, size=size)
+    bp = r.choice([-1.0, 0.0, 2.0], size=size) if r.random() < 0.3 else r.normal(0.0, 5.0, size)
+    q = 10.0 ** r.uniform(-3.0, 3.0, size=size)
+    totals = np.bincount(seg, floors, l) + r.uniform(0.01, 50.0, size=l)
+    n = _water_fill(seg, floors, bp, q, totals)
+    present = np.bincount(seg, minlength=l) > 0
+    assert np.allclose(np.bincount(seg, n, l)[present], totals[present], rtol=1e-12, atol=0.0)
+    assert np.all(n >= floors)
+    above = n > floors
+    level = np.where(above, bp + (n - floors) / q, np.nan)
+    for j in np.flatnonzero(present):
+        lv = level[(seg == j) & above]
+        assert lv.size  # the total exceeds the floors, so someone is above
+        assert np.ptp(lv) <= 1e-9 * (1.0 + np.abs(lv).max())
+        assert np.all(bp[(seg == j) & ~above] >= lv.max() - 1e-9 * (1.0 + np.abs(lv).max()))
+
+
+def reference_waterfill(ghat, floors, total):
+    """Former per-BS water-filling by bisection on the scale z (1e-9 relative)."""
+    if floors.size == 1:
+        return np.array([total])
+    if total - floors.sum() <= 0:
+        return floors.copy()
+
+    def supply(z):
+        return float(np.maximum(floors, ghat / z).sum())
+
+    z_lo = z_hi = 1.0
+    while supply(z_hi) > total:
+        z_hi *= 2.0
+    while supply(z_lo) < total:
+        z_lo *= 0.5
+    while z_hi - z_lo > 1e-9 * z_lo:
+        mid = 0.5 * (z_lo + z_hi)
+        if supply(mid) > total:
+            z_lo = mid
+        else:
+            z_hi = mid
+    alloc = np.maximum(floors, ghat / (0.5 * (z_lo + z_hi)))
+    headroom = alloc - floors
+    delta = total - alloc.sum()
+    if headroom.sum() > 0:
+        alloc += delta * headroom / headroom.sum()
+    else:
+        alloc += delta / alloc.size
+    return alloc
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_waterfill_matches_per_bs_bisection(seed):
+    r = np.random.default_rng(seed)
+    m, l = int(r.integers(1, 12)), int(r.integers(1, 5))
+    bs = r.integers(l, size=m)
+    x = np.zeros((m, l), dtype=np.int8)
+    x[np.arange(m), bs] = 1
+    n_t = r.uniform(10.0, 100.0, size=(m, l))
+    floor_sum = np.bincount(bs, n_t[np.arange(m), bs], l)
+    budgets = np.where(floor_sum > 0, floor_sum * r.uniform(1.0, 4.0, size=l), 50.0)
+    gamma = 10.0 ** r.uniform(-1.0, 2.0, size=(m, l))
+    inst = make_instance(xi=np.ones((m, l)), n_t=n_t, budgets=budgets, sets=[(j,) for j in bs])
+    alloc = baseline_ba(Association(x=x), inst, ChannelState(gamma), mode="waterfill")
+    for j in range(l):
+        users = np.flatnonzero(bs == j)
+        if users.size:
+            want = reference_waterfill(gamma[users, j] * n_t[users, j], n_t[users, j], budgets[j])
+            assert np.allclose(alloc.n[users, j], want, rtol=1e-7, atol=0.0)
+            assert alloc.n[users, j].sum() == pytest.approx(budgets[j], rel=1e-12)
 
 
 def test_baseline_ba_unknown_mode():
