@@ -45,7 +45,7 @@ class MethodOutcome:
     allocation: solver.Allocation
     report: metrics.PerformanceReport
     iterations: int = 0
-    pg_norm: float = 0.0
+    pg_norm: float = None  # None for the baselines, which solve no relaxed problem
     relaxed: solver.RelaxedAssociation = None
     evicted: tuple = ()
 
@@ -98,7 +98,7 @@ def run_method(scenario, method, record_trace=False):
         )
         mode = "waterfill" if method == "max-sinr-wf" else "even"
         alloc = solver.baseline_ba(assoc, inst, scenario.channel, mode)
-        iters, pg, relaxed, evicted = 0, 0.0, None, ()
+        iters, pg, relaxed, evicted = 0, None, None, ()
     else:
         raise ConfigError(f"unknown method {method!r}")
     report = metrics.build_report(
@@ -141,6 +141,10 @@ def _method_report(scenario, outcome):
         "admission_evicted": list(outcome.evicted),
         "per_bs_load_hz": [float(v) for v in alloc_loads],
         "iterations": outcome.iterations,
+        "relaxed_stages": [
+            dict(zip(("r", "iterations", "backtracks", "exit"), stage))
+            for stage in (outcome.relaxed.stages if outcome.relaxed else ())
+        ],
         "kkt_residuals": {
             "relaxed_pg_norm": outcome.pg_norm,
             "allocation_rel": outcome.allocation.kkt_residual,

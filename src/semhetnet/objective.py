@@ -136,7 +136,11 @@ def objective_value(obj, x):
 def objective_gradient(obj, x):
     """Analytic gradient: tau * xi - sigma * q * y_i * xi / max(||y||, eps_norm)."""
     x = _check_shape(obj, x)
-    y = np.einsum("ml,ml->m", x, obj.xi_t)
+    return gradient_from_rates(obj, np.einsum("ml,ml->m", x, obj.xi_t))
+
+
+def gradient_from_rates(obj, y):
+    """`objective_gradient` at the per-user rates y_i = sum_j x_ij xi_ij."""
     norm = float(np.sqrt((y * y).sum()))
     denom = max(norm, obj.eps_norm)
     if denom == 0.0:

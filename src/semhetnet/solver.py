@@ -7,13 +7,12 @@ split each base station's residual bandwidth. Two max-SINR baselines share
 the repair step.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InfeasibleError, SolverError
-from .objective import (DeterministicObjective, confidence_bound, objective_gradient,
-                        objective_value)
+from .objective import DeterministicObjective, confidence_bound, gradient_from_rates
 from .semantics import FeasibleSets
 from .topology import bit_rate
 
@@ -85,12 +84,17 @@ class BarrierParams:
 
 @dataclass(frozen=True, eq=False)
 class RelaxedAssociation:
-    """Interior solution of the relaxed association problem."""
+    """Interior solution of the relaxed association problem.
+
+    `stages` holds one (r, iterations, backtracks, exit) record per barrier
+    stage; exit is "tol", "stall" or "no_step" (see `solve_relaxed_ua`).
+    """
 
     x_star: np.ndarray
     iterations: int = 0
     pg_norm: float = 0.0
     trace: tuple = ()
+    stages: tuple = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,35 +111,54 @@ class Association:
 
 @dataclass(frozen=True, eq=False)
 class Allocation:
-    """Bandwidth per served link (n^T plus residual); zero elsewhere."""
+    """Bandwidth per served link (n^T plus residual); zero elsewhere.
+
+    kkt_residual is None for splits that do not measure one (the baselines).
+    """
 
     n: np.ndarray
-    kkt_residual: float = 0.0
+    kkt_residual: float = None
 
 
 def project_rows_to_simplex(v, mask):
     """Project each row of v onto {x >= 0, sum x = 1} supported on mask.
 
     Vectorized over rows; entries outside the mask come back as zero.
+    Raises ValueError if a row of the mask is empty.
     """
-    v = np.asarray(v, dtype=float)
-    m, l = v.shape
-    if m == 0:
-        return v.copy()
-    sentinel = -1e300
-    w = np.where(mask, v, sentinel)
-    u = -np.sort(-w, axis=1)
-    finite = u > sentinel / 2
-    cs = np.cumsum(np.where(finite, u, 0.0), axis=1)
-    k = np.arange(1, l + 1)
-    cond = (u * k > cs - 1.0) & finite
-    rho = cond.sum(axis=1)
-    if np.any(rho == 0):
-        raise ValueError("projection row with empty support")
-    theta = (cs[np.arange(m), rho - 1] - 1.0) / rho
-    x = np.maximum(v - theta[:, None], 0.0)
-    x[~np.asarray(mask, bool)] = 0.0
-    return x
+    return _simplex_projector(mask)(np.asarray(v, dtype=float))
+
+
+def _simplex_projector(mask):
+    """`project_rows_to_simplex` for one mask, its constants built once.
+
+    Each row is sorted in descending order with the entries off the mask
+    last, at -1e300: their cumulative sums stay hugely negative, so they
+    never count among the rho entries above the threshold, and the sums over
+    the real entries come first, in the same order as an unpadded row.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    off = ~mask
+    k = np.arange(1.0, mask.shape[1] + 1.0)
+    rows = np.arange(mask.shape[0])
+
+    def project(v):
+        u = np.negative(v)
+        np.putmask(u, off, 1e300)
+        u.sort(axis=1)
+        np.negative(u, out=u)
+        cs = np.cumsum(u, axis=1)
+        cs -= 1.0
+        u *= k
+        rho = (u > cs).sum(axis=1)
+        if not rho.all():
+            raise ValueError("projection row with empty support")
+        x = v - (cs[rows, rho - 1] / rho)[:, None]
+        np.maximum(x, 0.0, out=x)
+        np.putmask(x, off, 0.0)
+        return x
+
+    return project
 
 
 def _loads(x, n_t):
@@ -206,11 +229,24 @@ def _interior_start(mask, n_t, budgets, links=None):
 def solve_relaxed_ua(inst, barrier=None, record_trace=False):
     """Barrier-method solve of the relaxed association problem.
 
-    Projected gradient ascent with backtracking maximizes W(x, r) for a
-    decreasing barrier schedule r0, r0/mu, ..., r_min. Each stage ends at
-    projected-gradient norm <= tol, after a 25-iteration window that gains
-    too little (see BarrierParams.stall_rtol), or when no step is accepted;
-    the norm reached at the final r is returned in pg_norm.
+    Spectral projected gradient ascent with a monotone Armijo backtracking
+    search maximizes W(x, r) for a decreasing barrier schedule r0, r0/mu,
+    ..., r_min. A stage ends with exit "tol" once the projected-gradient
+    norm pg = ||P(x + g) - x|| is at most tol, "stall" after a 25-iteration
+    window that gains too little (see BarrierParams.stall_rtol), or
+    "no_step" when no step is accepted. `stages` records each stage's r,
+    iterations, backtracks and exit; pg_norm is the exact norm at the end of
+    the final stage.
+
+    pg is computed only when it may be at most tol. For x feasible,
+    ||P(x + t g) - x|| is nondecreasing in t and ||P(x + t g) - x|| / t is
+    nonincreasing (Calamai & More 1987, Lemma 2.2), so the line search's
+    first trial gives lb = ||P(x + step g) - x|| / max(1, step) <= pg. While
+    lb exceeds tol by more than a bound on the rounding of both norms,
+    pg > tol is certain and its projection is skipped. pg is computed at
+    every stall or no-step exit, at the last allowed iteration and, with
+    record_trace, at every iteration, so the iterates, pg_norm and the trace
+    are those of testing pg <= tol at every iteration.
 
     Raises
     ------
@@ -227,56 +263,83 @@ def solve_relaxed_ua(inst, barrier=None, record_trace=False):
     if m == 0:
         return RelaxedAssociation(np.zeros((0, inst.num_bs)))
 
-    x = _interior_start(mask, n_t, budgets)
+    x = getattr(inst, "start", None)  # set by two_stage's admission
+    if x is None:
+        x = _interior_start(mask, n_t, budgets)
+    project = _simplex_projector(mask)
+    # lb and pg are each computed to within (l + 1) sqrt(l) eps / 2 times
+    # ||g|| + sqrt(m): a projected entry is off by at most (l + 1) eps / 2
+    # times its row's largest input, and ||x + t g|| / max(1, t) <= ||g|| +
+    # sqrt(m) on the simplices. The margin over tol is twice their sum.
+    rounding = 2.0 * (inst.num_bs + 1) * np.sqrt(inst.num_bs) * np.finfo(float).eps
+    root_m = np.sqrt(m)
 
-    def w_of(x, r):
+    def fbar(x):
+        y = np.einsum("ml,ml->m", x, obj.xi_t)
+        return confidence_bound(y, obj.tau, obj.sigma, obj.q), y
+
+    def evaluate(x, r):
+        """W(x, r), and the slack and per-user rates the gradient reuses."""
         slack = budgets - _loads(x, n_t)
         if np.any(slack <= 0.0):
-            return -np.inf
-        return objective_value(obj, x) + r * float(np.log(slack).sum())
+            return -np.inf, slack, None
+        f, y = fbar(x)
+        return f + r * float(np.log(slack).sum()), slack, y
 
-    def grad_of(x, r):
-        slack = budgets - _loads(x, n_t)
-        return objective_gradient(obj, x) - r * (n_t / slack[None, :])
+    def grad_of(slack, y, r):
+        return gradient_from_rates(obj, y) - r * (n_t / slack[None, :])
 
-    r = barrier.r0 if barrier.r0 is not None else max(1.0, abs(objective_value(obj, x)))
+    def pg_of(x, g):
+        return float(np.linalg.norm(project(x + g) - x))
+
+    r = barrier.r0 if barrier.r0 is not None else max(1.0, abs(fbar(x)[0]))
+    tol = barrier.tol
     step = 1.0
     total_iters = 0
     pg = np.inf
     trace = []
+    stages = []
     window = 25
     while True:
-        w_cur = w_of(x, r)
-        g = grad_of(x, r)
+        w_cur, slack, y = evaluate(x, r)
+        g = grad_of(slack, y, r)
         w_window = w_cur
-        converged = False
+        backtracks = 0
+        reason = None
         for it in range(barrier.max_inner):
-            pg = float(np.linalg.norm(project_rows_to_simplex(x + g, mask) - x))
-            if record_trace:
-                trace.append((r, it, w_cur, pg))
-            if pg <= barrier.tol:
-                converged = True
-                break
+            xn = project(x + step * g)  # the line search's first trial
+            dx = xn - x
+            lb = float(np.linalg.norm(dx)) / max(1.0, step)
+            exact = (record_trace or it == barrier.max_inner - 1
+                     or lb <= tol + rounding * (float(np.linalg.norm(g)) + root_m))
+            if exact:
+                pg = pg_of(x, g)
+                if record_trace:
+                    trace.append((r, it, w_cur, pg))
+                if pg <= tol:
+                    reason = "tol"
+                    break
             if it and it % window == 0:
                 if w_cur - w_window <= barrier.stall_rtol * (1.0 + abs(w_cur)):
-                    converged = True  # ascent has flattened out at this stage
+                    reason = "stall"  # ascent has flattened out at this stage
                     break
                 w_window = w_cur
-            accepted = False
             trial = step
-            while trial >= _STEP_FLOOR:
-                xn = project_rows_to_simplex(x + trial * g, mask)
-                w_new = w_of(xn, r)
-                gain = float(np.vdot(g, xn - x))
+            while True:
+                w_new, slack, y = evaluate(xn, r)
+                gain = float(np.vdot(g, dx))
                 if np.isfinite(w_new) and w_new >= w_cur + _ARMIJO * gain and w_new >= w_cur:
-                    accepted = True
                     break
+                backtracks += 1
                 trial *= 0.5
-            if not accepted:
-                converged = True  # no ascent direction left at machine precision
+                if trial < _STEP_FLOOR:
+                    reason = "no_step"  # no ascent direction left at machine precision
+                    break
+                xn = project(x + trial * g)
+                dx = xn - x
+            if reason:
                 break
-            g_new = grad_of(xn, r)
-            dx = xn - x
+            g_new = grad_of(slack, y, r)
             dg = g_new - g
             curv = -float(np.vdot(dx, dg))
             if curv > 0:  # spectral (Barzilai-Borwein) step for the next iterate
@@ -284,17 +347,21 @@ def solve_relaxed_ua(inst, barrier=None, record_trace=False):
             else:
                 step = min(trial * 2.0, 1e8)
             x, w_cur, g = xn, w_new, g_new
-            total_iters += 1
-        if not converged:
+        if reason is None:
             raise SolverError(
                 f"barrier stage r={r:g} did not converge within {barrier.max_inner} "
                 f"iterations (projected-gradient norm {pg:g})",
                 trace=trace,
             )
+        if not exact:
+            pg = pg_of(x, g)
+        total_iters += it
+        stages.append((r, it, backtracks, reason))
         if r <= barrier.r_min * (1.0 + 1e-12):
             break
         r = max(r / barrier.mu, barrier.r_min)
-    return RelaxedAssociation(x, iterations=total_iters, pg_norm=pg, trace=tuple(trace))
+    return RelaxedAssociation(x, iterations=total_iters, pg_norm=pg, trace=tuple(trace),
+                              stages=tuple(stages))
 
 
 def round_association(xs, inst):
@@ -547,16 +614,25 @@ def usable_links(inst):
     return inst.mask() & (inst.n_t <= inst.budgets[None, :] * (1.0 + 1e-12))
 
 
-def _restricted_instance(inst, usable, rows):
+@dataclass(frozen=True, eq=False)
+class _AdmittedInstance(UaInstance):
+    """The admitted users' instance, with the interior start admission found
+    for it (None: `solve_relaxed_ua` computes it)."""
+
+    start: np.ndarray = None
+
+
+def _restricted_instance(inst, usable, rows, start=None):
     obj = inst.objective
     sub_obj = DeterministicObjective(
         tau=obj.tau, sigma=obj.sigma, q=obj.q, xi_t=obj.xi_t[rows], eps_norm=obj.eps_norm
     )
-    return UaInstance(
+    return _AdmittedInstance(
         objective=sub_obj,
         feasible=FeasibleSets(usable[rows]),
         budgets=inst.budgets,
         n_t=inst.n_t[rows],
+        start=start,
     )
 
 
@@ -566,17 +642,19 @@ def _admit(usable, n_t, budgets):
     Starts from every user with a usable link. While the greedy packing of
     `_interior_start` overloads a budget, blocks the most bandwidth-hungry
     user (largest minimum usable n^T, ties to the largest index) touching an
-    overloaded BS. Returns the admitted-user mask and the blocked users in
-    eviction order.
+    overloaded BS. Returns the admitted-user mask, the blocked users in
+    eviction order, and the admitted users' interior start (None if no
+    user is admitted).
     """
     admitted = usable.any(axis=1)
     evicted = []
     links = None
+    start = None
     while np.any(admitted):
         rows = np.flatnonzero(admitted)
         try:
-            _interior_start(usable[rows], n_t[rows], budgets,
-                            None if links is None else [links[i] for i in rows.tolist()])
+            start = _interior_start(usable[rows], n_t[rows], budgets,
+                                    None if links is None else [links[i] for i in rows.tolist()])
             break
         except InfeasibleError as err:
             if links is None:
@@ -590,7 +668,7 @@ def _admit(usable, n_t, budgets):
             victim = int(touching[demand == demand.max()].max())
             admitted[victim] = False
             evicted.append(victim)
-    return admitted, tuple(evicted)
+    return admitted, tuple(evicted), start
 
 
 def two_stage(inst, barrier=None, record_trace=False):
@@ -606,16 +684,15 @@ def two_stage(inst, barrier=None, record_trace=False):
     users blocked at admission are returned in `evicted`, in order.
     """
     usable = usable_links(inst)
-    admitted, evicted = _admit(usable, inst.n_t, inst.budgets)
+    admitted, evicted, start = _admit(usable, inst.n_t, inst.budgets)
     rows = np.flatnonzero(admitted)
     x_star = np.zeros_like(inst.n_t)
+    relaxed = RelaxedAssociation(x_star)
     if rows.size:
-        sub = solve_relaxed_ua(_restricted_instance(inst, usable, rows),
+        sub = solve_relaxed_ua(_restricted_instance(inst, usable, rows, start),
                                barrier=barrier, record_trace=record_trace)
         x_star[rows] = sub.x_star
-        relaxed = RelaxedAssociation(x_star, sub.iterations, sub.pg_norm, sub.trace)
-    else:
-        relaxed = RelaxedAssociation(x_star)
+        relaxed = replace(sub, x_star=x_star)
     assoc = repair_overload(round_association(relaxed, inst), relaxed, inst)
     alloc = allocate_residual(assoc, inst)
     return TwoStageSolution(relaxed=relaxed, association=assoc, allocation=alloc,

@@ -89,6 +89,16 @@ def test_run_scenario_writes_artifacts(tmp_path):
     assert report[0]["methods"][0]["method"] == "two-stage"
     assert "per_bs_load_hz" in report[0]["methods"][0]
     assert (tmp_path / "trace_seed1.csv").exists()
+    for entry in report[0]["methods"]:
+        residuals = entry["kkt_residuals"]
+        if entry["method"] == "two-stage":
+            stages = entry["relaxed_stages"]
+            assert stages and {s["exit"] for s in stages} <= {"tol", "stall", "no_step"}
+            assert sum(s["iterations"] for s in stages) == entry["iterations"]
+            assert residuals["relaxed_pg_norm"] >= 0.0 and residuals["allocation_rel"] >= 0.0
+        else:  # the baselines measure neither residual
+            assert entry["relaxed_stages"] == []
+            assert residuals == {"relaxed_pg_norm": None, "allocation_rel": None}
 
 
 def test_report_lists_admission_evictions(tmp_path):

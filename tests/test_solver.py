@@ -2,15 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_instance
 from semhetnet.config import ScenarioConfig
-from semhetnet.errors import InfeasibleError
+from semhetnet.errors import InfeasibleError, SolverError
 from semhetnet.harness import build_scenario
 from semhetnet.metrics import feasibility_violations, instance_fbar
-from semhetnet.objective import objective_value
-from semhetnet.solver import (Allocation, Association, RelaxedAssociation,
+from semhetnet.objective import objective_gradient, objective_value
+from semhetnet.solver import (Allocation, Association, BarrierParams, RelaxedAssociation, _admit,
                               _interior_start, _restricted_instance, _water_fill, allocate_residual,
                               baseline_ba, baseline_max_sinr, make_instance as build_instance,
                               project_rows_to_simplex, repair_overload, round_association,
@@ -54,6 +54,70 @@ def test_projection_idempotent_on_feasible_points():
     x = np.array([[0.25, 0.75, 0.0], [1.0, 0.0, 0.0]])
     mask = np.array([[True, True, False], [True, True, True]])
     assert np.allclose(project_rows_to_simplex(x, mask), x, atol=1e-12)
+
+
+def reference_rows_projection(v, mask):
+    """The row projection with its mask constants rebuilt on every call and
+    the padding zeroed before the cumulative sum: the bit-for-bit reference
+    for project_rows_to_simplex."""
+    v = np.asarray(v, dtype=float)
+    m, l = v.shape
+    if m == 0:
+        return v.copy()
+    sentinel = -1e300
+    w = np.where(mask, v, sentinel)
+    u = -np.sort(-w, axis=1)
+    finite = u > sentinel / 2
+    cs = np.cumsum(np.where(finite, u, 0.0), axis=1)
+    k = np.arange(1, l + 1)
+    cond = (u * k > cs - 1.0) & finite
+    rho = cond.sum(axis=1)
+    if np.any(rho == 0):
+        raise ValueError("projection row with empty support")
+    theta = (cs[np.arange(m), rho - 1] - 1.0) / rho
+    x = np.maximum(v - theta[:, None], 0.0)
+    x[~np.asarray(mask, bool)] = 0.0
+    return x
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_projection_bits_match_reference(seed):
+    r = np.random.default_rng(seed)
+    m, l = int(r.integers(1, 9)), int(r.integers(1, 7))
+    mask = r.random((m, l)) < 0.5
+    mask[np.arange(m), r.integers(l, size=m)] = True  # some rows keep a single entry
+    if r.random() < 0.5:  # few distinct values: ties within and across rows
+        v = r.choice([-1.0, 0.0, 0.25, 0.5, 1.0], size=(m, l))
+    else:
+        v = r.normal(0.0, 10.0 ** r.uniform(-3.0, 3.0), size=(m, l))
+    assert project_rows_to_simplex(v, mask).tobytes() == reference_rows_projection(v, mask).tobytes()
+
+
+def test_projection_rejects_empty_support():
+    with pytest.raises(ValueError, match="empty support"):
+        project_rows_to_simplex(np.zeros((2, 2)), np.array([[True, False], [False, False]]))
+    assert project_rows_to_simplex(np.zeros((0, 3)), np.zeros((0, 3), bool)).shape == (0, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_projection_path_is_monotone(seed):
+    # Calamai & More (1987), Lemma 2.2: for x in the feasible set,
+    # ||P(x + t g) - x|| is nondecreasing in t and ||P(x + t g) - x|| / t is
+    # nonincreasing; solve_relaxed_ua's first-trial bound on pg rests on both.
+    r = np.random.default_rng(seed)
+    m, l = int(r.integers(1, 7)), int(r.integers(1, 6))
+    mask = r.random((m, l)) < 0.6
+    mask[np.arange(m), r.integers(l, size=m)] = True
+    x = project_rows_to_simplex(r.normal(size=(m, l)), mask)
+    g = r.normal(0.0, 10.0 ** r.uniform(-2.0, 2.0), size=(m, l))
+    ts = np.sort(10.0 ** r.uniform(-4.0, 4.0, size=12))
+    dist = np.array([np.linalg.norm(project_rows_to_simplex(x + t * g, mask) - x) for t in ts])
+    # the rounding bound solve_relaxed_ua allows for each computed distance
+    err = (l + 1) * np.sqrt(l) * np.finfo(float).eps * (np.sqrt(m) + ts * np.linalg.norm(g))
+    assert np.all(np.diff(dist) >= -(err[1:] + err[:-1]))
+    assert np.all(np.diff(dist / ts) <= (err / ts)[1:] + (err / ts)[:-1])
 
 
 # ------------------------------------------------------------- make_instance
@@ -161,6 +225,159 @@ def test_empty_instance():
                          sets=[])
     res = solve_relaxed_ua(inst)
     assert res.x_star.shape == (0, 2)
+
+
+def reference_relaxed_loop(inst, barrier=None, record_trace=False):
+    """The barrier loop that projects for pg at every iteration and evaluates
+    W and its gradient from x alone, recording each stage's (r, iterations,
+    backtracks, exit): the bit-for-bit reference for solve_relaxed_ua."""
+    barrier = barrier or BarrierParams()
+    obj = inst.objective
+    mask = inst.mask()
+    n_t, budgets = inst.n_t, inst.budgets
+    x = _interior_start(mask, n_t, budgets)
+
+    def w_of(x, r):
+        slack = budgets - np.einsum("ml,ml->l", x, n_t)
+        if np.any(slack <= 0.0):
+            return -np.inf
+        return objective_value(obj, x) + r * float(np.log(slack).sum())
+
+    def grad_of(x, r):
+        slack = budgets - np.einsum("ml,ml->l", x, n_t)
+        return objective_gradient(obj, x) - r * (n_t / slack[None, :])
+
+    r = barrier.r0 if barrier.r0 is not None else max(1.0, abs(objective_value(obj, x)))
+    step = 1.0
+    total_iters = 0
+    pg = np.inf
+    trace, stages = [], []
+    while True:
+        w_cur = w_of(x, r)
+        g = grad_of(x, r)
+        w_window = w_cur
+        exit, backtracks = None, 0
+        for it in range(barrier.max_inner):
+            pg = float(np.linalg.norm(reference_rows_projection(x + g, mask) - x))
+            if record_trace:
+                trace.append((r, it, w_cur, pg))
+            if pg <= barrier.tol:
+                exit = "tol"
+                break
+            if it and it % 25 == 0:
+                if w_cur - w_window <= barrier.stall_rtol * (1.0 + abs(w_cur)):
+                    exit = "stall"
+                    break
+                w_window = w_cur
+            accepted = False
+            trial = step
+            while trial >= 1e-18:
+                xn = reference_rows_projection(x + trial * g, mask)
+                w_new = w_of(xn, r)
+                gain = float(np.vdot(g, xn - x))
+                if np.isfinite(w_new) and w_new >= w_cur + 1e-4 * gain and w_new >= w_cur:
+                    accepted = True
+                    break
+                trial *= 0.5
+                backtracks += 1
+            if not accepted:
+                exit = "no_step"
+                break
+            g_new = grad_of(xn, r)
+            dx = xn - x
+            dg = g_new - g
+            curv = -float(np.vdot(dx, dg))
+            if curv > 0:
+                step = min(max(float(np.vdot(dx, dx)) / curv, 1e-12), 1e8)
+            else:
+                step = min(trial * 2.0, 1e8)
+            x, w_cur, g = xn, w_new, g_new
+            total_iters += 1
+        if exit is None:
+            raise SolverError(
+                f"barrier stage r={r:g} did not converge within {barrier.max_inner} "
+                f"iterations (projected-gradient norm {pg:g})",
+                trace=trace,
+            )
+        stages.append((r, it, backtracks, exit))
+        if r <= barrier.r_min * (1.0 + 1e-12):
+            break
+        r = max(r / barrier.mu, barrier.r_min)
+    return RelaxedAssociation(x, iterations=total_iters, pg_norm=pg, trace=tuple(trace),
+                              stages=tuple(stages))
+
+
+def assert_matches_reference_loop(inst, barrier=None, record_trace=False):
+    """solve_relaxed_ua and the reference loop agree bit for bit, on the
+    result or on the exception raised; returns the result (None on error)."""
+    try:
+        want = reference_relaxed_loop(inst, barrier, record_trace)
+    except (InfeasibleError, SolverError) as err:
+        with pytest.raises(type(err)) as got:
+            solve_relaxed_ua(inst, barrier, record_trace)
+        assert str(got.value) == str(err)
+        assert getattr(got.value, "trace", None) == getattr(err, "trace", None)
+        return None
+    got = solve_relaxed_ua(inst, barrier, record_trace)
+    assert got.x_star.tobytes() == want.x_star.tobytes()
+    assert (got.iterations, got.pg_norm, got.stages) == (want.iterations, want.pg_norm, want.stages)
+    assert got.trace == want.trace
+    return got
+
+
+@pytest.fixture(scope="module")
+def admitted_m200():
+    """The admitted users' instances of M = 200, scenario seeds 1, 3 and 6."""
+    subs = {}
+    for seed in (1, 3, 6):
+        inst = build_scenario(ScenarioConfig(num_users=200), seed).instance
+        usable = usable_links(inst)
+        admitted, _, start = _admit(usable, inst.n_t, inst.budgets)
+        subs[seed] = _restricted_instance(inst, usable, np.flatnonzero(admitted), start)
+    return subs
+
+
+@pytest.mark.parametrize("record_trace", [True, False])
+@pytest.mark.parametrize("seed", [1, 3, 6])
+def test_relaxed_solve_matches_reference_loop_at_m200(admitted_m200, seed, record_trace):
+    got = assert_matches_reference_loop(admitted_m200[seed], record_trace=record_trace)
+    assert got.iterations > 0
+    assert sum(stage[1] for stage in got.stages) == got.iterations
+
+
+def random_relaxed_case(r):
+    """Up to 8 users on up to 4 BSs, with budgets from below the uniform
+    start's loads (admission territory) to ample."""
+    m, l = int(r.integers(1, 9)), int(r.integers(1, 5))
+    mask = r.random((m, l)) < 0.6
+    mask[np.arange(m), r.integers(l, size=m)] = True
+    n_t = r.uniform(10.0, 100.0, size=(m, l))
+    uniform_loads = ((mask / mask.sum(axis=1)[:, None]) * n_t).sum(axis=0)
+    budgets = np.maximum(uniform_loads, 1.0) * r.choice([0.8, 1.0001, 1.01, 1.2, 3.0], size=l,
+                                                        p=[0.1, 0.3, 0.2, 0.2, 0.2])
+    return make_instance(xi=r.uniform(0.5, 4.0, size=(m, l)), n_t=n_t, budgets=budgets,
+                         sets=[np.flatnonzero(row) for row in mask],
+                         sigma=float(r.uniform(0.0, 0.4)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.sampled_from([1e-6, 1e-12, 0.0]),
+       st.sampled_from([1e-6, 1e3]), st.sampled_from([20000, 40]), st.booleans())
+# Cases where the stopping test goes wrong if pg is skipped without a rounding
+# margin, with lb over step < 1, or at a stall, a no-step exit or the last
+# allowed iteration.
+@example(0, 0.0, 1e3, 40, False)
+@example(46, 1e-12, 1e-6, 20000, False)
+@example(13, 1e-12, 1e3, 20000, False)
+@example(1, 0.0, 1e3, 20000, False)
+@example(7, 1e-6, 1e3, 40, False)
+def test_relaxed_solve_fuzz_matches_reference_loop(seed, tol, r_min, max_inner, record_trace):
+    # r_min = 1e3 leaves one stage, so its exit sets pg_norm; tol = 0 leaves
+    # only the stall and no-step exits; max_inner = 40 often runs out and
+    # raises SolverError with the pg of the last iteration
+    barrier = BarrierParams(tol=tol, r_min=r_min, max_inner=max_inner)
+    inst = random_relaxed_case(np.random.default_rng(seed))
+    assert_matches_reference_loop(inst, barrier, record_trace)
 
 
 # ------------------------------------------------------------------ rounding
@@ -819,6 +1036,12 @@ def assert_matches_restart_loop(inst):
     assert sol.association.x.tobytes() == assoc.x.tobytes()
     assert sol.association.unserved == assoc.unserved
     assert sol.evicted == evicted
+    # the start admission hands to the relaxed solve is the one it would compute
+    usable = usable_links(inst)
+    admitted, _, start = _admit(usable, inst.n_t, inst.budgets)
+    if admitted.any():
+        sub = _restricted_instance(inst, usable, np.flatnonzero(admitted))
+        assert start.tobytes() == _interior_start(sub.mask(), sub.n_t, sub.budgets).tobytes()
     return sol
 
 
