@@ -56,7 +56,10 @@ def _cmd_sweep(args):
     variable = args.variable or (cfg.sweep.variable if cfg.sweep else None)
     values = None
     if args.values:
-        values = [float(v) for v in args.values.split(",")]
+        try:
+            values = [float(v) for v in args.values.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"--values: {exc}") from exc
     elif cfg.sweep:
         values = cfg.sweep.values
     rows = sweep(cfg, variable=variable, values=values, out_dir=args.out)

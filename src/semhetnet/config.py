@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -23,6 +24,8 @@ class SweepSpec:
             raise ConfigError(f"sweep.variable must be one of {SWEEP_VARIABLES}")
         if not self.values:
             raise ConfigError("sweep.values must be non-empty")
+        if not all(isinstance(v, numbers.Real) for v in self.values):
+            raise ConfigError("sweep.values must be numbers")
         self.values = tuple(self.values)
 
 
@@ -62,6 +65,10 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self):
+        counts = (self.num_macro, self.num_pico, self.num_femto, self.num_users,
+                  self.num_domains, self.kb_per_bs, self.needs_per_mu)
+        if not all(isinstance(v, numbers.Integral) for v in counts):
+            raise ConfigError("user, station and domain counts must be integers")
         checks = (
             ("region_radius_m", self.region_radius_m > 0),
             ("num_users", self.num_users >= 0),
@@ -107,27 +114,32 @@ def config_from_dict(data):
     if unknown:
         raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
     kwargs = dict(data)
-    if "barrier" in kwargs and kwargs["barrier"] is not None:
-        bfields = {f.name for f in dataclasses.fields(BarrierParams)}
-        extra = set(kwargs["barrier"]) - bfields
-        if extra:
-            raise ConfigError(f"unknown barrier field(s): {sorted(extra)}")
-        kwargs["barrier"] = BarrierParams(**kwargs["barrier"])
-    if "sweep" in kwargs and kwargs["sweep"] is not None:
-        sw = kwargs["sweep"]
-        if not isinstance(sw, dict) or set(sw) - {"variable", "values"}:
-            raise ConfigError("sweep must be an object with 'variable' and 'values'")
-        kwargs["sweep"] = SweepSpec(variable=sw["variable"], values=tuple(sw["values"]))
     try:
+        if kwargs.get("barrier") is not None:
+            bfields = {f.name for f in dataclasses.fields(BarrierParams)}
+            extra = set(kwargs["barrier"]) - bfields
+            if extra:
+                raise ConfigError(f"unknown barrier field(s): {sorted(extra)}")
+            kwargs["barrier"] = BarrierParams(**kwargs["barrier"])
+        if kwargs.get("sweep") is not None:
+            sw = kwargs["sweep"]
+            if not isinstance(sw, dict) or set(sw) != {"variable", "values"}:
+                raise ConfigError("sweep must be an object with 'variable' and 'values'")
+            kwargs["sweep"] = SweepSpec(variable=sw["variable"], values=tuple(sw["values"]))
         return ScenarioConfig(**kwargs)
-    except TypeError as exc:
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:  # e.g. a string where a number belongs
         raise ConfigError(f"bad config: {exc}") from exc
 
 
 def load_config(path):
     """Load and validate a scenario config, with line/field diagnostics."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read config: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -31,9 +31,6 @@ class Scenario:
     seed: int
     topology: object
     channel: object
-    knowledge: object
-    feasible: FeasibleSets
-    profile: B2mProfile
     eta_model: EtaModel
     instance: solver.UaInstance
 
@@ -44,9 +41,7 @@ class MethodOutcome:
     association: solver.Association
     allocation: solver.Allocation
     report: metrics.PerformanceReport
-    iterations: int = 0
-    pg_norm: float = None  # None for the baselines, which solve no relaxed problem
-    relaxed: solver.RelaxedAssociation = None
+    relaxed: solver.RelaxedAssociation = None  # None for the baselines
     evicted: tuple = ()
 
 
@@ -70,16 +65,14 @@ def build_scenario(config, seed):
     knowledge = assign_knowledge(
         config.num_domains, config.kb_per_bs, config.needs_per_mu, topology, seed=seed
     )
-    feasible = feasible_bs_sets(knowledge)
-    profile = B2mProfile.uniform(config.num_users, config.msg_per_bit)
     instance = solver.make_instance(
-        channel, feasible, profile, topology.budgets(), config.bit_rate_threshold_bps,
-        config.tau, config.sigma, config.alpha,
+        channel, feasible_bs_sets(knowledge),
+        B2mProfile.uniform(config.num_users, config.msg_per_bit), topology.budgets(),
+        config.bit_rate_threshold_bps, config.tau, config.sigma, config.alpha,
     )
     return Scenario(
-        config=config, seed=seed, topology=topology, channel=channel, knowledge=knowledge,
-        feasible=feasible, profile=profile, eta_model=EtaModel(config.tau, config.sigma),
-        instance=instance,
+        config=config, seed=seed, topology=topology, channel=channel,
+        eta_model=EtaModel(config.tau, config.sigma), instance=instance,
     )
 
 
@@ -88,27 +81,18 @@ def run_method(scenario, method, record_trace=False):
     inst = scenario.instance
     if method == "two-stage":
         sol = solver.two_stage(inst, barrier=cfg.barrier, record_trace=record_trace)
-        assoc, alloc = sol.association, sol.allocation
-        iters, pg, relaxed = sol.relaxed.iterations, sol.relaxed.pg_norm, sol.relaxed
-        evicted = sol.evicted
+        assoc, alloc, relaxed, evicted = sol.association, sol.allocation, sol.relaxed, sol.evicted
     elif method in ("max-sinr-wf", "max-sinr-even"):
-        assoc = solver.baseline_max_sinr(
-            scenario.channel, scenario.feasible, inst,
-            restrict_to_feasible=cfg.baseline_respects_kb,
-        )
+        assoc = solver.baseline_max_sinr(scenario.channel, inst,
+                                         restrict_to_feasible=cfg.baseline_respects_kb)
         mode = "waterfill" if method == "max-sinr-wf" else "even"
         alloc = solver.baseline_ba(assoc, inst, scenario.channel, mode)
-        iters, pg, relaxed, evicted = 0, None, None, ()
+        relaxed, evicted = None, ()
     else:
         raise ConfigError(f"unknown method {method!r}")
-    report = metrics.build_report(
-        assoc, alloc, scenario.profile, scenario.channel,
-        cfg.tau, cfg.sigma, inst.objective.q,
-    )
-    return MethodOutcome(
-        method=method, association=assoc, allocation=alloc, report=report,
-        iterations=iters, pg_norm=pg, relaxed=relaxed, evicted=evicted,
-    )
+    report = metrics.build_report(assoc, alloc, inst, scenario.channel)
+    return MethodOutcome(method=method, association=assoc, allocation=alloc, report=report,
+                         relaxed=relaxed, evicted=evicted)
 
 
 def _result_row(config, seed, outcome):
@@ -130,7 +114,7 @@ def _result_row(config, seed, outcome):
 
 def _method_report(scenario, outcome):
     alloc_loads = np.einsum("ml,ml->l", outcome.association.x, outcome.allocation.n)
-    rep = outcome.report
+    rep, relaxed = outcome.report, outcome.relaxed
     return {
         "method": outcome.method,
         "expected_stm": rep.expected_stm,
@@ -140,13 +124,13 @@ def _method_report(scenario, outcome):
         "unserved": list(outcome.association.unserved),
         "admission_evicted": list(outcome.evicted),
         "per_bs_load_hz": [float(v) for v in alloc_loads],
-        "iterations": outcome.iterations,
+        "iterations": relaxed.iterations if relaxed else 0,
         "relaxed_stages": [
             dict(zip(("r", "iterations", "backtracks", "exit"), stage))
-            for stage in (outcome.relaxed.stages if outcome.relaxed else ())
+            for stage in (relaxed.stages if relaxed else ())
         ],
         "kkt_residuals": {
-            "relaxed_pg_norm": outcome.pg_norm,
+            "relaxed_pg_norm": relaxed.pg_norm if relaxed else None,
             "allocation_rel": outcome.allocation.kkt_residual,
         },
     }
@@ -204,10 +188,8 @@ def _write_traces(out_dir, config, outcomes):
 
 
 def _write_csv(path, fields, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+    with open(path, "wb") as fh:
+        fh.write(rows_to_csv_bytes(fields, rows))
 
 
 def rows_to_csv_bytes(fields, rows):
@@ -287,12 +269,11 @@ def _tiny_random_instance(rng, tau, sigma, alpha):
     return solver.UaInstance(objective=obj, feasible=feasible, budgets=budgets, n_t=n_t)
 
 
-def oracle_gap_distribution(num_instances=50, seed=2024, tau=0.5, sigma=0.1, alpha=0.95):
-    """Two-stage Fbar relative to the oracle optimum on tiny random instances."""
-    rng = np.random.default_rng(seed)
+def oracle_gap_distribution(tau, sigma, alpha):
+    """Two-stage Fbar relative to the oracle optimum on 50 tiny random instances."""
+    rng = np.random.default_rng(2024)
     ratios = []
-    produced = 0
-    while produced < num_instances:
+    while len(ratios) < 50:
         inst = _tiny_random_instance(rng, tau, sigma, alpha)
         residual_scale = float(np.median(inst.budgets) / 6.0)
         quantum = max(float(inst.n_t[inst.mask()].min()), residual_scale)
@@ -305,15 +286,53 @@ def oracle_gap_distribution(num_instances=50, seed=2024, tau=0.5, sigma=0.1, alp
         if oracle.fbar <= 0:
             continue
         ratios.append(fbar_two_stage / oracle.fbar)
-        produced += 1
     return ratios
 
 
-def validate(config, oracle_instances=50, chance_trials=100_000, eta_draws=1_000_000):
+def gradient_fd_error(obj, x, rng, probes):
+    """Largest relative gap between `objective_gradient` at x and a central
+    difference (h = 1e-6) over `probes` entries drawn from rng."""
+    g = objective_gradient(obj, x)
+    h = 1e-6
+    worst = 0.0
+    for _ in range(probes):
+        i, j = int(rng.integers(x.shape[0])), int(rng.integers(x.shape[1]))
+        xp, xm = x.copy(), x.copy()
+        xp[i, j] += h
+        xm[i, j] -= h
+        fd = (objective_value(obj, xp) - objective_value(obj, xm)) / (2 * h)
+        worst = max(worst, abs(fd - g[i, j]) / max(abs(fd), abs(g[i, j]), 1e-12))
+    return worst
+
+
+def solution_feasibility(scenario, outcomes):
+    """Worst constraint violations over the outcomes of methods on one scenario.
+
+    Feasible-set membership is skipped for knowledge-oblivious baselines.
+    """
+    worst_assoc, worst_budget, worst_eq = 0, 0.0, 0.0
+    for out in outcomes:
+        viol = metrics.feasibility_violations(
+            out.association, out.allocation, scenario.instance,
+            check_feasible_membership=(out.method == "two-stage"
+                                       or scenario.config.baseline_respects_kb),
+        )
+        worst_assoc = max(worst_assoc, viol["association_defects"])
+        worst_budget = max(worst_budget, viol["budget_overshoot_rel"])
+        worst_eq = max(worst_eq, viol["full_allocation_gap_rel"])
+    ok = worst_assoc == 0 and worst_budget <= 1e-9 and worst_eq <= 1e-9
+    return Check(
+        "solution_feasibility", ok,
+        f"association defects {worst_assoc}, budget overshoot {worst_budget:.1e}, "
+        f"allocation gap {worst_eq:.1e}",
+        {"association_defects": worst_assoc, "budget_overshoot_rel": worst_budget,
+         "full_allocation_gap_rel": worst_eq},
+    )
+
+
+def validate(config):
     """Run the invariant suite and return machine-readable check results."""
     checks = []
-    q = std_normal_quantile(config.alpha) if 0 < config.alpha < 1 else None
-
     alphas = sorted({0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, config.alpha})
     worst = max(abs(std_normal_cdf(std_normal_quantile(a)) - a) for a in alphas)
     checks.append(Check(
@@ -324,30 +343,19 @@ def validate(config, oracle_instances=50, chance_trials=100_000, eta_draws=1_000
     rng = np.random.default_rng(7)
     worst_rel = 0.0
     for _ in range(20):
-        m, l = 6, 4
-        xi = rng.uniform(0.0, 10.0, size=(m, l))
-        obj = DeterministicObjective(tau=config.tau, sigma=max(config.sigma, 0.0),
-                                     q=q, xi_t=xi)
-        x = rng.random((m, l))
+        xi = rng.uniform(0.0, 10.0, size=(6, 4))
+        obj = DeterministicObjective.for_confidence(config.tau, config.sigma, config.alpha, xi)
+        x = rng.random((6, 4))
         x /= x.sum(axis=1, keepdims=True)
-        g = objective_gradient(obj, x)
-        h = 1e-6
-        for _ in range(6):
-            i, j = int(rng.integers(m)), int(rng.integers(l))
-            xp, xm = x.copy(), x.copy()
-            xp[i, j] += h
-            xm[i, j] -= h
-            fd = (objective_value(obj, xp) - objective_value(obj, xm)) / (2 * h)
-            denom = max(abs(fd), abs(g[i, j]), 1e-12)
-            worst_rel = max(worst_rel, abs(fd - g[i, j]) / denom)
+        worst_rel = max(worst_rel, gradient_fd_error(obj, x, rng, 6))
     checks.append(Check(
         "gradient_finite_difference", worst_rel < 1e-6,
         f"max relative error = {worst_rel:.3e}", {"max_rel_error": worst_rel},
     ))
 
     if config.sigma > 0:
-        draws = eta_draws
-        etas = sample_eta(EtaModel(config.tau, config.sigma), draws, seed=11, clamp=True)
+        draws = 1_000_000
+        etas = sample_eta(EtaModel(config.tau, config.sigma), draws, seed=11)
         clamped = float(np.mean((etas <= 1e-9) | (etas >= 1.0 - 1e-9)))
         expected = std_normal_cdf(-config.tau / config.sigma) + 1.0 - std_normal_cdf(
             (1.0 - config.tau) / config.sigma
@@ -360,21 +368,14 @@ def validate(config, oracle_instances=50, chance_trials=100_000, eta_draws=1_000
     checks.append(Check("eta_clamp_frequency", ok, detail,
                         {"clamped": clamped, "expected": expected}))
 
-    cal_cfg = config.replace(num_users=min(config.num_users, 80), seeds=(config.seeds[0],),
-                             methods=("two-stage",), sweep=None)
-    scenario = build_scenario(cal_cfg, cal_cfg.seeds[0])
+    cal_cfg = config.replace(num_users=min(config.num_users, 80))
+    scenario = build_scenario(cal_cfg, config.seeds[0])
     outcome = run_method(scenario, "two-stage")
     if cal_cfg.num_users == 0:
         checks.append(Check("confidence_calibration", True, "no users: vacuous", {}))
     else:
-        rates = metrics.per_user_message_rate(
-            outcome.association, outcome.allocation, scenario.profile, scenario.channel)
-        xi_fin = scenario.profile.msg_per_bit[:, None] * (
-            outcome.allocation.n * np.log2(1.0 + scenario.channel.gamma))
-        obj_fin = DeterministicObjective(tau=cal_cfg.tau, sigma=cal_cfg.sigma, q=q, xi_t=xi_fin)
-        fbar = metrics.confidence_bound(rates, cal_cfg.tau, cal_cfg.sigma, q)
-        trials = chance_trials
-        prob = chance_check(obj_fin, outcome.association.x.astype(float), fbar,
+        trials = 100_000
+        prob = chance_check(outcome.report.per_mu_message_rate, outcome.report.fbar,
                             scenario.eta_model, trials, seed=13)
         if cal_cfg.sigma == 0:
             ok = prob == 1.0
@@ -386,9 +387,7 @@ def validate(config, oracle_instances=50, chance_trials=100_000, eta_draws=1_000
         checks.append(Check("confidence_calibration", ok, detail,
                             {"probability": prob, "alpha": cal_cfg.alpha}))
 
-    ratios = oracle_gap_distribution(num_instances=oracle_instances, seed=2024,
-                                     tau=config.tau, sigma=config.sigma,
-                                     alpha=config.alpha)
+    ratios = oracle_gap_distribution(config.tau, config.sigma, config.alpha)
     frac_ok = float(np.mean([r >= 0.85 for r in ratios]))
     checks.append(Check(
         "oracle_gap", frac_ok >= 0.9,
@@ -396,22 +395,8 @@ def validate(config, oracle_instances=50, chance_trials=100_000, eta_draws=1_000
         {"ratios": [float(r) for r in ratios], "fraction_above_0.85": frac_ok},
     ))
 
-    worst_assoc, worst_budget, worst_eq = 0, 0.0, 0.0
-    for method in config.methods:
-        out = outcome if method == "two-stage" else run_method(scenario, method)
-        viol = metrics.feasibility_violations(
-            out.association, out.allocation, scenario.instance,
-            check_feasible_membership=(method == "two-stage" or config.baseline_respects_kb),
-        )
-        worst_assoc = max(worst_assoc, viol["association_defects"])
-        worst_budget = max(worst_budget, viol["budget_overshoot_rel"])
-        worst_eq = max(worst_eq, viol["full_allocation_gap_rel"])
-    ok = worst_assoc == 0 and worst_budget <= 1e-9 and worst_eq <= 1e-9
-    checks.append(Check(
-        "solution_feasibility", ok,
-        f"association defects {worst_assoc}, budget overshoot {worst_budget:.1e}, "
-        f"allocation gap {worst_eq:.1e}",
-        {"association_defects": worst_assoc, "budget_overshoot_rel": worst_budget,
-         "full_allocation_gap_rel": worst_eq},
-    ))
+    checks.append(solution_feasibility(scenario, [
+        outcome if method == "two-stage" else run_method(scenario, method)
+        for method in config.methods
+    ]))
     return checks

@@ -24,24 +24,13 @@ class PerformanceReport:
     per_mu_message_rate: np.ndarray
 
 
-def per_user_message_rate(assoc, alloc, profile, channel):
-    """Perfect-matching message rate of each user at its allocated bandwidth."""
-    b = np.einsum("ml,ml->m", assoc.x * alloc.n, np.log2(1.0 + channel.gamma))
-    return profile.msg_per_bit * b
-
-
-def expected_stm(assoc, alloc, profile, channel, tau):
-    """Expected system throughput in message: tau * sum of per-user rates."""
-    return float(tau * per_user_message_rate(assoc, alloc, profile, channel).sum())
-
-
 def bit_throughput(assoc, alloc, channel):
     """Total delivered bit-rate over all served links."""
     return float(np.einsum("ml,ml->", assoc.x * alloc.n, np.log2(1.0 + channel.gamma)))
 
 
 def instance_message_rates(assoc, alloc, inst):
-    """Per-user message rates of a solution to a bare UaInstance."""
+    """Per-user message rates s_i = sum_j x_ij n_ij xi^T_ij / n^T_ij."""
     return np.einsum("ml,ml->m", assoc.x * alloc.n, inst.rate_per_hz())
 
 
@@ -50,11 +39,13 @@ def instance_fbar(assoc, alloc, inst):
     return confidence_bound(instance_message_rates(assoc, alloc, inst), obj.tau, obj.sigma, obj.q)
 
 
-def build_report(assoc, alloc, profile, channel, tau, sigma, q):
-    s = per_user_message_rate(assoc, alloc, profile, channel)
+def build_report(assoc, alloc, inst, channel):
+    """Network metrics of a solution; its rates and Fbar are those of `inst`."""
+    s = instance_message_rates(assoc, alloc, inst)
+    obj = inst.objective
     return PerformanceReport(
-        expected_stm=float(tau * s.sum()),
-        fbar=confidence_bound(s, tau, sigma, q),
+        expected_stm=float(obj.tau * s.sum()),
+        fbar=confidence_bound(s, obj.tau, obj.sigma, obj.q),
         bit_throughput=bit_throughput(assoc, alloc, channel),
         served=assoc.served,
         unserved=len(assoc.unserved),

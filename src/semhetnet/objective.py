@@ -108,10 +108,6 @@ class DeterministicObjective:
     def for_confidence(cls, tau, sigma, alpha, xi_t):
         return cls(tau=float(tau), sigma=float(sigma), q=std_normal_quantile(alpha), xi_t=xi_t)
 
-    @property
-    def shape(self):
-        return self.xi_t.shape
-
 
 def _check_shape(obj, x):
     x = np.asarray(x, dtype=float)
@@ -148,21 +144,20 @@ def gradient_from_rates(obj, y):
     return obj.xi_t * (obj.tau - obj.sigma * obj.q * (y / denom)[:, None])
 
 
-def chance_check(obj, x_binary, fbar, eta_model, trials, seed=0, clamp=True, chunk=20000):
+def chance_check(rates, fbar, eta_model, trials, seed=0, clamp=True):
     """Empirical Pr{F >= fbar} over `trials` draws of the matching coefficients.
 
-    At a binary association with fbar = Fbar(x) the exact Gaussian
-    quantile property makes this converge to alpha.
+    F = sum_i eta_i * rates_i. With fbar the confidence bound of the rates,
+    the exact Gaussian quantile property makes this converge to alpha.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    x = _check_shape(obj, x_binary)
-    y = np.einsum("ml,ml->m", x, obj.xi_t)
+    y = np.asarray(rates, dtype=float)
     rng = substream(seed, "chance")
     hits = 0
     done = 0
     while done < trials:
-        n = min(chunk, trials - done)
+        n = min(20000, trials - done)  # draws per block, bounding memory
         etas = rng.normal(eta_model.tau, eta_model.sigma, size=(n, y.size))
         if clamp:
             np.clip(etas, ETA_CLAMP_EPS, 1.0 - ETA_CLAMP_EPS, out=etas)

@@ -133,10 +133,9 @@ class EtaModel:
             raise ConfigError("sigma must be nonnegative")
 
 
-def sample_eta(model, num_users, seed=0, clamp=True):
-    """Draw i.i.d. matching coefficients, clamped into (0, 1) by default."""
+def sample_eta(model, num_users, seed=0):
+    """Draw i.i.d. matching coefficients, clamped into (0, 1)."""
     rng = substream(seed, "eta")
     draws = rng.normal(model.tau, model.sigma, size=num_users)
-    if clamp:
-        np.clip(draws, ETA_CLAMP_EPS, 1.0 - ETA_CLAMP_EPS, out=draws)
+    np.clip(draws, ETA_CLAMP_EPS, 1.0 - ETA_CLAMP_EPS, out=draws)
     return draws

@@ -7,11 +7,13 @@ split each base station's residual bandwidth. Two max-SINR baselines share
 the repair step.
 """
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InfeasibleError, SolverError
+from .errors import ConfigError, InfeasibleError, SolverError
 from .objective import DeterministicObjective, confidence_bound, gradient_from_rates
 from .semantics import FeasibleSets
 from .topology import bit_rate
@@ -81,6 +83,28 @@ class BarrierParams:
     # stall_rtol * (1 + |W|); the final pg norm is reported either way.
     stall_rtol: float = 1e-10
 
+    def __post_init__(self):
+        # Each test is positive so that NaN fails it; mu <= 1 or r_min <= 0
+        # would never end the barrier schedule.
+        checks = (
+            ("r0", self.r0 is None or _finite(self.r0) and self.r0 > 0),
+            ("mu", _finite(self.mu) and self.mu > 1),
+            ("r_min", _finite(self.r_min) and self.r_min > 0),
+            ("tol", _finite(self.tol) and self.tol >= 0),
+            ("max_inner", isinstance(self.max_inner, numbers.Integral)
+             and _finite(self.max_inner) and self.max_inner >= 1),
+            ("stall_rtol", _finite(self.stall_rtol) and self.stall_rtol >= 0),
+        )
+        for name, ok in checks:
+            if not ok:
+                raise ConfigError(f"barrier field {name!r} is out of range: "
+                                  f"{getattr(self, name)!r}")
+
+
+def _finite(value):
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
 
 @dataclass(frozen=True, eq=False)
 class RelaxedAssociation:
@@ -124,7 +148,8 @@ def project_rows_to_simplex(v, mask):
     """Project each row of v onto {x >= 0, sum x = 1} supported on mask.
 
     Vectorized over rows; entries outside the mask come back as zero.
-    Raises ValueError if a row of the mask is empty.
+    Raises ValueError if a row of the mask is empty, and SolverError if a
+    row's support is lost to rounding (entries beyond 2**53 in magnitude).
     """
     return _simplex_projector(mask)(np.asarray(v, dtype=float))
 
@@ -152,6 +177,9 @@ def _simplex_projector(mask):
         u *= k
         rho = (u > cs).sum(axis=1)
         if not rho.all():
+            if mask.any(axis=1).all():  # entries beyond 2**53 rounded the support away
+                raise SolverError("projection lost a row's support to rounding; "
+                                  "message rates are too large for float64")
             raise ValueError("projection row with empty support")
         x = v - (cs[rows, rho - 1] / rho)[:, None]
         np.maximum(x, 0.0, out=x)
@@ -707,14 +735,14 @@ class TwoStageSolution:
     evicted: tuple = ()  # users blocked at admission, in eviction order
 
 
-def baseline_max_sinr(channel, feasible, inst, restrict_to_feasible=False):
+def baseline_max_sinr(channel, inst, restrict_to_feasible=False):
     """Associate every user with its strongest BS, then repair budgets.
 
     By default the argmax runs over all base stations (knowledge-oblivious
-    benchmark); set restrict_to_feasible to confine it to the feasible sets.
+    benchmark); set restrict_to_feasible to confine it to inst's feasible sets.
     """
     gamma = channel.gamma
-    cand = feasible.mask() if restrict_to_feasible else np.ones(gamma.shape, dtype=bool)
+    cand = inst.mask() if restrict_to_feasible else np.ones(gamma.shape, dtype=bool)
     x = np.zeros(gamma.shape, dtype=np.int8)
     x[np.arange(gamma.shape[0]), np.argmax(np.where(cand, gamma, -np.inf), axis=1)] = 1
     return _repair_budget(x, gamma, inst, cand)

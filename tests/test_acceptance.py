@@ -10,13 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from semhetnet import metrics
 from semhetnet.config import ScenarioConfig
 from semhetnet.harness import (SWEEP_FIELDS, apply_sweep_value, build_scenario,
-                               oracle_gap_distribution, rows_to_csv_bytes, run_method,
-                               sweep, validate)
-from semhetnet.objective import (DeterministicObjective, chance_check, objective_gradient,
-                                 objective_value, std_normal_cdf, std_normal_quantile)
+                               gradient_fd_error, rows_to_csv_bytes, run_method,
+                               solution_feasibility, sweep, validate)
+from semhetnet.objective import (DeterministicObjective, chance_check, std_normal_cdf,
+                                 std_normal_quantile)
 
 
 def _report(num, name, ok, detail):
@@ -26,29 +25,25 @@ def _report(num, name, ok, detail):
 
 @pytest.fixture(scope="module")
 def paper_runs():
-    """Fifty seeded default-scale scenarios, every configured method."""
+    """Fifty seeded default-scale scenarios, every configured method, and each
+    seed's build-and-solve seconds."""
     cfg = ScenarioConfig()
-    runs = {}
+    runs, seconds = {}, {}
     for seed in range(1, 51):
+        t0 = time.perf_counter()
         scenario = build_scenario(cfg, seed)
         runs[seed] = (scenario, {m: run_method(scenario, m) for m in cfg.methods})
-    return cfg, runs
+        seconds[seed] = time.perf_counter() - t0
+    return cfg, runs, seconds
 
 
 def test_criterion_1_quantile_calibration(paper_runs):
-    cfg, runs = paper_runs
+    _, runs, _ = paper_runs
     scenario, outcomes = runs[1]
-    out = outcomes["two-stage"]
+    report = outcomes["two-stage"].report
     t0 = time.perf_counter()
-    q = std_normal_quantile(cfg.alpha)
-    rates = metrics.per_user_message_rate(out.association, out.allocation,
-                                          scenario.profile, scenario.channel)
-    fbar = metrics.confidence_bound(rates, cfg.tau, cfg.sigma, q)
-    xi_fin = scenario.profile.msg_per_bit[:, None] * (
-        out.allocation.n * np.log2(1.0 + scenario.channel.gamma))
-    obj_fin = DeterministicObjective(tau=cfg.tau, sigma=cfg.sigma, q=q, xi_t=xi_fin)
-    prob = chance_check(obj_fin, out.association.x.astype(float), fbar,
-                        scenario.eta_model, trials=100_000, seed=13)
+    prob = chance_check(report.per_mu_message_rate, report.fbar, scenario.eta_model,
+                        trials=100_000, seed=13)
     elapsed = time.perf_counter() - t0
     ok = 0.948 <= prob <= 0.952 and elapsed < 5.0
     assert _report(1, "quantile calibration", ok,
@@ -85,63 +80,52 @@ def test_criterion_3_gradient_correctness():
         obj = DeterministicObjective.for_confidence(0.5, 0.1, 0.95, xi)
         x = rng.random((m, l))
         x /= x.sum(axis=1, keepdims=True)
-        g = objective_gradient(obj, x)
-        for _ in range(3):
-            i, j = int(rng.integers(m)), int(rng.integers(l))
-            h = 1e-6 * max(1.0, abs(x[i, j]))
-            xp, xm = x.copy(), x.copy()
-            xp[i, j] += h
-            xm[i, j] -= h
-            fd = (objective_value(obj, xp) - objective_value(obj, xm)) / (2 * h)
-            worst = max(worst, abs(fd - g[i, j]) / max(abs(fd), abs(g[i, j]), 1e-12))
+        worst = max(worst, gradient_fd_error(obj, x, rng, 3))
     ok = worst < 1e-6
     assert _report(3, "gradient correctness", ok, f"max relative error = {worst:.2e}")
 
 
 def test_criterion_4_feasibility_always(paper_runs):
-    cfg, runs = paper_runs
-    worst_assoc, worst_budget, worst_eq = 0, 0.0, 0.0
-    for seed, (scenario, outcomes) in runs.items():
-        for method, out in outcomes.items():
-            viol = metrics.feasibility_violations(out.association, out.allocation,
-                                                  scenario.instance)
-            worst_assoc = max(worst_assoc, viol["association_defects"])
-            worst_budget = max(worst_budget, viol["budget_overshoot_rel"])
-            worst_eq = max(worst_eq, viol["full_allocation_gap_rel"])
-    ok = worst_assoc == 0 and worst_budget <= 1e-9 and worst_eq <= 1e-9
+    cfg, runs, _ = paper_runs
+    checks = [solution_feasibility(scenario, outcomes.values())
+              for scenario, outcomes in runs.values()]
+    worst = {key: max(c.data[key] for c in checks) for key in checks[0].data}
+    ok = all(c.passed for c in checks)
     assert _report(4, "feasibility always", ok,
                    f"50 scenarios x {len(cfg.methods)} methods: association defects "
-                   f"{worst_assoc}, budget overshoot {worst_budget:.1e}, "
-                   f"allocation gap {worst_eq:.1e}")
+                   f"{worst['association_defects']}, budget overshoot "
+                   f"{worst['budget_overshoot_rel']:.1e}, allocation gap "
+                   f"{worst['full_allocation_gap_rel']:.1e}")
 
 
-def test_criterion_5_baseline_dominance():
-    cfg = ScenarioConfig()
-    t0 = time.perf_counter()
+def test_criterion_5_baseline_dominance(paper_runs):
+    cfg, runs, seconds = paper_runs
     wins, uplifts = 0, []
     for seed in range(1, 21):
-        scenario = build_scenario(cfg, seed)
-        stm = {m: run_method(scenario, m).report.expected_stm for m in cfg.methods}
+        stm = {m: out.report.expected_stm for m, out in runs[seed][1].items()}
         two_stage = stm["two-stage"]
         best_baseline = max(stm["max-sinr-wf"], stm["max-sinr-even"])
         wins += two_stage >= best_baseline
         uplifts.append(two_stage - best_baseline)
-    elapsed = time.perf_counter() - t0
+    elapsed = sum(seconds[seed] for seed in range(1, 21))
     mean_uplift = float(np.mean(uplifts))
     ok = wins >= 18 and mean_uplift > 0 and elapsed < 120.0
     assert _report(5, "baseline dominance", ok,
                    f"wins {wins}/20, mean uplift {mean_uplift:.1f} msg/s, {elapsed:.1f}s")
 
 
-def test_criterion_6_alpha_monotonicity():
-    alphas = (0.55, 0.75, 0.95)
+def test_criterion_6_alpha_monotonicity(paper_runs):
+    cfg, runs, _ = paper_runs
     fbar_ok, stm_ok = 0, 0
     seeds = range(1, 11)
     for seed in seeds:
         fbars, stms = [], []
-        for alpha in alphas:
-            scenario = build_scenario(ScenarioConfig(alpha=alpha), seed)
-            rep = run_method(scenario, "two-stage").report
+        for alpha in (0.55, 0.75, 0.95):
+            if alpha == cfg.alpha:  # the default config, solved in paper_runs
+                rep = runs[seed][1]["two-stage"].report
+            else:
+                rep = run_method(build_scenario(ScenarioConfig(alpha=alpha), seed),
+                                 "two-stage").report
             fbars.append(rep.fbar)
             stms.append(rep.expected_stm)
         fbar_ok += fbars[0] >= fbars[1] >= fbars[2]
@@ -172,7 +156,8 @@ def test_criterion_7_saturation():
                    f"mean unserved at 240/280 users: {unserved[-2]:.1f}/{unserved[-1]:.1f}")
 
 
-def test_criterion_8_tau_and_bs_count_trends():
+def test_criterion_8_tau_and_bs_count_trends(paper_runs):
+    default, runs, _ = paper_runs
     strict = 0
     for seed in range(1, 21):
         stms = []
@@ -183,8 +168,11 @@ def test_criterion_8_tau_and_bs_count_trends():
     means = []
     for count in (4, 7, 10, 13, 16):
         cfg = apply_sweep_value(ScenarioConfig(), "num_bss", count)
-        vals = [run_method(build_scenario(cfg, seed), "two-stage").report.expected_stm
-                for seed in range(1, 21)]
+        if cfg == default:  # 16 BSs is the default layout, solved in paper_runs
+            vals = [runs[seed][1]["two-stage"].report.expected_stm for seed in range(1, 21)]
+        else:
+            vals = [run_method(build_scenario(cfg, seed), "two-stage").report.expected_stm
+                    for seed in range(1, 21)]
         means.append(float(np.mean(vals)))
     non_decreasing = all(b >= a for a, b in zip(means, means[1:]))
     ok = strict == 20 and non_decreasing
@@ -196,16 +184,14 @@ def test_criterion_8_tau_and_bs_count_trends():
 
 def test_criterion_9_oracle_gap():
     t0 = time.perf_counter()
-    ratios = np.array(oracle_gap_distribution(num_instances=50, seed=2024))
-    elapsed = time.perf_counter() - t0
-    frac = float(np.mean(ratios >= 0.85))
     checks = {c.name: c for c in validate(ScenarioConfig(num_users=40, seeds=(1,)))}
-    recorded = checks["oracle_gap"].data.get("ratios", [])
-    ok = frac >= 0.9 and elapsed < 60.0 and len(recorded) == 50
+    elapsed = time.perf_counter() - t0
+    gap = checks["oracle_gap"]
+    ratios = gap.data["ratios"]
+    ok = gap.passed and len(ratios) == 50 and elapsed < 60.0
     assert _report(9, "oracle gap", ok,
-                   f"Fbar ratio >= 0.85 on {frac:.0%} of 50 tiny instances "
-                   f"(min {ratios.min():.3f}) in {elapsed:.1f}s; distribution of "
-                   f"{len(recorded)} ratios recorded in the validate report")
+                   f"{gap.detail}; {len(ratios)} ratios recorded in the validate report, "
+                   f"whole validate run {elapsed:.1f}s")
 
 
 def test_criterion_10_determinism():

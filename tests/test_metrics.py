@@ -2,45 +2,66 @@ import numpy as np
 import pytest
 
 from conftest import make_instance
-from semhetnet.metrics import (bit_throughput, confidence_bound, expected_stm,
-                               feasibility_violations, instance_fbar, oracle_enumerate,
-                               per_user_message_rate)
+from semhetnet import harness
+from semhetnet.config import ScenarioConfig
+from semhetnet.metrics import (bit_throughput, build_report, confidence_bound,
+                               feasibility_violations, instance_fbar, instance_message_rates,
+                               oracle_enumerate)
 from semhetnet.objective import std_normal_quantile
-from semhetnet.semantics import B2mProfile
-from semhetnet.solver import Allocation, Association, two_stage
+from semhetnet.semantics import B2mProfile, FeasibleSets
+from semhetnet.solver import Allocation, Association, make_instance as build_instance, two_stage
 from semhetnet.topology import ChannelState
+
+
+def _instance(channel, kappa):
+    """Every link usable, n^T sized for 1 kbit/s."""
+    m, l = channel.gamma.shape
+    return build_instance(channel, FeasibleSets(np.ones((m, l), dtype=bool)), B2mProfile(kappa),
+                          np.full(l, 1e6), 1e3, 0.5, 0.1, 0.95)
 
 
 def _simple_solution():
     """1 user, 1 BS, 1 MHz at gamma 3 (2 Mbit/s), kappa 1e-3."""
     assoc = Association(x=np.array([[1]], dtype=np.int8))
     alloc = Allocation(n=np.array([[1e6]]))
-    profile = B2mProfile(np.array([1e-3]))
     channel = ChannelState(np.array([[3.0]]))
-    return assoc, alloc, profile, channel
+    return assoc, alloc, _instance(channel, np.array([1e-3])), channel
 
 
 def test_expected_stm_composed_example():
-    assoc, alloc, profile, channel = _simple_solution()
-    assert expected_stm(assoc, alloc, profile, channel, tau=0.5) == pytest.approx(1000.0)
+    report = build_report(*_simple_solution())
+    assert report.expected_stm == pytest.approx(1000.0)
 
 
 def test_expected_stm_zero_when_unserved():
     assoc = Association(x=np.zeros((3, 2), dtype=np.int8), unserved=(0, 1, 2))
     alloc = Allocation(n=np.zeros((3, 2)))
-    profile = B2mProfile.uniform(3)
     channel = ChannelState(np.ones((3, 2)))
-    assert expected_stm(assoc, alloc, profile, channel, tau=0.5) == 0.0
+    report = build_report(assoc, alloc, _instance(channel, np.full(3, 1e-3)), channel)
+    assert report.expected_stm == 0.0
 
 
-def test_expected_stm_tau_one_recovers_perfect_rate():
-    assoc, alloc, profile, channel = _simple_solution()
-    s = per_user_message_rate(assoc, alloc, profile, channel)
-    assert expected_stm(assoc, alloc, profile, channel, tau=1.0) == pytest.approx(s.sum())
+def test_report_rates_are_perfect_matching_rates():
+    # kappa * n * log2(1 + gamma) = 1e-3 * 1e6 * 2; expected_stm is tau times their sum
+    report = build_report(*_simple_solution())
+    assert report.per_mu_message_rate == pytest.approx([2000.0])
+    assert report.expected_stm == 0.5 * report.per_mu_message_rate.sum()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_report_uses_the_instance_rates(seed):
+    cfg = ScenarioConfig(num_users=30)
+    scenario = harness.build_scenario(cfg, seed)
+    inst = scenario.instance
+    for method in cfg.methods:
+        out = harness.run_method(scenario, method)
+        rates = instance_message_rates(out.association, out.allocation, inst)
+        assert out.report.per_mu_message_rate.tobytes() == rates.tobytes()
+        assert out.report.fbar == instance_fbar(out.association, out.allocation, inst)
 
 
 def test_bit_throughput_values():
-    assoc, alloc, profile, channel = _simple_solution()
+    assoc, alloc, _, channel = _simple_solution()
     assert bit_throughput(assoc, alloc, channel) == pytest.approx(2e6)
     doubled = Allocation(n=alloc.n * 2)
     assert bit_throughput(assoc, doubled, channel) == pytest.approx(4e6)

@@ -100,6 +100,12 @@ def test_projection_rejects_empty_support():
     assert project_rows_to_simplex(np.zeros((0, 3)), np.zeros((0, 3), bool)).shape == (0, 3)
 
 
+def test_projection_precision_loss_is_a_solver_error():
+    # beyond 2**53, u_1 - 1 rounds to u_1, so no entry passes the support test
+    with pytest.raises(SolverError, match="rounding"):
+        project_rows_to_simplex(np.array([[1e17, 1e17]]), np.ones((1, 2), dtype=bool))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_projection_path_is_monotone(seed):
@@ -451,8 +457,7 @@ def test_vectorized_rounding_and_max_sinr_match_loops(seed):
     gamma = r.choice([0.5, 1.0, 3.0], size=(m, l))
     for restrict in (False, True):
         cand = mask if restrict else np.ones((m, l), dtype=bool)
-        got = baseline_max_sinr(ChannelState(gamma), inst.feasible, inst,
-                                restrict_to_feasible=restrict)
+        got = baseline_max_sinr(ChannelState(gamma), inst, restrict_to_feasible=restrict)
         assert np.array_equal(got.x, loop_max_sinr(gamma, cand))  # budgets never bind here
 
 
@@ -747,7 +752,7 @@ def test_max_sinr_association_picks_strongest():
     channel = ChannelState(gamma)
     inst = make_instance(xi=np.ones((1, 3)), n_t=np.full((1, 3), 10.0),
                          budgets=[100.0] * 3, sets=[(0,)])  # feasible set ignored by default
-    assoc = baseline_max_sinr(channel, inst.feasible, inst)
+    assoc = baseline_max_sinr(channel, inst)
     assert list(assoc.x[0]) == [0, 1, 0]
 
 
@@ -756,7 +761,7 @@ def test_max_sinr_tie_takes_lowest_index():
     channel = ChannelState(gamma)
     inst = make_instance(xi=np.ones((1, 2)), n_t=np.full((1, 2), 10.0),
                          budgets=[100.0] * 2, sets=[(0, 1)])
-    assoc = baseline_max_sinr(channel, inst.feasible, inst)
+    assoc = baseline_max_sinr(channel, inst)
     assert list(assoc.x[0]) == [1, 0]
 
 
@@ -765,7 +770,7 @@ def test_max_sinr_respects_feasible_sets_when_asked():
     channel = ChannelState(gamma)
     inst = make_instance(xi=np.ones((1, 2)), n_t=np.full((1, 2), 10.0),
                          budgets=[100.0] * 2, sets=[(0,)])
-    assoc = baseline_max_sinr(channel, inst.feasible, inst, restrict_to_feasible=True)
+    assoc = baseline_max_sinr(channel, inst, restrict_to_feasible=True)
     assert list(assoc.x[0]) == [1, 0]
 
 
@@ -775,7 +780,7 @@ def test_max_sinr_overload_spills_to_next_strongest():
     n_t = np.full((3, 2), 600.0)
     inst = make_instance(xi=np.ones((3, 2)), n_t=n_t, budgets=[1000.0, 2000.0],
                          sets=[(0, 1)] * 3)
-    assoc = baseline_max_sinr(channel, inst.feasible, inst)
+    assoc = baseline_max_sinr(channel, inst)
     loads = (assoc.x * n_t).sum(axis=0)
     assert np.all(loads <= inst.budgets)
     assert assoc.x[:, 0].sum() == 1 and assoc.x[:, 1].sum() == 2
