@@ -6,12 +6,11 @@ from .errors import ConfigError, InfeasibleError, SolverError
 from .metrics import PerformanceReport, bit_throughput, oracle_enumerate
 from .objective import (DeterministicObjective, chance_check, confidence_bound,
                         objective_gradient, objective_value, std_normal_cdf, std_normal_quantile)
-from .semantics import (B2mProfile, EtaModel, FeasibleSets, KnowledgeModel, assign_knowledge,
-                        feasible_bs_sets, sample_eta)
+from .semantics import FeasibleSets, assign_knowledge, feasible_bs_sets, sample_eta
 from .solver import (Allocation, Association, BarrierParams, RelaxedAssociation, UaInstance,
                      allocate_residual, baseline_ba, baseline_max_sinr, make_instance,
                      repair_overload, round_association, solve_relaxed_ua, two_stage)
-from .topology import (BaseStation, ChannelState, MobileUser, Tier, Topology, bit_rate,
-                       compute_sinr, dbm_to_watts, generate_topology, path_loss_db)
+from .topology import (Tier, Topology, bit_rate, compute_sinr, dbm_to_watts, generate_topology,
+                       path_loss_db)
 
 __version__ = "0.1.0"

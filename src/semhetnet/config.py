@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -24,8 +25,8 @@ class SweepSpec:
             raise ConfigError(f"sweep.variable must be one of {SWEEP_VARIABLES}")
         if not self.values:
             raise ConfigError("sweep.values must be non-empty")
-        if not all(isinstance(v, numbers.Real) for v in self.values):
-            raise ConfigError("sweep.values must be numbers")
+        if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in self.values):
+            raise ConfigError("sweep.values must be finite numbers")
         self.values = tuple(self.values)
 
 
@@ -70,6 +71,8 @@ class ScenarioConfig:
         if not all(isinstance(v, numbers.Integral) for v in counts):
             raise ConfigError("user, station and domain counts must be integers")
         checks = (
+            *((f.name, math.isfinite(getattr(self, f.name)))
+              for f in dataclasses.fields(self) if f.type is float),
             ("region_radius_m", self.region_radius_m > 0),
             ("num_users", self.num_users >= 0),
             ("tier counts", min(self.num_macro, self.num_pico, self.num_femto) >= 0),
@@ -93,17 +96,6 @@ class ScenarioConfig:
 
     def replace(self, **kwargs):
         return dataclasses.replace(self, **kwargs)
-
-    def to_dict(self):
-        out = dataclasses.asdict(self)
-        out["barrier"] = dataclasses.asdict(self.barrier)
-        out["methods"] = list(self.methods)
-        out["seeds"] = list(self.seeds)
-        out["sweep"] = None if self.sweep is None else {
-            "variable": self.sweep.variable,
-            "values": list(self.sweep.values),
-        }
-        return out
 
 
 def config_from_dict(data):
@@ -129,7 +121,7 @@ def config_from_dict(data):
         return ScenarioConfig(**kwargs)
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:  # e.g. a string where a number belongs
+    except (TypeError, ValueError, OverflowError) as exc:  # e.g. a string for a number
         raise ConfigError(f"bad config: {exc}") from exc
 
 

@@ -14,8 +14,7 @@ from .config import ScenarioConfig, SweepSpec
 from .errors import ConfigError, InfeasibleError
 from .objective import (DeterministicObjective, chance_check, objective_gradient,
                         objective_value, std_normal_cdf, std_normal_quantile)
-from .semantics import (B2mProfile, EtaModel, FeasibleSets, assign_knowledge,
-                        feasible_bs_sets, sample_eta)
+from .semantics import FeasibleSets, assign_knowledge, feasible_bs_sets, sample_eta
 from .topology import Tier, compute_sinr, generate_topology
 
 RESULTS_FIELDS = ("scenario", "seed", "method", "alpha", "tau", "sigma", "num_users",
@@ -30,8 +29,7 @@ class Scenario:
     config: ScenarioConfig
     seed: int
     topology: object
-    channel: object
-    eta_model: EtaModel
+    gamma: np.ndarray  # users x BSs SINR
     instance: solver.UaInstance
 
 
@@ -61,19 +59,15 @@ def build_scenario(config, seed):
         noise_power_dbm=config.noise_power_dbm,
         seed=seed,
     )
-    channel = compute_sinr(topology)
-    knowledge = assign_knowledge(
+    gamma = compute_sinr(topology)
+    kb, needs = assign_knowledge(
         config.num_domains, config.kb_per_bs, config.needs_per_mu, topology, seed=seed
     )
     instance = solver.make_instance(
-        channel, feasible_bs_sets(knowledge),
-        B2mProfile.uniform(config.num_users, config.msg_per_bit), topology.budgets(),
+        gamma, feasible_bs_sets(kb, needs), config.msg_per_bit, topology.budgets,
         config.bit_rate_threshold_bps, config.tau, config.sigma, config.alpha,
     )
-    return Scenario(
-        config=config, seed=seed, topology=topology, channel=channel,
-        eta_model=EtaModel(config.tau, config.sigma), instance=instance,
-    )
+    return Scenario(config=config, seed=seed, topology=topology, gamma=gamma, instance=instance)
 
 
 def run_method(scenario, method, record_trace=False):
@@ -83,14 +77,14 @@ def run_method(scenario, method, record_trace=False):
         sol = solver.two_stage(inst, barrier=cfg.barrier, record_trace=record_trace)
         assoc, alloc, relaxed, evicted = sol.association, sol.allocation, sol.relaxed, sol.evicted
     elif method in ("max-sinr-wf", "max-sinr-even"):
-        assoc = solver.baseline_max_sinr(scenario.channel, inst,
+        assoc = solver.baseline_max_sinr(scenario.gamma, inst,
                                          restrict_to_feasible=cfg.baseline_respects_kb)
         mode = "waterfill" if method == "max-sinr-wf" else "even"
-        alloc = solver.baseline_ba(assoc, inst, scenario.channel, mode)
+        alloc = solver.baseline_ba(assoc, inst, scenario.gamma, mode)
         relaxed, evicted = None, ()
     else:
         raise ConfigError(f"unknown method {method!r}")
-    report = metrics.build_report(assoc, alloc, inst, scenario.channel)
+    report = metrics.build_report(assoc, alloc, inst, scenario.gamma)
     return MethodOutcome(method=method, association=assoc, allocation=alloc, report=report,
                          relaxed=relaxed, evicted=evicted)
 
@@ -355,7 +349,7 @@ def validate(config):
 
     if config.sigma > 0:
         draws = 1_000_000
-        etas = sample_eta(EtaModel(config.tau, config.sigma), draws, seed=11)
+        etas = sample_eta(config.tau, config.sigma, draws, seed=11)
         clamped = float(np.mean((etas <= 1e-9) | (etas >= 1.0 - 1e-9)))
         expected = std_normal_cdf(-config.tau / config.sigma) + 1.0 - std_normal_cdf(
             (1.0 - config.tau) / config.sigma
@@ -376,7 +370,7 @@ def validate(config):
     else:
         trials = 100_000
         prob = chance_check(outcome.report.per_mu_message_rate, outcome.report.fbar,
-                            scenario.eta_model, trials, seed=13)
+                            cal_cfg.tau, cal_cfg.sigma, trials, seed=13)
         if cal_cfg.sigma == 0:
             ok = prob == 1.0
             detail = f"sigma=0: Pr = {prob}"

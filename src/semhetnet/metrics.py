@@ -24,9 +24,9 @@ class PerformanceReport:
     per_mu_message_rate: np.ndarray
 
 
-def bit_throughput(assoc, alloc, channel):
+def bit_throughput(assoc, alloc, gamma):
     """Total delivered bit-rate over all served links."""
-    return float(np.einsum("ml,ml->", assoc.x * alloc.n, np.log2(1.0 + channel.gamma)))
+    return float(np.einsum("ml,ml->", assoc.x * alloc.n, np.log2(1.0 + gamma)))
 
 
 def instance_message_rates(assoc, alloc, inst):
@@ -39,14 +39,14 @@ def instance_fbar(assoc, alloc, inst):
     return confidence_bound(instance_message_rates(assoc, alloc, inst), obj.tau, obj.sigma, obj.q)
 
 
-def build_report(assoc, alloc, inst, channel):
+def build_report(assoc, alloc, inst, gamma):
     """Network metrics of a solution; its rates and Fbar are those of `inst`."""
     s = instance_message_rates(assoc, alloc, inst)
     obj = inst.objective
     return PerformanceReport(
         expected_stm=float(obj.tau * s.sum()),
         fbar=confidence_bound(s, obj.tau, obj.sigma, obj.q),
-        bit_throughput=bit_throughput(assoc, alloc, channel),
+        bit_throughput=bit_throughput(assoc, alloc, gamma),
         served=assoc.served,
         unserved=len(assoc.unserved),
         per_mu_message_rate=s,

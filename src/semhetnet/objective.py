@@ -144,11 +144,12 @@ def gradient_from_rates(obj, y):
     return obj.xi_t * (obj.tau - obj.sigma * obj.q * (y / denom)[:, None])
 
 
-def chance_check(rates, fbar, eta_model, trials, seed=0, clamp=True):
+def chance_check(rates, fbar, tau, sigma, trials, seed=0, clamp=True):
     """Empirical Pr{F >= fbar} over `trials` draws of the matching coefficients.
 
-    F = sum_i eta_i * rates_i. With fbar the confidence bound of the rates,
-    the exact Gaussian quantile property makes this converge to alpha.
+    F = sum_i eta_i * rates_i with eta_i ~ N(tau, sigma^2). With fbar the
+    confidence bound of the rates, the exact Gaussian quantile property makes
+    this converge to alpha.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -158,7 +159,7 @@ def chance_check(rates, fbar, eta_model, trials, seed=0, clamp=True):
     done = 0
     while done < trials:
         n = min(20000, trials - done)  # draws per block, bounding memory
-        etas = rng.normal(eta_model.tau, eta_model.sigma, size=(n, y.size))
+        etas = rng.normal(tau, sigma, size=(n, y.size))
         if clamp:
             np.clip(etas, ETA_CLAMP_EPS, 1.0 - ETA_CLAMP_EPS, out=etas)
         f = etas @ y

@@ -62,12 +62,18 @@ class UaInstance:
         return self.objective.xi_t / self.n_t
 
 
-def make_instance(channel, feasible, profile, budgets, bit_rate_threshold, tau, sigma, alpha):
-    """Build a UaInstance with n^T_ij sized to hit the bit-rate threshold."""
-    gamma = channel.gamma
+def make_instance(gamma, feasible, msg_per_bit, budgets, bit_rate_threshold, tau, sigma, alpha):
+    """Build a UaInstance with n^T_ij sized to hit the bit-rate threshold.
+
+    msg_per_bit is the bit-to-message coefficient kappa: one value for every
+    user or one per user (rows of gamma).
+    """
+    kappa = np.broadcast_to(np.asarray(msg_per_bit, dtype=float), gamma.shape[:1])
+    if not np.all(kappa > 0):
+        raise ConfigError("msg_per_bit coefficients must be positive")
     se = np.log2(1.0 + gamma)
     n_t = float(bit_rate_threshold) / se
-    xi_t = profile.msg_per_bit[:, None] * bit_rate(n_t, gamma)
+    xi_t = kappa[:, None] * bit_rate(n_t, gamma)
     obj = DeterministicObjective.for_confidence(tau, sigma, alpha, xi_t)
     return UaInstance(objective=obj, feasible=feasible, budgets=np.asarray(budgets, float), n_t=n_t)
 
@@ -735,20 +741,19 @@ class TwoStageSolution:
     evicted: tuple = ()  # users blocked at admission, in eviction order
 
 
-def baseline_max_sinr(channel, inst, restrict_to_feasible=False):
+def baseline_max_sinr(gamma, inst, restrict_to_feasible=False):
     """Associate every user with its strongest BS, then repair budgets.
 
     By default the argmax runs over all base stations (knowledge-oblivious
     benchmark); set restrict_to_feasible to confine it to inst's feasible sets.
     """
-    gamma = channel.gamma
     cand = inst.mask() if restrict_to_feasible else np.ones(gamma.shape, dtype=bool)
     x = np.zeros(gamma.shape, dtype=np.int8)
     x[np.arange(gamma.shape[0]), np.argmax(np.where(cand, gamma, -np.inf), axis=1)] = 1
     return _repair_budget(x, gamma, inst, cand)
 
 
-def baseline_ba(assoc, inst, channel, mode="even"):
+def baseline_ba(assoc, inst, gamma, mode="even"):
     """Classical per-BS bandwidth allocation: 'even' or 'waterfill'.
 
     Water-filling maximizes sum_i n_i * log2(1 + ghat_i / n_i) with
@@ -765,7 +770,7 @@ def baseline_ba(assoc, inst, channel, mode="even"):
         n[users, bs] = budgets[bs] / np.bincount(bs, minlength=budgets.size)[bs]
     else:
         floors = n_t[users, bs]
-        ghat = channel.gamma[users, bs] * floors
+        ghat = gamma[users, bs] * floors
         split = _water_fill(bs, floors, floors / ghat, ghat, budgets)
         n[users, bs] = _fill_budgets(split, floors, bs, budgets)
     return Allocation(n=n)

@@ -36,122 +36,67 @@ def dbm_to_watts(power_dbm):
     return 10.0 ** ((np.asarray(power_dbm, dtype=float) - 30.0) / 10.0)
 
 
-@dataclass(frozen=True)
-class BaseStation:
-    id: int
-    tier: Tier
-    position: tuple  # (x, y) in meters
-    tx_power_dbm: float
-    bandwidth_budget_hz: float
-
-    def __post_init__(self):
-        if self.bandwidth_budget_hz <= 0:
-            raise ConfigError(f"BS {self.id}: bandwidth budget must be positive")
-
-
-@dataclass(frozen=True)
-class MobileUser:
-    id: int
-    position: tuple  # (x, y) in meters
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Topology:
-    """Immutable scenario geometry; list order defines matrix indexing."""
+    """Immutable scenario geometry as arrays; row order defines matrix indexing.
+
+    tiers, bs_xy (L x 2, meters), tx_power_dbm and budgets (Hz) hold one
+    entry per base station; user_xy (M x 2, meters) one row per user.
+    """
 
     region_radius_m: float
-    base_stations: tuple
-    users: tuple
-    noise_power_dbm: float = DEFAULT_NOISE_POWER_DBM
+    noise_power_dbm: float
+    tiers: tuple
+    bs_xy: np.ndarray
+    tx_power_dbm: np.ndarray
+    budgets: np.ndarray
+    user_xy: np.ndarray
 
     def __post_init__(self):
-        if self.region_radius_m <= 0:
+        if not self.region_radius_m > 0:
             raise ConfigError("region radius must be positive")
-        if not self.base_stations:
+        num_bs = len(self.tiers)
+        if num_bs == 0:
             raise ConfigError("topology needs at least one base station")
+        object.__setattr__(self, "tiers", tuple(Tier(t) for t in self.tiers))
+        shapes = {"bs_xy": (num_bs, 2), "tx_power_dbm": (num_bs,), "budgets": (num_bs,),
+                  "user_xy": (len(self.user_xy), 2)}
+        for name, shape in shapes.items():
+            value = np.array(getattr(self, name), dtype=float)
+            if value.shape != shape:
+                raise ConfigError(f"{name} must have shape {shape}: one row per node")
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        if not np.all(self.budgets > 0):
+            raise ConfigError("bandwidth budgets must be positive")
         limit = self.region_radius_m * (1.0 + 1e-9)
-        for node in (*self.base_stations, *self.users):
-            if float(np.hypot(*node.position)) > limit:
-                raise ConfigError(f"node {node.id} lies outside the region")
+        for kind, xy in (("base station", self.bs_xy), ("user", self.user_xy)):
+            outside = np.flatnonzero(~(np.hypot(xy[:, 0], xy[:, 1]) <= limit))
+            if outside.size:
+                raise ConfigError(f"{kind} {outside[0]} lies outside the region")
 
     @property
     def num_bs(self):
-        return len(self.base_stations)
+        return len(self.tiers)
 
     @property
     def num_users(self):
-        return len(self.users)
+        return len(self.user_xy)
 
-    def bs_positions(self):
-        return np.array([bs.position for bs in self.base_stations], dtype=float)
-
-    def user_positions(self):
-        if not self.users:
-            return np.zeros((0, 2))
-        return np.array([mu.position for mu in self.users], dtype=float)
-
-    def budgets(self):
-        return np.array([bs.bandwidth_budget_hz for bs in self.base_stations], dtype=float)
-
-    def tx_powers_dbm(self):
-        return np.array([bs.tx_power_dbm for bs in self.base_stations], dtype=float)
-
-    def to_dict(self):
-        return {
+    def to_json(self):
+        """The topology document that `semhetnet gen` writes."""
+        return json.dumps({
             "region_radius_m": self.region_radius_m,
             "noise_power_dbm": self.noise_power_dbm,
             "base_stations": [
-                {
-                    "id": bs.id,
-                    "tier": bs.tier.value,
-                    "position": list(bs.position),
-                    "tx_power_dbm": bs.tx_power_dbm,
-                    "bandwidth_budget_hz": bs.bandwidth_budget_hz,
-                }
-                for bs in self.base_stations
+                {"id": j, "tier": tier.value, "position": xy, "tx_power_dbm": power,
+                 "bandwidth_budget_hz": budget}
+                for j, (tier, xy, power, budget) in enumerate(zip(
+                    self.tiers, self.bs_xy.tolist(), self.tx_power_dbm.tolist(),
+                    self.budgets.tolist()))
             ],
-            "users": [{"id": mu.id, "position": list(mu.position)} for mu in self.users],
-        }
-
-    @classmethod
-    def from_dict(cls, data):
-        try:
-            bss = tuple(
-                BaseStation(
-                    id=int(b["id"]),
-                    tier=Tier(b["tier"]),
-                    position=(float(b["position"][0]), float(b["position"][1])),
-                    tx_power_dbm=float(b["tx_power_dbm"]),
-                    bandwidth_budget_hz=float(b["bandwidth_budget_hz"]),
-                )
-                for b in data["base_stations"]
-            )
-            mus = tuple(
-                MobileUser(id=int(u["id"]), position=(float(u["position"][0]), float(u["position"][1])))
-                for u in data["users"]
-            )
-            return cls(
-                region_radius_m=float(data["region_radius_m"]),
-                base_stations=bss,
-                users=mus,
-                noise_power_dbm=float(data["noise_power_dbm"]),
-            )
-        except (KeyError, IndexError, TypeError) as exc:
-            raise ConfigError(f"bad topology document: {exc!r}") from exc
-
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
-
-
-@dataclass(frozen=True, eq=False)
-class ChannelState:
-    """Linear-scale SINR matrix, one row per user, one column per BS."""
-
-    gamma: np.ndarray
+            "users": [{"id": i, "position": xy} for i, xy in enumerate(self.user_xy.tolist())],
+        }, indent=2)
 
 
 def _uniform_disc(rng, n, radius):
@@ -182,8 +127,6 @@ def generate_topology(
         raise ConfigError("counts must be nonnegative")
     if num_macro + num_pico + num_femto == 0:
         raise ConfigError("at least one base station is required")
-    if region_radius_m <= 0:
-        raise ConfigError("region radius must be positive")
     powers = dict(DEFAULT_TIER_POWER_DBM)
     if tier_powers_dbm:
         powers.update({Tier(k): float(v) for k, v in tier_powers_dbm.items()})
@@ -205,27 +148,14 @@ def generate_topology(
     if num_femto:
         positions.append(_uniform_disc(bs_rng, num_femto, region_radius_m))
         tiers.extend([Tier.FEMTO] * num_femto)
-    bs_xy = np.concatenate(positions, axis=0)
-
-    base_stations = tuple(
-        BaseStation(
-            id=j,
-            tier=tiers[j],
-            position=(float(bs_xy[j, 0]), float(bs_xy[j, 1])),
-            tx_power_dbm=powers[tiers[j]],
-            bandwidth_budget_hz=float(bandwidth_budget_hz),
-        )
-        for j in range(len(tiers))
-    )
-    mu_xy = _uniform_disc(mu_rng, num_users, region_radius_m)
-    users = tuple(
-        MobileUser(id=i, position=(float(mu_xy[i, 0]), float(mu_xy[i, 1]))) for i in range(num_users)
-    )
     return Topology(
         region_radius_m=float(region_radius_m),
-        base_stations=base_stations,
-        users=users,
         noise_power_dbm=float(noise_power_dbm),
+        tiers=tuple(tiers),
+        bs_xy=np.concatenate(positions, axis=0),
+        tx_power_dbm=[powers[t] for t in tiers],
+        budgets=np.full(len(tiers), float(bandwidth_budget_hz)),
+        user_xy=_uniform_disc(mu_rng, num_users, region_radius_m),
     )
 
 
@@ -244,29 +174,19 @@ def path_loss_db(tier, distance_m):
 def compute_sinr(topology):
     """SINR of every (user, BS) link with all non-serving BSs interfering.
 
-    Returns
-    -------
-    ChannelState
-        gamma[i, j] = P_rx(i, j) / (noise + sum_{k != j} P_rx(i, k)), all
-        in linear watts.
+    Returns gamma, users x BSs, with gamma[i, j] = P_rx(i, j) / (noise +
+    sum_{k != j} P_rx(i, k)), all in linear watts.
     """
-    L = topology.num_bs
-    M = topology.num_users
-    if M == 0:
-        return ChannelState(np.zeros((0, L)))
-    d = np.linalg.norm(
-        topology.user_positions()[:, None, :] - topology.bs_positions()[None, :, :], axis=2
-    )
+    d = np.linalg.norm(topology.user_xy[:, None, :] - topology.bs_xy[None, :, :], axis=2)
     loss = np.empty_like(d)
     for tier in Tier:
-        cols = [j for j, bs in enumerate(topology.base_stations) if bs.tier is tier]
+        cols = [j for j, t in enumerate(topology.tiers) if t is tier]
         if cols:
             loss[:, cols] = path_loss_db(tier, d[:, cols])
-    rx_w = dbm_to_watts(topology.tx_powers_dbm()[None, :] - loss)
+    rx_w = dbm_to_watts(topology.tx_power_dbm[None, :] - loss)
     total = rx_w.sum(axis=1, keepdims=True)
     noise_w = dbm_to_watts(topology.noise_power_dbm)
-    gamma = rx_w / (noise_w + total - rx_w)
-    return ChannelState(gamma)
+    return rx_w / (noise_w + total - rx_w)
 
 
 def bit_rate(bandwidth_hz, gamma):

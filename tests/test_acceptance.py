@@ -42,8 +42,8 @@ def test_criterion_1_quantile_calibration(paper_runs):
     scenario, outcomes = runs[1]
     report = outcomes["two-stage"].report
     t0 = time.perf_counter()
-    prob = chance_check(report.per_mu_message_rate, report.fbar, scenario.eta_model,
-                        trials=100_000, seed=13)
+    prob = chance_check(report.per_mu_message_rate, report.fbar, scenario.config.tau,
+                        scenario.config.sigma, trials=100_000, seed=13)
     elapsed = time.perf_counter() - t0
     ok = 0.948 <= prob <= 0.952 and elapsed < 5.0
     assert _report(1, "quantile calibration", ok,

@@ -28,6 +28,8 @@ def test_config_rejects_bad_ranges():
         ScenarioConfig(alpha=1.2)
     with pytest.raises(ConfigError, match="tau"):
         ScenarioConfig(tau=0.0)
+    with pytest.raises(ConfigError, match="sigma"):
+        ScenarioConfig(sigma=-0.1)
     with pytest.raises(ConfigError, match="bit_rate_threshold"):
         ScenarioConfig(bit_rate_threshold_bps=0.0)
     with pytest.raises(ConfigError, match="kb_per_bs"):
@@ -57,7 +59,7 @@ def test_load_config_round_trip(tmp_path):
     cfg = load_config(str(path))
     assert cfg.num_users == 30
     assert cfg.sweep.variable == "alpha"
-    assert cfg.to_dict()["sweep"]["values"] == [0.6, 0.9]
+    assert cfg.sweep.values == (0.6, 0.9)
 
 
 def test_seed_substreams_are_independent():
@@ -122,7 +124,7 @@ def test_sweep_holds_bs_placement_fixed():
     tops = {}
     for m in (10, 40):
         scen = build_scenario(apply_sweep_value(cfg, "num_mus", m), 1)
-        tops[m] = scen.topology.bs_positions()
+        tops[m] = scen.topology.bs_xy
     assert np.array_equal(tops[10], tops[40])
 
 
@@ -196,9 +198,25 @@ def test_cli_bad_config_exit_code(tmp_path):
     ({"sweep": {"variable": "alpha", "values": ["a"]}}, ["sweep"]),
     (None, []),  # the --config file does not exist
     ({}, ["sweep", "--variable", "num_mus", "--values", "20,x"]),
+    # float fields and sweep values must be finite (JSON Infinity, NaN, 1e400)
+    ({"region_radius_m": float("inf")}, []),
+    ({"region_radius_m": 10**400}, []),  # an integer too large for a float
+    ({"macro_power_dbm": float("inf")}, []),
+    ({"femto_power_dbm": float("nan")}, []),
+    ({"msg_per_bit": float("inf")}, []),
+    ({"bit_rate_threshold_bps": float("inf")}, []),
+    ({"sigma": float("inf")}, []),
+    ({"bandwidth_budget_hz": float("inf")}, []),
+    ({"noise_power_dbm": -float("inf")}, []),
+    ({}, ["sweep", "--variable", "num_mus", "--values", "20,inf"]),
+    ({}, ["sweep", "--variable", "num_mus", "--values", "20,nan"]),
+    ({}, ["sweep", "--variable", "num_bss", "--values", "20,inf"]),
+    ({}, ["sweep", "--variable", "num_bss", "--values", "20,nan"]),
 ], ids=["mu-1", "r_min-negative", "mu-below-1", "mu-string", "tol-nan", "max_inner-float",
         "seed-string", "users-not-integer", "sweep-without-values", "sweep-value-string",
-        "missing-file", "values-not-numbers"])
+        "missing-file", "values-not-numbers", "radius-inf", "radius-huge-int", "macro-power-inf",
+        "femto-power-nan", "msg_per_bit-inf", "threshold-inf", "sigma-inf", "budget-inf",
+        "noise-minus-inf", "num_mus-inf", "num_mus-nan", "num_bss-inf", "num_bss-nan"])
 def test_cli_malformed_input_exits_2(tmp_path, monkeypatch, config, extra):
     def no_solve(*args, **kwargs):
         raise AssertionError("malformed input must be rejected before any solve")

@@ -8,15 +8,14 @@ from semhetnet.metrics import (bit_throughput, build_report, confidence_bound,
                                feasibility_violations, instance_fbar, instance_message_rates,
                                oracle_enumerate)
 from semhetnet.objective import std_normal_quantile
-from semhetnet.semantics import B2mProfile, FeasibleSets
+from semhetnet.semantics import FeasibleSets
 from semhetnet.solver import Allocation, Association, make_instance as build_instance, two_stage
-from semhetnet.topology import ChannelState
 
 
-def _instance(channel, kappa):
+def _instance(gamma, kappa):
     """Every link usable, n^T sized for 1 kbit/s."""
-    m, l = channel.gamma.shape
-    return build_instance(channel, FeasibleSets(np.ones((m, l), dtype=bool)), B2mProfile(kappa),
+    m, l = gamma.shape
+    return build_instance(gamma, FeasibleSets(np.ones((m, l), dtype=bool)), kappa,
                           np.full(l, 1e6), 1e3, 0.5, 0.1, 0.95)
 
 
@@ -24,8 +23,8 @@ def _simple_solution():
     """1 user, 1 BS, 1 MHz at gamma 3 (2 Mbit/s), kappa 1e-3."""
     assoc = Association(x=np.array([[1]], dtype=np.int8))
     alloc = Allocation(n=np.array([[1e6]]))
-    channel = ChannelState(np.array([[3.0]]))
-    return assoc, alloc, _instance(channel, np.array([1e-3])), channel
+    gamma = np.array([[3.0]])
+    return assoc, alloc, _instance(gamma, np.array([1e-3])), gamma
 
 
 def test_expected_stm_composed_example():
@@ -36,8 +35,8 @@ def test_expected_stm_composed_example():
 def test_expected_stm_zero_when_unserved():
     assoc = Association(x=np.zeros((3, 2), dtype=np.int8), unserved=(0, 1, 2))
     alloc = Allocation(n=np.zeros((3, 2)))
-    channel = ChannelState(np.ones((3, 2)))
-    report = build_report(assoc, alloc, _instance(channel, np.full(3, 1e-3)), channel)
+    gamma = np.ones((3, 2))
+    report = build_report(assoc, alloc, _instance(gamma, 1e-3), gamma)
     assert report.expected_stm == 0.0
 
 
@@ -61,10 +60,10 @@ def test_report_uses_the_instance_rates(seed):
 
 
 def test_bit_throughput_values():
-    assoc, alloc, _, channel = _simple_solution()
-    assert bit_throughput(assoc, alloc, channel) == pytest.approx(2e6)
+    assoc, alloc, _, gamma = _simple_solution()
+    assert bit_throughput(assoc, alloc, gamma) == pytest.approx(2e6)
     doubled = Allocation(n=alloc.n * 2)
-    assert bit_throughput(assoc, doubled, channel) == pytest.approx(4e6)
+    assert bit_throughput(assoc, doubled, gamma) == pytest.approx(4e6)
 
 
 def test_confidence_bound_below_expected_when_alpha_above_half():

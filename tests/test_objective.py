@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from semhetnet.objective import (DeterministicObjective, chance_check, objective_gradient,
                                  objective_value, std_normal_cdf, std_normal_quantile)
-from semhetnet.semantics import EtaModel
 
 
 def bisect_quantile(alpha, lo=-40.0, hi=40.0, iters=200):
@@ -139,33 +138,29 @@ def _binary_instance(rng, m=6, l=3):
 
 def test_chance_check_always_true_bound(rng):
     _, _, y = _binary_instance(rng)
-    model = EtaModel(tau=0.5, sigma=0.1)
-    assert chance_check(y, -1e30, model, trials=1000, seed=1) == 1.0
+    assert chance_check(y, -1e30, 0.5, 0.1, trials=1000, seed=1) == 1.0
 
 
 def test_chance_check_at_the_mean(rng):
     _, _, y = _binary_instance(rng)
-    model = EtaModel(tau=0.5, sigma=0.1)
-    prob = chance_check(y, 0.5 * y.sum(), model, trials=100_000, seed=2)
+    prob = chance_check(y, 0.5 * y.sum(), 0.5, 0.1, trials=100_000, seed=2)
     assert prob == pytest.approx(0.5, abs=0.005)
 
 
 def test_chance_check_calibrated_at_confidence_bound(rng):
     obj, x, y = _binary_instance(rng)
     fbar = objective_value(obj, x)
-    model = EtaModel(tau=0.5, sigma=0.1)
-    prob = chance_check(y, fbar, model, trials=100_000, seed=3, clamp=False)
+    prob = chance_check(y, fbar, 0.5, 0.1, trials=100_000, seed=3, clamp=False)
     assert 0.948 <= prob <= 0.952
 
 
 def test_chance_check_deterministic(rng):
     _, _, y = _binary_instance(rng)
-    model = EtaModel(tau=0.5, sigma=0.1)
-    a = chance_check(y, 1.0, model, trials=5000, seed=4)
-    b = chance_check(y, 1.0, model, trials=5000, seed=4)
+    a = chance_check(y, 1.0, 0.5, 0.1, trials=5000, seed=4)
+    b = chance_check(y, 1.0, 0.5, 0.1, trials=5000, seed=4)
     assert a == b
 
 
 def test_chance_check_requires_trials():
     with pytest.raises(ValueError):
-        chance_check(np.array([10.0]), 0.0, EtaModel(0.5, 0.1), trials=0, seed=1)
+        chance_check(np.array([10.0]), 0.0, 0.5, 0.1, trials=0, seed=1)

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from semhetnet.errors import ConfigError
-from semhetnet.semantics import (B2mProfile, EtaModel, FeasibleSets, KnowledgeModel,
-                                 assign_knowledge, feasible_bs_sets, sample_eta)
+from semhetnet.semantics import (DEFAULT_MSG_PER_BIT, FeasibleSets, assign_knowledge,
+                                 feasible_bs_sets, sample_eta)
+from semhetnet.solver import make_instance
 from semhetnet.topology import generate_topology
 
 
@@ -14,23 +15,22 @@ def small_topology():
 
 
 def test_single_domain_everyone_matches(small_topology):
-    model = assign_knowledge(1, 1, 1, small_topology, seed=1)
-    assert all(kb == frozenset({1}) for kb in model.bs_kbs)
-    assert all(need == frozenset({1}) for need in model.mu_needs)
-    fs = feasible_bs_sets(model)
-    assert fs.mask().all()
+    kb, needs = assign_knowledge(1, 1, 1, small_topology, seed=1)
+    assert kb.shape == (small_topology.num_bs, 1) and kb.all()
+    assert needs.shape == (small_topology.num_users, 1) and needs.all()
+    assert feasible_bs_sets(kb, needs).mask().all()
 
 
 def test_full_coverage_all_bs_feasible(small_topology):
-    model = assign_knowledge(10, 10, 3, small_topology, seed=2)
-    fs = feasible_bs_sets(model)
-    assert fs.mask().all()
+    kb, needs = assign_knowledge(10, 10, 3, small_topology, seed=2)
+    assert kb.all() and (needs.sum(axis=1) == 3).all()
+    assert feasible_bs_sets(kb, needs).mask().all()
 
 
 def test_assignment_deterministic(small_topology):
     a = assign_knowledge(4, 2, 1, small_topology, seed=11)
     b = assign_knowledge(4, 2, 1, small_topology, seed=11)
-    assert a == b
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_parameter_range_validation(small_topology):
@@ -41,24 +41,23 @@ def test_parameter_range_validation(small_topology):
 
 
 def test_strict_dominance_single_winner():
-    model = KnowledgeModel(num_domains=2,
-                           bs_kbs=(frozenset({1, 2}), frozenset({1})),
-                           mu_needs=(frozenset({1, 2}),))
-    fs = feasible_bs_sets(model)
+    fs = feasible_bs_sets(np.array([[True, True], [True, False]]), np.array([[True, True]]))
     assert fs.mask().tolist() == [[True, False]]
 
 
 def test_identical_kbs_keep_all_maximizers():
-    model = KnowledgeModel(num_domains=3,
-                           bs_kbs=(frozenset({1, 2}),) * 4,
-                           mu_needs=(frozenset({2}), frozenset({3})))
-    fs = feasible_bs_sets(model)
+    kb = np.array([[True, True, False]] * 4)
+    fs = feasible_bs_sets(kb, np.array([[False, True, False], [False, False, True]]))
     assert fs.mask().tolist() == [[True] * 4, [True] * 4]
 
 
+def test_user_without_needs_rejected():
+    with pytest.raises(ConfigError, match="at least one domain"):
+        feasible_bs_sets(np.ones((2, 3), dtype=bool), np.zeros((1, 3), dtype=bool))
+
+
 def test_feasible_mask_shape(small_topology):
-    model = assign_knowledge(3, 2, 1, small_topology, seed=5)
-    fs = feasible_bs_sets(model)
+    fs = feasible_bs_sets(*assign_knowledge(3, 2, 1, small_topology, seed=5))
     mask = fs.mask()
     assert mask.dtype == bool
     assert mask.shape == (small_topology.num_users, small_topology.num_bs)
@@ -66,28 +65,33 @@ def test_feasible_mask_shape(small_topology):
     assert mask.any(axis=1).all()
 
 
-def reference_feasible_mask(model):
+def reference_feasible_mask(bs_kbs, mu_needs):
     """Per-user argmax of |KB(j) & needs(i)|, ties kept: the definition, looped."""
     rows = []
-    for need in model.mu_needs:
-        overlap = np.array([len(kb & need) for kb in model.bs_kbs])
+    for need in mu_needs:
+        overlap = np.array([len(kb & need) for kb in bs_kbs])
         rows.append(overlap == overlap.max())
-    return np.array(rows, dtype=bool).reshape(len(model.mu_needs), len(model.bs_kbs))
+    return np.array(rows, dtype=bool).reshape(len(mu_needs), len(bs_kbs))
+
+
+def membership(subsets, k):
+    return np.array([[d in s for d in range(k)] for s in subsets], dtype=bool).reshape(-1, k)
 
 
 @st.composite
 def knowledge_models(draw):
     k = draw(st.integers(1, 5))
-    labels = st.integers(1, k)
+    labels = st.integers(0, k - 1)
     bs_kbs = draw(st.lists(st.frozensets(labels, max_size=k), min_size=1, max_size=5))
     mu_needs = draw(st.lists(st.frozensets(labels, min_size=1, max_size=k), max_size=6))
-    return KnowledgeModel(num_domains=k, bs_kbs=tuple(bs_kbs), mu_needs=tuple(mu_needs))
+    return k, bs_kbs, mu_needs
 
 
 @given(knowledge_models())
 def test_feasible_mask_matches_bruteforce_argmax(model):
-    mask = feasible_bs_sets(model).mask()
-    assert np.array_equal(mask, reference_feasible_mask(model))
+    k, bs_kbs, mu_needs = model
+    mask = feasible_bs_sets(membership(bs_kbs, k), membership(mu_needs, k)).mask()
+    assert np.array_equal(mask, reference_feasible_mask(bs_kbs, mu_needs))
     assert not mask.flags.writeable
     with pytest.raises(ValueError):
         mask[..., 0] = False
@@ -107,20 +111,15 @@ def test_feasible_sets_reject_non_matrix():
 
 
 def test_profile_rejects_nonpositive_coefficients():
-    with pytest.raises(ConfigError):
-        B2mProfile(np.array([0.0]))
-
-
-def test_eta_model_validation():
-    with pytest.raises(ConfigError):
-        EtaModel(tau=0.0, sigma=0.1)
-    with pytest.raises(ConfigError):
-        EtaModel(tau=0.5, sigma=-0.1)
+    gamma = np.ones((2, 1))
+    fs = FeasibleSets(np.ones((2, 1), dtype=bool))
+    for kappa in (0.0, [1e-3, -1e-3], float("nan")):
+        with pytest.raises(ConfigError, match="msg_per_bit"):
+            make_instance(gamma, fs, kappa, [2e6], 1e4, 0.5, 0.1, 0.95)
 
 
 def test_eta_sampling_statistics():
-    model = EtaModel(tau=0.5, sigma=0.1)
-    draws = sample_eta(model, 1_000_000, seed=3)
+    draws = sample_eta(0.5, 0.1, 1_000_000, seed=3)
     # Monte Carlo standard error is about 1e-4
     assert abs(draws.mean() - 0.5) < 1e-3
     clamped = np.mean((draws <= 1e-9) | (draws >= 1.0 - 1e-9))
@@ -129,17 +128,14 @@ def test_eta_sampling_statistics():
 
 
 def test_eta_sampling_deterministic():
-    model = EtaModel(tau=0.4, sigma=0.2)
-    assert np.array_equal(sample_eta(model, 100, seed=9), sample_eta(model, 100, seed=9))
+    assert np.array_equal(sample_eta(0.4, 0.2, 100, seed=9), sample_eta(0.4, 0.2, 100, seed=9))
 
 
 def test_matching_scales_perfect_curve():
-    profile = B2mProfile.uniform(5)
-    model = EtaModel(tau=0.5, sigma=0.1)
-    etas = sample_eta(model, 5, seed=2)
+    etas = sample_eta(0.5, 0.1, 5, seed=2)
     for b in (0.0, 1e3, 5e6):
         for i in range(5):
-            perfect = profile.msg_per_bit[i] * b
+            perfect = DEFAULT_MSG_PER_BIT * b
             matched = etas[i] * perfect
             assert matched == pytest.approx(etas[i] * perfect)
             if b > 0:

@@ -15,7 +15,6 @@ from semhetnet.solver import (Allocation, Association, BarrierParams, RelaxedAss
                               baseline_ba, baseline_max_sinr, make_instance as build_instance,
                               project_rows_to_simplex, repair_overload, round_association,
                               solve_relaxed_ua, two_stage, usable_links)
-from semhetnet.topology import ChannelState
 
 
 # ---------------------------------------------------------------- projection
@@ -129,12 +128,10 @@ def test_projection_path_is_monotone(seed):
 # ------------------------------------------------------------- make_instance
 
 def test_make_instance_bandwidth_floor_hits_threshold(rng):
-    from semhetnet.semantics import B2mProfile, FeasibleSets
+    from semhetnet.semantics import DEFAULT_MSG_PER_BIT, FeasibleSets
     gamma = rng.uniform(0.2, 50.0, size=(4, 3))
-    channel = ChannelState(gamma)
     fs = FeasibleSets(np.ones((4, 3), dtype=bool))
-    profile = B2mProfile.uniform(4)
-    inst = build_instance(channel, fs, profile, np.full(3, 2e6), 1e4, 0.5, 0.1, 0.95)
+    inst = build_instance(gamma, fs, DEFAULT_MSG_PER_BIT, np.full(3, 2e6), 1e4, 0.5, 0.1, 0.95)
     rates = inst.n_t * np.log2(1.0 + gamma)
     assert np.allclose(rates, 1e4, rtol=1e-12)
     assert np.allclose(inst.objective.xi_t, 1e4 / 1600.0, rtol=1e-12)
@@ -457,7 +454,7 @@ def test_vectorized_rounding_and_max_sinr_match_loops(seed):
     gamma = r.choice([0.5, 1.0, 3.0], size=(m, l))
     for restrict in (False, True):
         cand = mask if restrict else np.ones((m, l), dtype=bool)
-        got = baseline_max_sinr(ChannelState(gamma), inst, restrict_to_feasible=restrict)
+        got = baseline_max_sinr(gamma, inst, restrict_to_feasible=restrict)
         assert np.array_equal(got.x, loop_max_sinr(gamma, cand))  # budgets never bind here
 
 
@@ -749,38 +746,34 @@ def test_residual_below_median_confidence_is_a_best_response_vertex(seed, alpha)
 
 def test_max_sinr_association_picks_strongest():
     gamma = np.array([[1.0, 5.0, 2.0]])
-    channel = ChannelState(gamma)
     inst = make_instance(xi=np.ones((1, 3)), n_t=np.full((1, 3), 10.0),
                          budgets=[100.0] * 3, sets=[(0,)])  # feasible set ignored by default
-    assoc = baseline_max_sinr(channel, inst)
+    assoc = baseline_max_sinr(gamma, inst)
     assert list(assoc.x[0]) == [0, 1, 0]
 
 
 def test_max_sinr_tie_takes_lowest_index():
     gamma = np.array([[2.0, 2.0]])
-    channel = ChannelState(gamma)
     inst = make_instance(xi=np.ones((1, 2)), n_t=np.full((1, 2), 10.0),
                          budgets=[100.0] * 2, sets=[(0, 1)])
-    assoc = baseline_max_sinr(channel, inst)
+    assoc = baseline_max_sinr(gamma, inst)
     assert list(assoc.x[0]) == [1, 0]
 
 
 def test_max_sinr_respects_feasible_sets_when_asked():
     gamma = np.array([[1.0, 5.0]])
-    channel = ChannelState(gamma)
     inst = make_instance(xi=np.ones((1, 2)), n_t=np.full((1, 2), 10.0),
                          budgets=[100.0] * 2, sets=[(0,)])
-    assoc = baseline_max_sinr(channel, inst, restrict_to_feasible=True)
+    assoc = baseline_max_sinr(gamma, inst, restrict_to_feasible=True)
     assert list(assoc.x[0]) == [1, 0]
 
 
 def test_max_sinr_overload_spills_to_next_strongest():
     gamma = np.array([[9.0, 3.0], [8.0, 4.0], [7.0, 5.0]])
-    channel = ChannelState(gamma)
     n_t = np.full((3, 2), 600.0)
     inst = make_instance(xi=np.ones((3, 2)), n_t=n_t, budgets=[1000.0, 2000.0],
                          sets=[(0, 1)] * 3)
-    assoc = baseline_max_sinr(channel, inst)
+    assoc = baseline_max_sinr(gamma, inst)
     loads = (assoc.x * n_t).sum(axis=0)
     assert np.all(loads <= inst.budgets)
     assert assoc.x[:, 0].sum() == 1 and assoc.x[:, 1].sum() == 2
@@ -791,8 +784,7 @@ def test_even_allocation_splits_budget():
     inst = make_instance(xi=np.ones((4, 1)), n_t=np.full((4, 1), 100.0),
                          budgets=[2e6], sets=[(0,)] * 4)
     assoc = Association(x=np.ones((4, 1), dtype=np.int8))
-    channel = ChannelState(np.full((4, 1), 3.0))
-    alloc = baseline_ba(assoc, inst, channel, mode="even")
+    alloc = baseline_ba(assoc, inst, np.full((4, 1), 3.0), mode="even")
     assert np.allclose(alloc.n[:, 0], 0.5e6)
 
 
@@ -800,8 +792,7 @@ def test_waterfill_symmetric_users_split_evenly():
     inst = make_instance(xi=np.ones((3, 1)), n_t=np.full((3, 1), 100.0),
                          budgets=[9000.0], sets=[(0,)] * 3)
     assoc = Association(x=np.ones((3, 1), dtype=np.int8))
-    channel = ChannelState(np.full((3, 1), 4.0))
-    alloc = baseline_ba(assoc, inst, channel, mode="waterfill")
+    alloc = baseline_ba(assoc, inst, np.full((3, 1), 4.0), mode="waterfill")
     assert np.allclose(alloc.n[:, 0], 3000.0, rtol=1e-9)
 
 
@@ -821,8 +812,7 @@ def test_waterfill_two_users_matches_grid_oracle():
     n_t = np.array([[200.0], [900.0]])
     inst = make_instance(xi=np.ones((2, 1)), n_t=n_t, budgets=[10000.0], sets=[(0,)] * 2)
     assoc = Association(x=np.ones((2, 1), dtype=np.int8))
-    channel = ChannelState(gamma)
-    alloc = baseline_ba(assoc, inst, channel, mode="waterfill")
+    alloc = baseline_ba(assoc, inst, gamma, mode="waterfill")
     ghat = gamma[:, 0] * n_t[:, 0]
     best_n0 = waterfill_grid_oracle(ghat, n_t[:, 0], 10000.0)
     assert alloc.n[0, 0] == pytest.approx(best_n0, abs=1e-4 * 10000.0)
@@ -897,7 +887,7 @@ def test_waterfill_matches_per_bs_bisection(seed):
     budgets = np.where(floor_sum > 0, floor_sum * r.uniform(1.0, 4.0, size=l), 50.0)
     gamma = 10.0 ** r.uniform(-1.0, 2.0, size=(m, l))
     inst = make_instance(xi=np.ones((m, l)), n_t=n_t, budgets=budgets, sets=[(j,) for j in bs])
-    alloc = baseline_ba(Association(x=x), inst, ChannelState(gamma), mode="waterfill")
+    alloc = baseline_ba(Association(x=x), inst, gamma, mode="waterfill")
     for j in range(l):
         users = np.flatnonzero(bs == j)
         if users.size:
@@ -911,7 +901,7 @@ def test_baseline_ba_unknown_mode():
                          sets=[(0,)])
     assoc = Association(x=np.ones((1, 1), dtype=np.int8))
     with pytest.raises(ValueError):
-        baseline_ba(assoc, inst, ChannelState(np.ones((1, 1))), mode="zigzag")
+        baseline_ba(assoc, inst, np.ones((1, 1)), mode="zigzag")
 
 
 # ------------------------------------------------------------------ pipeline

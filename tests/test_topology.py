@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +13,7 @@ def test_default_generation_counts():
     top = generate_topology(200, seed=1)
     assert top.num_bs == 16
     assert top.num_users == 200
-    tiers = [bs.tier for bs in top.base_stations]
+    tiers = list(top.tiers)
     assert tiers.count(Tier.MACRO) == 1
     assert tiers.count(Tier.PICO) == 5
     assert tiers.count(Tier.FEMTO) == 10
@@ -19,28 +21,27 @@ def test_default_generation_counts():
 
 def test_macro_at_center_and_nodes_inside_region():
     top = generate_topology(50, seed=3)
-    assert top.base_stations[0].position == (0.0, 0.0)
-    for node in (*top.base_stations, *top.users):
-        assert np.hypot(*node.position) <= top.region_radius_m + 1e-9
+    assert top.bs_xy[0].tolist() == [0.0, 0.0]
+    for xy in (top.bs_xy, top.user_xy):
+        assert np.all(np.hypot(xy[:, 0], xy[:, 1]) <= top.region_radius_m + 1e-9)
 
 
 def test_empty_user_list_is_valid():
     top = generate_topology(0, seed=1)
     assert top.num_users == 0
-    ch = compute_sinr(top)
-    assert ch.gamma.shape == (0, 16)
+    assert compute_sinr(top).shape == (0, 16)
 
 
 def test_generation_deterministic():
     a = generate_topology(30, seed=7)
     b = generate_topology(30, seed=7)
-    assert a.to_dict() == b.to_dict()
+    assert a.to_json() == b.to_json()
 
 
 def test_user_count_does_not_move_base_stations():
     a = generate_topology(10, seed=7)
     b = generate_topology(200, seed=7)
-    assert np.array_equal(a.bs_positions(), b.bs_positions())
+    assert np.array_equal(a.bs_xy, b.bs_xy)
 
 
 def test_zero_base_stations_rejected():
@@ -61,64 +62,42 @@ def test_path_loss_clamps_small_distances():
     assert path_loss_db(Tier.FEMTO, 0.5) == path_loss_db(Tier.FEMTO, 1.0)
 
 
-def _single_link_topology(distance, noise=-111.45):
-    from semhetnet.topology import BaseStation, MobileUser
-    bs = BaseStation(id=0, tier=Tier.MACRO, position=(0.0, 0.0), tx_power_dbm=43.0,
-                     bandwidth_budget_hz=2e6)
-    mu = MobileUser(id=0, position=(distance, 0.0))
-    return Topology(region_radius_m=500.0, base_stations=(bs,), users=(mu,),
-                    noise_power_dbm=noise)
+def _topology(tiers, bs_xy, powers, user_xy, noise=-111.45, budget=2e6):
+    return Topology(region_radius_m=500.0, noise_power_dbm=noise, tiers=tiers, bs_xy=bs_xy,
+                    tx_power_dbm=powers, budgets=[budget] * len(tiers), user_xy=user_xy)
 
 
 def test_sinr_single_macro_link_budget():
-    ch = compute_sinr(_single_link_topology(100.0))
+    gamma = compute_sinr(_topology([Tier.MACRO], [(0.0, 0.0)], [43.0], [(100.0, 0.0)]))
     # SNR = 43 - 114 - (-111.45) = 40.45 dB
     expected = 10 ** ((43.0 - 114.0 + 111.45) / 10.0)
-    assert ch.gamma[0, 0] == pytest.approx(expected, rel=1e-12)
+    assert gamma[0, 0] == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(1.109e4, rel=1e-3)
 
 
 def test_sinr_colocated_interferers_below_unity():
-    from semhetnet.topology import BaseStation, MobileUser
-    bss = tuple(
-        BaseStation(id=j, tier=Tier.MACRO, position=(0.0, 0.0), tx_power_dbm=43.0,
-                    bandwidth_budget_hz=2e6)
-        for j in range(2)
-    )
-    top = Topology(region_radius_m=500.0, base_stations=bss,
-                   users=(MobileUser(id=0, position=(100.0, 0.0)),))
-    ch = compute_sinr(top)
-    assert np.all(ch.gamma < 1.0)
-    assert ch.gamma[0, 0] == pytest.approx(ch.gamma[0, 1], rel=1e-12)
+    gamma = compute_sinr(_topology([Tier.MACRO] * 2, [(0.0, 0.0)] * 2, [43.0] * 2,
+                                   [(100.0, 0.0)]))
+    assert np.all(gamma < 1.0)
+    assert gamma[0, 0] == pytest.approx(gamma[0, 1], rel=1e-12)
 
 
 def test_removing_interferer_never_decreases_sinr():
     top = generate_topology(40, seed=5)
-    ch = compute_sinr(top)
-    reduced = Topology(
-        region_radius_m=top.region_radius_m,
-        base_stations=top.base_stations[:-1],
-        users=top.users,
-        noise_power_dbm=top.noise_power_dbm,
-    )
-    ch_red = compute_sinr(reduced)
-    assert np.all(ch_red.gamma >= ch.gamma[:, :-1] - 1e-18)
+    gamma = compute_sinr(top)
+    reduced = _topology(top.tiers[:-1], top.bs_xy[:-1], top.tx_power_dbm[:-1], top.user_xy,
+                        noise=top.noise_power_dbm)
+    assert np.all(compute_sinr(reduced) >= gamma[:, :-1] - 1e-18)
 
 
 def test_sinr_decreases_with_serving_distance():
-    from semhetnet.topology import BaseStation, MobileUser
     # interferer distance held fixed: the user moves on a circle around BS B
-    bs_a = BaseStation(id=0, tier=Tier.MACRO, position=(0.0, 0.0), tx_power_dbm=43.0,
-                       bandwidth_budget_hz=2e6)
-    bs_b = BaseStation(id=1, tier=Tier.PICO, position=(200.0, 0.0), tx_power_dbm=35.0,
-                       bandwidth_budget_hz=2e6)
     gammas = []
     for angle in (0.0, 0.5, 1.0):
         pos = (200.0 + 150.0 * np.cos(np.pi - angle), 150.0 * np.sin(np.pi - angle))
-        top = Topology(region_radius_m=500.0, base_stations=(bs_a, bs_b),
-                       users=(MobileUser(id=0, position=pos),))
+        top = _topology([Tier.MACRO, Tier.PICO], [(0.0, 0.0), (200.0, 0.0)], [43.0, 35.0], [pos])
         d_a = float(np.hypot(*pos))
-        gammas.append((d_a, compute_sinr(top).gamma[0, 0]))
+        gammas.append((d_a, compute_sinr(top)[0, 0]))
     gammas.sort()
     assert gammas[0][1] > gammas[1][1] > gammas[2][1]
 
@@ -145,8 +124,33 @@ def test_bit_rate_increasing_in_gamma(g1, g2):
     assert bit_rate(1e6, lo) <= bit_rate(1e6, hi)
 
 
+@pytest.mark.parametrize("change, match", [
+    (dict(region_radius_m=0.0), "radius"),
+    (dict(tiers=[], bs_xy=np.zeros((0, 2)), tx_power_dbm=[], budgets=[]), "at least one"),
+    (dict(tx_power_dbm=[43.0, 35.0]), "tx_power_dbm"),
+    (dict(bs_xy=[(0.0, 0.0, 0.0)]), "bs_xy"),
+    (dict(budgets=[0.0]), "budgets must be positive"),
+    (dict(budgets=[float("nan")]), "budgets must be positive"),
+    (dict(user_xy=[(0.0, 0.0), (400.0, 400.0)]), "user 1 lies outside"),
+    (dict(bs_xy=[(600.0, 0.0)]), "base station 0 lies outside"),
+])
+def test_topology_array_checks(change, match):
+    fields = dict(region_radius_m=500.0, noise_power_dbm=-111.45, tiers=[Tier.MACRO],
+                  bs_xy=[(0.0, 0.0)], tx_power_dbm=[43.0], budgets=[2e6], user_xy=[(1.0, 0.0)])
+    with pytest.raises(ConfigError, match=match):
+        Topology(**{**fields, **change})
+
+
 def test_topology_json_round_trip():
     top = generate_topology(25, seed=9)
-    again = Topology.from_json(top.to_json())
-    assert again.to_dict() == top.to_dict()
-    assert np.array_equal(compute_sinr(again).gamma, compute_sinr(top).gamma)
+    doc = json.loads(top.to_json())
+    bss = doc["base_stations"]
+    again = Topology(
+        region_radius_m=doc["region_radius_m"], noise_power_dbm=doc["noise_power_dbm"],
+        tiers=[b["tier"] for b in bss], bs_xy=[b["position"] for b in bss],
+        tx_power_dbm=[b["tx_power_dbm"] for b in bss],
+        budgets=[b["bandwidth_budget_hz"] for b in bss],
+        user_xy=[u["position"] for u in doc["users"]],
+    )
+    assert again.to_json() == top.to_json()
+    assert np.array_equal(compute_sinr(again), compute_sinr(top))
