@@ -13,6 +13,12 @@ from .topology import DEFAULT_BANDWIDTH_BUDGET_HZ, DEFAULT_NOISE_POWER_DBM
 
 METHOD_NAMES = ("two-stage", "max-sinr-wf", "max-sinr-even")
 SWEEP_VARIABLES = ("num_mus", "alpha", "tau", "num_bss")
+# Upper bounds on the integer counts, far above every size the solver has
+# been measured at (10^4 users, 16 stations, 4 domains). Larger counts would
+# fail only later, inside numpy, as arrays too large to build.
+MAX_USERS = 10**6
+MAX_STATIONS = 10**4  # macro, pico and femto together
+MAX_DOMAINS = 10**4
 
 
 @dataclass
@@ -74,10 +80,11 @@ class ScenarioConfig:
             *((f.name, math.isfinite(getattr(self, f.name)))
               for f in dataclasses.fields(self) if f.type is float),
             ("region_radius_m", self.region_radius_m > 0),
-            ("num_users", self.num_users >= 0),
-            ("tier counts", min(self.num_macro, self.num_pico, self.num_femto) >= 0),
+            ("num_users", 0 <= self.num_users <= MAX_USERS),
+            ("tier counts", min(self.num_macro, self.num_pico, self.num_femto) >= 0
+             and self.num_macro + self.num_pico + self.num_femto <= MAX_STATIONS),
             ("bandwidth_budget_hz", self.bandwidth_budget_hz > 0),
-            ("num_domains", self.num_domains >= 1),
+            ("num_domains", 1 <= self.num_domains <= MAX_DOMAINS),
             ("kb_per_bs", 1 <= self.kb_per_bs <= self.num_domains),
             ("needs_per_mu", 1 <= self.needs_per_mu <= self.num_domains),
             ("msg_per_bit", self.msg_per_bit > 0),

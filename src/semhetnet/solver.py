@@ -207,57 +207,116 @@ def _link_lists(mask, n_t):
     return [pairs[start:end] for start, end in zip([0] + ends[:-1], ends)]
 
 
-def _interior_start(mask, n_t, budgets, links=None):
-    """Strictly interior start: uniform rows, else a blend with a greedy packing.
+def _greedy_pack(order, links, budgets, proof=None):
+    """Greedy packing: each row in `order` goes to the BS with the most room
+    left (first maximum on ties). Returns each row's BS, in `order`.
 
-    `links` holds each row's `_link_lists` entry; it is built from the mask
-    when omitted and the uniform start fails.
+    With proof = (dry, watched), two boolean lists over the BSs, a failing
+    pass may stop early. Loads only grow, so a running load of at least
+    N_j * (1 + margin) proves that BS j ends the pass overloaded: the margin
+    exceeds the gap between these running sums and `_loads`, each within
+    about m * eps of the exact sum. Once a proven BS is `dry` and a proven BS
+    is `watched`, raises InfeasibleError naming the BSs proven so far.
     """
-    sizes = mask.sum(axis=1)
-    if np.any(sizes == 0):
-        raise InfeasibleError("user with empty feasible set")
-    x_unif = mask / sizes[:, None]
-
-    def rel_slack(x):
-        return (budgets - _loads(x, n_t)) / budgets
-
-    slack_unif = rel_slack(x_unif)
-    if slack_unif.min() > 1e-9:
-        return x_unif
-
-    # Pack the hardest users first onto the BS with the most room left
-    # (first maximum on ties).
-    if links is None:
-        links = _link_lists(mask, n_t)
-    demand = np.where(mask, n_t, np.inf).min(axis=1)
-    order = np.argsort(-demand, kind="stable")
+    num_bs = len(budgets)
+    dry, watched = proof or ([False] * num_bs, [False] * num_bs)
+    margin = 1e-9 + 2.0 * len(order) * np.finfo(float).eps
+    full = (budgets * (1.0 + margin)).tolist() if proof else [math.inf] * num_bs
     b = budgets.tolist()
-    loads = [0.0] * len(b)
+    loads = [0.0] * num_bs
+    room = b[:]  # b[j] - loads[j], kept for each BS
+    fails = hits = False
     cols = []
-    for i in order.tolist():
+    for i in order:
         best = None
         for j, n in links[i]:
-            spare = b[j] - loads[j] - n
+            spare = room[j] - n
             if best is None or spare > best_spare:
                 best, best_spare, best_n = j, spare, n
         cols.append(best)
         loads[best] += best_n
-    x_greedy = np.zeros_like(x_unif)
-    x_greedy[order, cols] = 1.0
+        room[best] = b[best] - loads[best]
+        if loads[best] >= full[best]:
+            fails = fails or dry[best]
+            hits = hits or watched[best]
+            if fails and hits:
+                over = [j for j in range(num_bs) if loads[j] >= full[j]]
+                raise InfeasibleError(f"greedy packing overloads budgets at BS {over}",
+                                      overloaded=over)
+    return cols
 
-    slack_greedy = rel_slack(x_greedy)
-    # Loads are linear in x: a BS that both ends leave without slack has
-    # none in any blend, so skip the blends.
-    if not np.any((slack_greedy <= 0) & (slack_unif <= 0)):
-        for theta in (0.5, 0.25, 0.1, 0.01, 1e-3, 1e-4, 0.0):
-            x = theta * x_unif + (1.0 - theta) * x_greedy
-            if rel_slack(x).min() > 1e-12:
-                return x
-    overloaded = [int(j) for j in np.flatnonzero(slack_greedy <= 0)]
-    raise InfeasibleError(
-        f"no strictly interior association; overloaded budgets at BS {overloaded}",
-        overloaded=overloaded,
-    )
+
+class _SubsetStarts:
+    """Interior starts for subsets of one problem's rows.
+
+    The uniform rows are built once. The packing constants (each row's links
+    and minimum n^T, and the rows in descending-demand order, ties to the
+    lower row) are built when a uniform start first fails.
+    """
+
+    def __init__(self, mask, n_t, budgets):
+        sizes = mask.sum(axis=1)
+        if np.any(sizes == 0):
+            raise InfeasibleError("user with empty feasible set")
+        self.mask, self.n_t, self.budgets = mask, n_t, budgets
+        self.x_unif = mask / sizes[:, None]
+        self.links = self.demand = self.order = None
+
+    def start(self, rows, stop_early=False):
+        """Strictly interior start for the rows `rows` (ascending): uniform
+        rows, else a blend with a greedy packing that puts the hungriest rows
+        first. Raises InfeasibleError naming the BSs the packing overloads.
+
+        With stop_early, a failing pass ends as soon as its partial packing
+        proves two things: some BS ends without slack in both the uniform
+        start and the packing (so no blend can help), and some BS usable by
+        the hungriest row (largest minimum n^T, ties to the last row) ends
+        overloaded. `overloaded` then lists only the BSs proven so far.
+        """
+        # take copies the same rows as fancy indexing, a few times faster
+        x_unif, n_t = self.x_unif.take(rows, axis=0), self.n_t.take(rows, axis=0)
+        budgets = self.budgets
+
+        def rel_slack(x):
+            return (budgets - _loads(x, n_t)) / budgets
+
+        slack_unif = rel_slack(x_unif)
+        if slack_unif.min() > 1e-9:
+            return x_unif
+        if self.links is None:
+            self.links = _link_lists(self.mask, self.n_t)
+            self.demand = np.where(self.mask, self.n_t, np.inf).min(axis=1)
+            self.order = np.argsort(-self.demand, kind="stable")
+        inside = np.zeros(self.mask.shape[0], dtype=bool)
+        inside[rows] = True
+        order = self.order[inside[self.order]]  # `rows`, hungriest first
+        proof = None
+        if stop_early:
+            demand = self.demand[rows]
+            hungriest = rows[np.flatnonzero(demand == demand.max())[-1]]
+            proof = ((slack_unif <= 0).tolist(), self.mask[hungriest].tolist())
+        cols = _greedy_pack(order.tolist(), self.links, budgets, proof)
+        x_greedy = np.zeros_like(x_unif)
+        x_greedy[np.searchsorted(rows, order), cols] = 1.0
+
+        slack_greedy = rel_slack(x_greedy)
+        # Loads are linear in x: a BS that both ends leave without slack has
+        # none in any blend, so skip the blends.
+        if not np.any((slack_greedy <= 0) & (slack_unif <= 0)):
+            for theta in (0.5, 0.25, 0.1, 0.01, 1e-3, 1e-4, 0.0):
+                x = theta * x_unif + (1.0 - theta) * x_greedy
+                if rel_slack(x).min() > 1e-12:
+                    return x
+        overloaded = [int(j) for j in np.flatnonzero(slack_greedy <= 0)]
+        raise InfeasibleError(
+            f"no strictly interior association; overloaded budgets at BS {overloaded}",
+            overloaded=overloaded,
+        )
+
+
+def _interior_start(mask, n_t, budgets):
+    """Strictly interior start: uniform rows, else a blend with a greedy packing."""
+    return _SubsetStarts(mask, n_t, budgets).start(np.arange(mask.shape[0]))
 
 
 def solve_relaxed_ua(inst, barrier=None, record_trace=False):
@@ -679,29 +738,34 @@ def _admit(usable, n_t, budgets):
     overloaded BS. Returns the admitted-user mask, the blocked users in
     eviction order, and the admitted users' interior start (None if no
     user is admitted).
+
+    A failing pass stops once its partial packing proves that the pass
+    fails and that the hungriest admitted user touches a BS the full pass
+    would name overloaded (see `_SubsetStarts.start`): the rule then blocks
+    that user, as it would after the full pass.
     """
     admitted = usable.any(axis=1)
+    users = np.flatnonzero(admitted)
+    starts = _SubsetStarts(usable[users], n_t[users], budgets)
+    keep = np.ones(users.size, dtype=bool)
     evicted = []
-    links = None
     start = None
-    while np.any(admitted):
-        rows = np.flatnonzero(admitted)
+    while np.any(keep):
+        rows = np.flatnonzero(keep)
         try:
-            start = _interior_start(usable[rows], n_t[rows], budgets,
-                                    None if links is None else [links[i] for i in rows.tolist()])
+            start = starts.start(rows, stop_early=True)
             break
         except InfeasibleError as err:
-            if links is None:
-                links = _link_lists(usable, n_t)
             over = np.zeros(budgets.size, dtype=bool)
             over[list(err.overloaded)] = True
-            touching = rows[usable[rows][:, over].any(axis=1)] if over.any() else rows
+            touching = rows[starts.mask[:, over].any(axis=1)[rows]] if over.any() else rows
             if touching.size == 0:
                 touching = rows
-            demand = np.where(usable[touching], n_t[touching], np.inf).min(axis=1)
+            demand = starts.demand[touching]  # built by the failing pass
             victim = int(touching[demand == demand.max()].max())
-            admitted[victim] = False
-            evicted.append(victim)
+            keep[victim] = False
+            evicted.append(int(users[victim]))
+    admitted[users[~keep]] = False
     return admitted, tuple(evicted), start
 
 

@@ -6,7 +6,8 @@ import pytest
 
 from semhetnet import harness
 from semhetnet.cli import main as cli_main
-from semhetnet.config import ScenarioConfig, config_from_dict, load_config
+from semhetnet.config import (MAX_DOMAINS, MAX_STATIONS, MAX_USERS, ScenarioConfig,
+                              config_from_dict, load_config)
 from semhetnet.errors import ConfigError
 from semhetnet.harness import (RESULTS_FIELDS, SWEEP_FIELDS, apply_sweep_value,
                                build_scenario, rows_to_csv_bytes, run_scenario, sweep,
@@ -34,6 +35,14 @@ def test_config_rejects_bad_ranges():
         ScenarioConfig(bit_rate_threshold_bps=0.0)
     with pytest.raises(ConfigError, match="kb_per_bs"):
         ScenarioConfig(kb_per_bs=9, num_domains=4)
+    with pytest.raises(ConfigError, match="num_users"):
+        ScenarioConfig(num_users=MAX_USERS + 1)
+    with pytest.raises(ConfigError, match="tier counts"):
+        ScenarioConfig(num_macro=1, num_pico=0, num_femto=MAX_STATIONS)
+    with pytest.raises(ConfigError, match="num_domains"):
+        ScenarioConfig(num_domains=MAX_DOMAINS + 1)
+    ScenarioConfig(num_users=MAX_USERS, num_macro=0, num_pico=0, num_femto=MAX_STATIONS,
+                   num_domains=MAX_DOMAINS)
 
 
 def test_config_rejects_unknown_fields():
@@ -212,11 +221,15 @@ def test_cli_bad_config_exit_code(tmp_path):
     ({}, ["sweep", "--variable", "num_mus", "--values", "20,nan"]),
     ({}, ["sweep", "--variable", "num_bss", "--values", "20,inf"]),
     ({}, ["sweep", "--variable", "num_bss", "--values", "20,nan"]),
+    # integer counts are bounded (config.MAX_USERS, MAX_STATIONS, MAX_DOMAINS)
+    ({"num_users": 10**25}, []),
+    ({"num_domains": 10**20}, []),
 ], ids=["mu-1", "r_min-negative", "mu-below-1", "mu-string", "tol-nan", "max_inner-float",
         "seed-string", "users-not-integer", "sweep-without-values", "sweep-value-string",
         "missing-file", "values-not-numbers", "radius-inf", "radius-huge-int", "macro-power-inf",
         "femto-power-nan", "msg_per_bit-inf", "threshold-inf", "sigma-inf", "budget-inf",
-        "noise-minus-inf", "num_mus-inf", "num_mus-nan", "num_bss-inf", "num_bss-nan"])
+        "noise-minus-inf", "num_mus-inf", "num_mus-nan", "num_bss-inf", "num_bss-nan",
+        "users-huge", "domains-huge"])
 def test_cli_malformed_input_exits_2(tmp_path, monkeypatch, config, extra):
     def no_solve(*args, **kwargs):
         raise AssertionError("malformed input must be rejected before any solve")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_instance
+from semhetnet import solver as solver_module
 from semhetnet.config import ScenarioConfig
 from semhetnet.errors import InfeasibleError, SolverError
 from semhetnet.harness import build_scenario
@@ -992,51 +993,55 @@ def test_interior_start_packing_matches_array_loop(seed):
         assert isinstance(want, np.ndarray) and got.tobytes() == want.tobytes()
 
 
-def restart_loop_two_stage(inst):
-    """Admission by restarting the relaxed solve once per eviction.
+def restart_loop_two_stage(inst, barrier=None):
+    """Admission by one full array-level pass per eviction.
 
-    The reference for two_stage's array-level admission: each
-    InfeasibleError from solve_relaxed_ua blocks the user with the largest
-    minimum usable n^T (ties to the largest index) touching an overloaded BS.
+    The reference for two_stage's admission: each pass of the frozen
+    `array_interior_start` that ends overloaded blocks the user with the
+    largest minimum usable n^T (ties to the largest index) touching an
+    overloaded BS. The relaxed problem is then solved once, from the start
+    of the first pass that succeeds.
     """
     usable = usable_links(inst)
     admissible = usable.any(axis=1)
     x_star = np.zeros_like(inst.n_t)
     evicted = []
+    start = None
     while np.any(admissible):
         rows = np.flatnonzero(admissible)
-        try:
-            x_star[rows] = solve_relaxed_ua(_restricted_instance(inst, usable, rows)).x_star
+        result = array_interior_start(usable[rows], inst.n_t[rows], inst.budgets)
+        if isinstance(result, np.ndarray):
+            start = result
+            sub = _restricted_instance(inst, usable, rows, start)
+            x_star[rows] = solve_relaxed_ua(sub, barrier=barrier).x_star
             break
-        except InfeasibleError as err:
-            over = np.zeros(inst.num_bs, dtype=bool)
-            over[list(err.overloaded)] = True
-            touching = rows[usable[rows][:, over].any(axis=1)] if over.any() else rows
-            if touching.size == 0:
-                touching = rows
-            demand = np.where(usable[touching], inst.n_t[touching], np.inf).min(axis=1)
-            victim = int(touching[demand == demand.max()].max())
-            admissible[victim] = False
-            evicted.append(victim)
+        over = np.zeros(inst.num_bs, dtype=bool)
+        over[result] = True
+        touching = rows[usable[rows][:, over].any(axis=1)] if over.any() else rows
+        if touching.size == 0:
+            touching = rows
+        demand = np.where(usable[touching], inst.n_t[touching], np.inf).min(axis=1)
+        victim = int(touching[demand == demand.max()].max())
+        admissible[victim] = False
+        evicted.append(victim)
     relaxed = RelaxedAssociation(x_star)
     x, unserved = loop_round_association(x_star, inst.mask(), inst.objective.xi_t)
     assoc = repair_overload(Association(x=x, unserved=unserved), relaxed, inst)
-    return x_star, assoc, tuple(evicted)
+    return x_star, assoc, tuple(evicted), start
 
 
-def assert_matches_restart_loop(inst):
-    sol = two_stage(inst)
-    x_star, assoc, evicted = restart_loop_two_stage(inst)
+def assert_matches_restart_loop(inst, barrier=None):
+    sol = two_stage(inst, barrier=barrier)
+    x_star, assoc, evicted, start = restart_loop_two_stage(inst, barrier=barrier)
     assert sol.relaxed.x_star.tobytes() == x_star.tobytes()
     assert sol.association.x.tobytes() == assoc.x.tobytes()
     assert sol.association.unserved == assoc.unserved
     assert sol.evicted == evicted
-    # the start admission hands to the relaxed solve is the one it would compute
-    usable = usable_links(inst)
-    admitted, _, start = _admit(usable, inst.n_t, inst.budgets)
-    if admitted.any():
-        sub = _restricted_instance(inst, usable, np.flatnonzero(admitted))
-        assert start.tobytes() == _interior_start(sub.mask(), sub.n_t, sub.budgets).tobytes()
+    # the start admission hands to the relaxed solve is the reference's
+    _, _, got = _admit(usable_links(inst), inst.n_t, inst.budgets)
+    assert (got is None) == (start is None)
+    if start is not None:
+        assert got.tobytes() == start.tobytes()
     return sol
 
 
@@ -1049,23 +1054,85 @@ def test_admission_matches_restart_loop_on_tight_budgets(num_users, seed):
     assert sol.evicted  # the budgets are tight enough to need admission
 
 
+def random_admission_case(r):
+    """Up to 60 users on up to 6 BSs, with many tied demands. Half the
+    budgets are a partial sum of their users' n^T, in descending-demand or
+    in row order, so running packing loads can land on them exactly or
+    within rounding."""
+    m, l = int(r.integers(1, 61)), int(r.integers(1, 7))
+    kind = r.integers(3)
+    if kind == 0:  # sums are exact
+        n_t = r.choice([20.0, 30.0, 40.0, 60.0], size=(m, l))
+    elif kind == 1:  # sums round, differently by order
+        n_t = r.choice([0.1, 0.2, 0.3, 0.7], size=(m, l))
+    else:
+        n_t = r.uniform(10.0, 100.0, size=(m, l))
+    mask = r.random((m, l)) < 0.6
+    mask[np.arange(m), r.integers(l, size=m)] = True
+    budgets = r.uniform(0.2, 0.8, size=l) * n_t.mean() * max(1.0, m / l)
+    demand = np.where(mask, n_t, np.inf).min(axis=1)
+    for j in range(l):
+        users = np.flatnonzero(mask[:, j])
+        if users.size and r.random() < 0.5:
+            if r.random() < 0.5:
+                users = users[np.argsort(-demand[users], kind="stable")]
+            total = 0.0
+            for i in users[:int(r.integers(1, users.size + 1))].tolist():
+                total += float(n_t[i, j])
+            budgets[j] = total
+    return make_instance(xi=r.uniform(0.5, 4.0, size=(m, l)), n_t=n_t, budgets=budgets,
+                         sets=[np.flatnonzero(row) for row in mask],
+                         sigma=float(r.uniform(0.0, 0.4)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_admission_stops_failing_passes_early(monkeypatch, seed):
+    inst = build_scenario(ScenarioConfig(bandwidth_budget_hz=5e4, num_users=240), seed).instance
+    pack = solver_module._greedy_pack
+    passes = {"packed": 0, "full": 0}
+
+    def spy(*args):
+        passes["packed"] += 1
+        cols = pack(*args)
+        passes["full"] += 1  # reached only when the pass packed every user
+        return cols
+
+    monkeypatch.setattr(solver_module, "_greedy_pack", spy)
+    _, evicted, _ = _admit(usable_links(inst), inst.n_t, inst.budgets)
+    assert passes["full"] < passes["packed"] <= len(evicted) + 1
+
+
+@pytest.mark.parametrize("n_t, sets, budgets, evicted", [
+    # Packed in demand order (users 1, 3, 0), BS 0's running load reaches
+    # 1.1 exactly; its row-order sum, 1.0999999999999999, stays below. The
+    # full pass names BS 1 alone, so user 2 goes first: a certificate
+    # without a rounding margin would block user 1.
+    ([[0.1, 1.0], [0.7, 1.0], [0.3, 0.1], [0.3, 1.0]], [(0,), (0,), (0, 1), (0,)],
+     [1.1, 0.1], (2, 1)),
+    # Users 0 and 2 tie on demand. Packing users 0, 2 and 1 proves BS 0
+    # overloaded, which user 0 touches and user 2 does not. BS 1 ends exactly
+    # full, so the full pass names it too and the rule takes the larger
+    # index, user 2: a certificate for the head of the demand order, user 0,
+    # would block user 0.
+    ([[2.0, 1.0], [1.0, 1.0], [1.0, 2.0]], [(0,), (0,), (1,)], [2.0, 2.0], (2, 0)),
+    # Once user 3 is blocked, packing users 1, 0 and 2 overloads BS 1, which
+    # the hungriest user, user 1, touches. But the uniform start leaves BS 1
+    # slack, so a blend of the two is strictly interior and the pass
+    # succeeds: the victim alone does not prove that a pass fails.
+    ([[3.0, 2.0], [3.0, 3.0], [1.0, 2.0], [1.0, 3.0]], [(0, 1), (0, 1), (1,), (1,)],
+     [3.0, 6.0], (3,)),
+], ids=["rounding-margin", "tie-to-largest-index", "blend-succeeds"])
+def test_admission_early_stop_edge_cases(n_t, sets, budgets, evicted):
+    inst = make_instance(xi=np.ones(np.shape(n_t)), n_t=n_t, budgets=budgets, sets=sets)
+    assert assert_matches_restart_loop(inst).evicted == evicted
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_admission_fuzz_matches_restart_loop_and_stays_feasible(seed):
-    r = np.random.default_rng(seed)
-    m, l = int(r.integers(1, 11)), int(r.integers(1, 5))
-    if r.random() < 0.5:  # few distinct values, so demand and spare-room ties are common
-        n_t = r.choice([20.0, 30.0, 40.0, 60.0], size=(m, l))
-        budgets = r.choice([10.0, 40.0, 60.0, 90.0, 120.0], size=l) * max(1.0, m / l)
-    else:
-        n_t = r.uniform(10.0, 100.0, size=(m, l))
-        budgets = r.uniform(5.0, 60.0 * max(1.0, m / l), size=l)
-    mask = r.random((m, l)) < 0.6
-    mask[np.arange(m), r.integers(l, size=m)] = True
-    inst = make_instance(xi=r.uniform(0.5, 4.0, size=(m, l)), n_t=n_t, budgets=budgets,
-                         sets=[np.flatnonzero(row) for row in mask],
-                         sigma=float(r.uniform(0.0, 0.4)))
-    sol = assert_matches_restart_loop(inst)
+    inst = random_admission_case(np.random.default_rng(seed))
+    # a loose barrier schedule: the relaxed solve's precision is not under test
+    sol = assert_matches_restart_loop(inst, BarrierParams(tol=1e-3, r_min=1e-2, mu=100.0))
     viol = feasibility_violations(sol.association, sol.allocation, inst)
     assert viol["association_defects"] == 0
     assert viol["budget_overshoot_rel"] <= 1e-9
