@@ -263,11 +263,22 @@ def _tiny_random_instance(rng, tau, sigma, alpha):
     return solver.UaInstance(objective=obj, feasible=feasible, budgets=budgets, n_t=n_t)
 
 
+ORACLE_INSTANCES = 50  # ratios the oracle_gap check needs
+ORACLE_DRAWS = 1000  # random instances it may draw to find them
+
+
 def oracle_gap_distribution(tau, sigma, alpha):
-    """Two-stage Fbar relative to the oracle optimum on 50 tiny random instances."""
+    """Two-stage Fbar relative to the oracle optimum on ORACLE_INSTANCES tiny
+    random instances with a positive oracle Fbar, drawn in a fixed order.
+
+    Stops after ORACLE_DRAWS draws, so fewer ratios come back when the
+    oracle Fbar is rarely positive (a large sigma * q).
+    """
     rng = np.random.default_rng(2024)
     ratios = []
-    while len(ratios) < 50:
+    for _ in range(ORACLE_DRAWS):
+        if len(ratios) == ORACLE_INSTANCES:
+            break
         inst = _tiny_random_instance(rng, tau, sigma, alpha)
         residual_scale = float(np.median(inst.budgets) / 6.0)
         quantum = max(float(inst.n_t[inst.mask()].min()), residual_scale)
@@ -382,10 +393,17 @@ def validate(config):
                             {"probability": prob, "alpha": cal_cfg.alpha}))
 
     ratios = oracle_gap_distribution(config.tau, config.sigma, config.alpha)
-    frac_ok = float(np.mean([r >= 0.85 for r in ratios]))
+    if len(ratios) < ORACLE_INSTANCES:
+        frac_ok = None
+        ok = False
+        detail = (f"{len(ratios)} of {ORACLE_DRAWS} random instances have a positive "
+                  f"oracle Fbar, fewer than the {ORACLE_INSTANCES} needed")
+    else:
+        frac_ok = float(np.mean([r >= 0.85 for r in ratios]))
+        ok = frac_ok >= 0.9
+        detail = f"Fbar ratio >= 0.85 in {frac_ok:.0%} of instances (min {min(ratios):.3f})"
     checks.append(Check(
-        "oracle_gap", frac_ok >= 0.9,
-        f"Fbar ratio >= 0.85 in {frac_ok:.0%} of instances (min {min(ratios):.3f})",
+        "oracle_gap", ok, detail,
         {"ratios": [float(r) for r in ratios], "fraction_above_0.85": frac_ok},
     ))
 

@@ -132,16 +132,19 @@ def objective_value(obj, x):
 def objective_gradient(obj, x):
     """Analytic gradient: tau * xi - sigma * q * y_i * xi / max(||y||, eps_norm)."""
     x = _check_shape(obj, x)
-    return gradient_from_rates(obj, np.einsum("ml,ml->m", x, obj.xi_t))
+    return gradient_from_rates(obj, np.einsum("ml,ml->m", x, obj.xi_t), obj.xi_t)
 
 
-def gradient_from_rates(obj, y):
-    """`objective_gradient` at the per-user rates y_i = sum_j x_ij xi_ij."""
+def gradient_from_rates(obj, y, xi_t):
+    """`objective_gradient` at the per-user rates y_i = sum_j x_ij xi_ij,
+    with xi_t as the factor of each entry: obj.xi_t, or a copy with some
+    entries zeroed (the relaxed solve zeroes those off the feasible links).
+    """
     norm = float(np.sqrt((y * y).sum()))
     denom = max(norm, obj.eps_norm)
     if denom == 0.0:
-        return obj.tau * obj.xi_t.copy()
-    return obj.xi_t * (obj.tau - obj.sigma * obj.q * (y / denom)[:, None])
+        return obj.tau * xi_t
+    return xi_t * (obj.tau - obj.sigma * obj.q * (y / denom)[:, None])
 
 
 def chance_check(rates, fbar, tau, sigma, trials, seed=0, clamp=True):
@@ -158,7 +161,7 @@ def chance_check(rates, fbar, tau, sigma, trials, seed=0, clamp=True):
     hits = 0
     done = 0
     while done < trials:
-        n = min(20000, trials - done)  # draws per block, bounding memory
+        n = min(4000, trials - done)  # draws per block, bounding memory
         etas = rng.normal(tau, sigma, size=(n, y.size))
         if clamp:
             np.clip(etas, ETA_CLAMP_EPS, 1.0 - ETA_CLAMP_EPS, out=etas)

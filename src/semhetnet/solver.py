@@ -247,10 +247,11 @@ def _greedy_pack(order, links, budgets, proof=None):
 
 
 class _SubsetStarts:
-    """Interior starts for subsets of one problem's rows.
+    """Interior starts for one problem's rows as rows are removed.
 
-    The uniform rows are built once. The packing constants (each row's links
-    and minimum n^T, and the rows in descending-demand order, ties to the
+    The uniform rows and their per-BS loads are built once; removing a row
+    subtracts its uniform loads. The packing constants (each row's links and
+    minimum n^T, and the live rows in descending-demand order, ties to the
     lower row) are built when a uniform start first fails.
     """
 
@@ -260,12 +261,75 @@ class _SubsetStarts:
             raise InfeasibleError("user with empty feasible set")
         self.mask, self.n_t, self.budgets = mask, n_t, budgets
         self.x_unif = mask / sizes[:, None]
-        self.links = self.demand = self.order = None
+        self.inside = np.ones(mask.shape[0], dtype=bool)
+        self.loads = _loads(self.x_unif, n_t)
+        self.load_err = None  # exact loads until a row is removed
+        self.links = self.demand = self.live = None
 
-    def start(self, rows, stop_early=False):
-        """Strictly interior start for the rows `rows` (ascending): uniform
-        rows, else a blend with a greedy packing that puts the hungriest rows
-        first. Raises InfeasibleError naming the BSs the packing overloads.
+    def rows(self):
+        return np.flatnonzero(self.inside)
+
+    def remove(self, row):
+        if self.load_err is None:
+            # _loads sums m products to within (m + 1) eps / 2 times their
+            # exact total T_j, in any order. The maintained loads carry that
+            # error once, each of at most m subtractions adds at most about
+            # eps * T_j, and _loads on the live rows carries it once more:
+            # 4 (m + 2) eps times the first loads bounds the gap, with room
+            # for rounding lo and hi (see `uniform_slack`).
+            self.load_err = self.loads * (4.0 * (self.mask.shape[0] + 2) * np.finfo(float).eps)
+        self.inside[row] = False
+        self.live.remove(row)
+        self.loads = self.loads - self.x_unif[row] * self.n_t[row]
+
+    def hungriest(self):
+        """The live row with the largest minimum n^T, ties to the last row:
+        the end of the leading tie group of the demand order."""
+        live, demand = self.live, self.demand
+        k = 0
+        while k + 1 < len(live) and demand[live[k + 1]] == demand[live[0]]:
+            k += 1
+        return live[k]
+
+    def victim(self, overloaded):
+        """The live row the admission rule blocks after a pass that names
+        `overloaded`: the hungriest row touching one of those BSs (ties to
+        the last row), or the hungriest row if none touches one."""
+        hungriest = self.hungriest()
+        if self.mask[hungriest, list(overloaded)].any():
+            return hungriest
+        touching = np.flatnonzero(self.inside & self.mask[:, list(overloaded)].any(axis=1))
+        if touching.size == 0:
+            return hungriest
+        demand = self.demand[touching]
+        return int(touching[demand == demand.max()].max())
+
+    def uniform_slack(self):
+        """Relative slack of the live uniform rows' loads per BS, as
+        `_loads` on those rows gives it, or bounds with the same signs and
+        the same verdict on min > 1e-9.
+
+        lo and hi take the maintained loads plus and minus their error bound;
+        the slack from `_loads` lies between them, since rounded arithmetic
+        is monotone. Only where the bound straddles 0 or 1e-9 are the live
+        rows summed again.
+        """
+        b = self.budgets
+        if self.load_err is None:
+            return (b - self.loads) / b
+        lo = (b - (self.loads + self.load_err)) / b
+        if lo.min() > 1e-9:
+            return lo
+        hi = (b - (self.loads - self.load_err)) / b
+        if hi.min() <= 1e-9 and np.array_equal(lo <= 0, hi <= 0):
+            return lo
+        rows = self.rows()
+        return (b - _loads(self.x_unif.take(rows, axis=0), self.n_t.take(rows, axis=0))) / b
+
+    def start(self, stop_early=False):
+        """Strictly interior start for the live rows: uniform rows, else a
+        blend with a greedy packing that puts the hungriest rows first.
+        Raises InfeasibleError naming the BSs the packing overloads.
 
         With stop_early, a failing pass ends as soon as its partial packing
         proves two things: some BS ends without slack in both the uniform
@@ -273,32 +337,29 @@ class _SubsetStarts:
         the hungriest row (largest minimum n^T, ties to the last row) ends
         overloaded. `overloaded` then lists only the BSs proven so far.
         """
-        # take copies the same rows as fancy indexing, a few times faster
-        x_unif, n_t = self.x_unif.take(rows, axis=0), self.n_t.take(rows, axis=0)
         budgets = self.budgets
+        slack_unif = self.uniform_slack()
+        if slack_unif.min() > 1e-9:
+            return self.x_unif.take(self.rows(), axis=0)
+        if self.live is None:
+            self.links = _link_lists(self.mask, self.n_t)
+            self.demand = np.where(self.mask, self.n_t, np.inf).min(axis=1)
+            order = np.argsort(-self.demand, kind="stable")
+            self.live = order[self.inside[order]].tolist()
+        proof = None
+        if stop_early:
+            proof = ((slack_unif <= 0).tolist(), self.mask[self.hungriest()].tolist())
+        cols = _greedy_pack(self.live, self.links, budgets, proof)
+
+        # take copies the same rows as fancy indexing, a few times faster
+        rows = self.rows()
+        x_unif, n_t = self.x_unif.take(rows, axis=0), self.n_t.take(rows, axis=0)
 
         def rel_slack(x):
             return (budgets - _loads(x, n_t)) / budgets
 
-        slack_unif = rel_slack(x_unif)
-        if slack_unif.min() > 1e-9:
-            return x_unif
-        if self.links is None:
-            self.links = _link_lists(self.mask, self.n_t)
-            self.demand = np.where(self.mask, self.n_t, np.inf).min(axis=1)
-            self.order = np.argsort(-self.demand, kind="stable")
-        inside = np.zeros(self.mask.shape[0], dtype=bool)
-        inside[rows] = True
-        order = self.order[inside[self.order]]  # `rows`, hungriest first
-        proof = None
-        if stop_early:
-            demand = self.demand[rows]
-            hungriest = rows[np.flatnonzero(demand == demand.max())[-1]]
-            proof = ((slack_unif <= 0).tolist(), self.mask[hungriest].tolist())
-        cols = _greedy_pack(order.tolist(), self.links, budgets, proof)
         x_greedy = np.zeros_like(x_unif)
-        x_greedy[np.searchsorted(rows, order), cols] = 1.0
-
+        x_greedy[np.searchsorted(rows, self.live), cols] = 1.0
         slack_greedy = rel_slack(x_greedy)
         # Loads are linear in x: a BS that both ends leave without slack has
         # none in any blend, so skip the blends.
@@ -316,7 +377,7 @@ class _SubsetStarts:
 
 def _interior_start(mask, n_t, budgets):
     """Strictly interior start: uniform rows, else a blend with a greedy packing."""
-    return _SubsetStarts(mask, n_t, budgets).start(np.arange(mask.shape[0]))
+    return _SubsetStarts(mask, n_t, budgets).start()
 
 
 def solve_relaxed_ua(inst, barrier=None, record_trace=False):
@@ -360,6 +421,10 @@ def solve_relaxed_ua(inst, barrier=None, record_trace=False):
     if x is None:
         x = _interior_start(mask, n_t, budgets)
     project = _simplex_projector(mask)
+    # The gradient is built as 0 off the mask, where x stays 0 and the
+    # projector reads nothing, so ||g|| below covers only its inputs; dx is
+    # 0 there too, so the steps and iterates are those of the full gradient.
+    xi_on, n_on = np.where(mask, obj.xi_t, 0.0), np.where(mask, n_t, 0.0)
     # lb and pg are each computed to within (l + 1) sqrt(l) eps / 2 times
     # ||g|| + sqrt(m): a projected entry is off by at most (l + 1) eps / 2
     # times its row's largest input, and ||x + t g|| / max(1, t) <= ||g|| +
@@ -380,7 +445,7 @@ def solve_relaxed_ua(inst, barrier=None, record_trace=False):
         return f + r * float(np.log(slack).sum()), slack, y
 
     def grad_of(slack, y, r):
-        return gradient_from_rates(obj, y) - r * (n_t / slack[None, :])
+        return gradient_from_rates(obj, y, xi_on) - r * (n_on / slack[None, :])
 
     def pg_of(x, g):
         return float(np.linalg.norm(project(x + g) - x))
@@ -747,25 +812,17 @@ def _admit(usable, n_t, budgets):
     admitted = usable.any(axis=1)
     users = np.flatnonzero(admitted)
     starts = _SubsetStarts(usable[users], n_t[users], budgets)
-    keep = np.ones(users.size, dtype=bool)
     evicted = []
     start = None
-    while np.any(keep):
-        rows = np.flatnonzero(keep)
+    while len(evicted) < users.size:
         try:
-            start = starts.start(rows, stop_early=True)
+            start = starts.start(stop_early=True)
             break
         except InfeasibleError as err:
-            over = np.zeros(budgets.size, dtype=bool)
-            over[list(err.overloaded)] = True
-            touching = rows[starts.mask[:, over].any(axis=1)[rows]] if over.any() else rows
-            if touching.size == 0:
-                touching = rows
-            demand = starts.demand[touching]  # built by the failing pass
-            victim = int(touching[demand == demand.max()].max())
-            keep[victim] = False
+            victim = starts.victim(err.overloaded)
+            starts.remove(victim)
             evicted.append(int(users[victim]))
-    admitted[users[~keep]] = False
+    admitted[evicted] = False
     return admitted, tuple(evicted), start
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -274,3 +275,19 @@ def test_validate_risk_free_sigma_zero():
     assert checks["eta_clamp_frequency"].passed
     cal = checks["confidence_calibration"]
     assert cal.passed and cal.data["probability"] == 1.0
+
+
+def test_validate_reports_too_few_oracle_instances(tmp_path):
+    # sigma * q is so large that no tiny instance has a positive oracle Fbar:
+    # the check fails after a bounded number of draws instead of looping
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**DESK, "sigma": 0.5, "alpha": 0.9999}))
+    t0 = time.perf_counter()
+    assert cli_main(["validate", "--config", str(path), "--out", str(tmp_path)]) == 1
+    elapsed = time.perf_counter() - t0
+    checks = json.loads((tmp_path / "validate.json").read_text())
+    assert [c["name"] for c in checks if not c["passed"]] == ["oracle_gap"]
+    gap = next(c for c in checks if c["name"] == "oracle_gap")
+    assert gap["data"]["ratios"] == []
+    assert f"0 of {harness.ORACLE_DRAWS} random instances" in gap["detail"]
+    assert elapsed < 60.0

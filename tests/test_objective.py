@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from semhetnet.objective import (DeterministicObjective, chance_check, objective_gradient,
                                  objective_value, std_normal_cdf, std_normal_quantile)
+from semhetnet.seeding import substream
+from semhetnet.semantics import ETA_CLAMP_EPS
 
 
 def bisect_quantile(alpha, lo=-40.0, hi=40.0, iters=200):
@@ -159,6 +161,21 @@ def test_chance_check_deterministic(rng):
     a = chance_check(y, 1.0, 0.5, 0.1, trials=5000, seed=4)
     b = chance_check(y, 1.0, 0.5, 0.1, trials=5000, seed=4)
     assert a == b
+
+
+@pytest.mark.parametrize("clamp", [True, False])
+def test_chance_check_blocks_match_one_draw(rng, clamp):
+    # 10001 trials span two full blocks and a partial one; drawn at once from
+    # the same substream, the coefficients and the hit count are the same
+    obj, x, y = _binary_instance(rng)
+    fbar = objective_value(obj, x)
+    trials = 10_001
+    etas = substream(5, "chance").normal(0.5, 0.3, size=(trials, y.size))
+    if clamp:
+        np.clip(etas, ETA_CLAMP_EPS, 1.0 - ETA_CLAMP_EPS, out=etas)
+    hits = int((etas @ y >= fbar).sum())
+    assert 0 < hits < trials
+    assert chance_check(y, fbar, 0.5, 0.3, trials, seed=5, clamp=clamp) == hits / trials
 
 
 def test_chance_check_requires_trials():

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -329,16 +330,28 @@ def assert_matches_reference_loop(inst, barrier=None, record_trace=False):
     return got
 
 
-@pytest.fixture(scope="module")
-def admitted_m200():
-    """The admitted users' instances of M = 200, scenario seeds 1, 3 and 6."""
+def admitted_instances(config, seeds):
+    """The admitted users' instance of each scenario seed, with its start."""
     subs = {}
-    for seed in (1, 3, 6):
-        inst = build_scenario(ScenarioConfig(num_users=200), seed).instance
+    for seed in seeds:
+        inst = build_scenario(config, seed).instance
         usable = usable_links(inst)
         admitted, _, start = _admit(usable, inst.n_t, inst.budgets)
         subs[seed] = _restricted_instance(inst, usable, np.flatnonzero(admitted), start)
     return subs
+
+
+@pytest.fixture(scope="module")
+def admitted_m200():
+    """The admitted users' instances of M = 200, scenario seeds 1, 3 and 6."""
+    return admitted_instances(ScenarioConfig(num_users=200), (1, 3, 6))
+
+
+@pytest.fixture(scope="module")
+def admitted_congested():
+    """The admitted users' instances of the cells with 5e4 Hz budgets and
+    M = 240, scenario seeds 1-3, where admission blocks users."""
+    return admitted_instances(ScenarioConfig(bandwidth_budget_hz=5e4, num_users=240), (1, 2, 3))
 
 
 @pytest.mark.parametrize("record_trace", [True, False])
@@ -347,6 +360,56 @@ def test_relaxed_solve_matches_reference_loop_at_m200(admitted_m200, seed, recor
     got = assert_matches_reference_loop(admitted_m200[seed], record_trace=record_trace)
     assert got.iterations > 0
     assert sum(stage[1] for stage in got.stages) == got.iterations
+
+
+@pytest.mark.parametrize("record_trace", [True, False])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_relaxed_solve_matches_reference_loop_on_congested_cells(admitted_congested, seed,
+                                                                 record_trace):
+    got = assert_matches_reference_loop(admitted_congested[seed], record_trace=record_trace)
+    assert got.iterations > 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pg_skip_test_ignores_links_off_the_mask(admitted_congested, monkeypatch, seed):
+    # The projector reads nothing off the mask, so neither may the test that
+    # skips pg projections: xi^T and n^T inflated there leave the projector
+    # calls and the result unchanged, and both solves project less often
+    # than the reference loop.
+    sub = admitted_congested[seed]
+    off = ~sub.mask()
+    xi = sub.objective.xi_t
+    inflated = replace(sub, objective=replace(sub.objective, xi_t=np.where(off, 1e6 * xi, xi)),
+                       n_t=np.where(off, 1e6 * sub.n_t, sub.n_t))
+    calls = []
+    projector = solver_module._simplex_projector
+
+    def counting_projector(mask):
+        project = projector(mask)
+
+        def counted(v):
+            calls[-1] += 1
+            return project(v)
+        return counted
+
+    monkeypatch.setattr(solver_module, "_simplex_projector", counting_projector)
+    results = []
+    for inst in (sub, inflated):
+        calls.append(0)
+        results.append(solve_relaxed_ua(inst))
+    assert results[0].x_star.tobytes() == results[1].x_star.tobytes()
+    assert calls[0] == calls[1]
+
+    reference_calls = [0]
+    reference_projection = reference_rows_projection
+
+    def counting_reference(v, mask):
+        reference_calls[0] += 1
+        return reference_projection(v, mask)
+
+    monkeypatch.setitem(globals(), "reference_rows_projection", counting_reference)
+    reference_relaxed_loop(sub)
+    assert calls[0] < reference_calls[0]
 
 
 def random_relaxed_case(r):
@@ -1124,6 +1187,45 @@ def test_admission_stops_failing_passes_early(monkeypatch, seed):
 ], ids=["rounding-margin", "tie-to-largest-index", "blend-succeeds"])
 def test_admission_early_stop_edge_cases(n_t, sets, budgets, evicted):
     inst = make_instance(xi=np.ones(np.shape(n_t)), n_t=n_t, budgets=budgets, sets=sets)
+    assert assert_matches_restart_loop(inst).evicted == evicted
+
+
+@pytest.mark.parametrize("n_t, sets, budgets, evicted", [
+    # Once user 1 is blocked, the live users' uniform load on BS 0 sums to
+    # 0.35, while the maintained load, 0.65 - 0.3, is one ulp lower. The
+    # budget puts the relative slack of the sum at 1e-9, which fails the
+    # uniform test, and that of the maintained load above it: the maintained
+    # loads alone would return the uniform start where the reference's
+    # start is a blend.
+    ([[0.3, 0.2], [0.3, 1.3], [0.1, 1.1], [0.2, 0.1]], [(0, 1), (0,), (0,), (0, 1)],
+     [0.35000000034999995, 0.4], (1,)),
+    # The same users with a budget 8 ulps larger: the sum's relative slack
+    # now exceeds 1e-9 by less than the loads' error bound, so the uniform
+    # start is the reference's; the bound's lower end alone would reject it.
+    ([[0.3, 0.2], [0.3, 1.3], [0.1, 1.1], [0.2, 0.1]], [(0, 1), (0,), (0,), (0, 1)],
+     [0.3500000003500004, 0.4], (1,)),
+    # Once user 2 is blocked, the live users' load, 0.1 + 0.2, is the budget
+    # 0.30000000000000004, while the maintained load, 0.5 - 0.2, is 0.3: only
+    # the sum leaves BS 0 without slack, a dry BS for the early-stop proof.
+    ([[0.1], [0.2], [0.2]], [(0,), (0,), (0,)], [0.30000000000000004], (2, 1)),
+    # The same users with a budget 3 ulps larger: the sum leaves BS 0 a
+    # little slack, less than the loads' error bound, so BS 0 is not dry.
+    ([[0.1], [0.2], [0.2]], [(0,), (0,), (0,)], [0.3000000000000002], (2, 1)),
+], ids=["at-1e-9", "above-1e-9", "at-0", "above-0"])
+def test_admission_uniform_loads_near_thresholds(monkeypatch, n_t, sets, budgets, evicted):
+    inst = make_instance(xi=np.ones(np.shape(n_t)), n_t=n_t, budgets=budgets, sets=sets)
+    usable = usable_links(inst)
+    pack = solver_module._greedy_pack
+
+    def spy(order, links, budgets, proof=None):
+        # the dry BSs of an early-stop proof are those of the summed loads
+        rows = np.sort(order)
+        x_unif = usable[rows] / usable[rows].sum(axis=1)[:, None]
+        slack = (budgets - np.einsum("ml,ml->l", x_unif, inst.n_t[rows])) / budgets
+        assert proof is None or proof[0] == (slack <= 0).tolist()
+        return pack(order, links, budgets, proof)
+
+    monkeypatch.setattr(solver_module, "_greedy_pack", spy)
     assert assert_matches_restart_loop(inst).evicted == evicted
 
 
