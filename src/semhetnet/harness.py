@@ -5,7 +5,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -248,19 +248,14 @@ def _tiny_random_instance(rng, tau, sigma, alpha):
     l = int(rng.integers(2, 4))
     m = int(rng.integers(3, 7))
     gamma = 10 ** rng.uniform(-0.3, 0.9, size=(m, l))
-    se = np.log2(1.0 + gamma)
-    n_t = 1e4 / se
-    kappa = np.full(m, 1.0 / 1600.0)
-    xi_t = kappa[:, None] * (n_t * se)
     links = np.zeros((m, l), dtype=bool)
     for i in range(m):
-        size = int(rng.integers(1, l + 1))
-        links[i, rng.choice(l, size=size, replace=False)] = True
-    feasible = FeasibleSets(links)
-    per_bs_users = max(1.0, m / l)
-    budgets = np.full(l, float(n_t.mean() * per_bs_users * rng.uniform(1.2, 2.5)))
-    obj = DeterministicObjective.for_confidence(tau, sigma, alpha, xi_t)
-    return solver.UaInstance(objective=obj, feasible=feasible, budgets=budgets, n_t=n_t)
+        links[i, rng.choice(l, size=int(rng.integers(1, l + 1)), replace=False)] = True
+    per_bs_users, spread = max(1.0, m / l), rng.uniform(1.2, 2.5)
+    inst = solver.make_instance(gamma, FeasibleSets(links), 1.0 / 1600.0, np.ones(l), 1e4,
+                                tau, sigma, alpha)
+    # budgets scale with the mean n^T, known once the instance is built
+    return replace(inst, budgets=np.full(l, float(inst.n_t.mean() * per_bs_users * spread)))
 
 
 ORACLE_INSTANCES = 50  # ratios the oracle_gap check needs

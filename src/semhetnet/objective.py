@@ -77,15 +77,13 @@ class DeterministicObjective:
     """Constants of the quantile-transformed objective.
 
     xi_t[i, j] is the message rate user i would see on BS j at the fixed
-    minimum bandwidth; eps_norm guards the gradient at the (transient)
-    all-zero association where the norm is not differentiable.
+    minimum bandwidth.
     """
 
     tau: float
     sigma: float
     q: float
     xi_t: np.ndarray
-    eps_norm: float = None
 
     def __post_init__(self):
         xi = np.asarray(self.xi_t, dtype=float)
@@ -100,9 +98,6 @@ class DeterministicObjective:
         if self.sigma < 0.0:
             raise ValueError("sigma must be nonnegative")
         object.__setattr__(self, "xi_t", xi)
-        if self.eps_norm is None:
-            eps = 1e-12 * float(xi.max()) if xi.size else 0.0
-            object.__setattr__(self, "eps_norm", eps)
 
     @classmethod
     def for_confidence(cls, tau, sigma, alpha, xi_t):
@@ -130,7 +125,8 @@ def objective_value(obj, x):
 
 
 def objective_gradient(obj, x):
-    """Analytic gradient: tau * xi - sigma * q * y_i * xi / max(||y||, eps_norm)."""
+    """Analytic gradient: tau * xi - sigma * q * y_i * xi / ||y||, or tau * xi
+    at y = 0, where the norm is not differentiable."""
     x = _check_shape(obj, x)
     return gradient_from_rates(obj, np.einsum("ml,ml->m", x, obj.xi_t), obj.xi_t)
 
@@ -141,18 +137,17 @@ def gradient_from_rates(obj, y, xi_t):
     entries zeroed (the relaxed solve zeroes those off the feasible links).
     """
     norm = float(np.sqrt((y * y).sum()))
-    denom = max(norm, obj.eps_norm)
-    if denom == 0.0:
+    if norm == 0.0:
         return obj.tau * xi_t
-    return xi_t * (obj.tau - obj.sigma * obj.q * (y / denom)[:, None])
+    return xi_t * (obj.tau - obj.sigma * obj.q * (y / norm)[:, None])
 
 
-def chance_check(rates, fbar, tau, sigma, trials, seed=0, clamp=True):
+def chance_check(rates, fbar, tau, sigma, trials, seed=0):
     """Empirical Pr{F >= fbar} over `trials` draws of the matching coefficients.
 
-    F = sum_i eta_i * rates_i with eta_i ~ N(tau, sigma^2). With fbar the
-    confidence bound of the rates, the exact Gaussian quantile property makes
-    this converge to alpha.
+    F = sum_i eta_i * rates_i with eta_i ~ N(tau, sigma^2), clamped into
+    (0, 1) like `sample_eta`. With fbar the confidence bound of the rates,
+    the exact Gaussian quantile property makes this converge to alpha.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -163,8 +158,7 @@ def chance_check(rates, fbar, tau, sigma, trials, seed=0, clamp=True):
     while done < trials:
         n = min(4000, trials - done)  # draws per block, bounding memory
         etas = rng.normal(tau, sigma, size=(n, y.size))
-        if clamp:
-            np.clip(etas, ETA_CLAMP_EPS, 1.0 - ETA_CLAMP_EPS, out=etas)
+        np.clip(etas, ETA_CLAMP_EPS, 1.0 - ETA_CLAMP_EPS, out=etas)
         f = etas @ y
         hits += int((f >= fbar).sum())
         done += n

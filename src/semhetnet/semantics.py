@@ -32,14 +32,6 @@ class FeasibleSets:
         links.flags.writeable = False
         object.__setattr__(self, "links", links)
 
-    @property
-    def num_bs(self):
-        return self.links.shape[1]
-
-    @property
-    def num_users(self):
-        return self.links.shape[0]
-
     def mask(self):
         return self.links
 

@@ -66,12 +66,18 @@ def make_instance(gamma, feasible, msg_per_bit, budgets, bit_rate_threshold, tau
     """Build a UaInstance with n^T_ij sized to hit the bit-rate threshold.
 
     msg_per_bit is the bit-to-message coefficient kappa: one value for every
-    user or one per user (rows of gamma).
+    user or one per user (rows of gamma). Raises ConfigError unless
+    0 < log2(1 + gamma) < inf on every link, so that every n^T is finite.
     """
     kappa = np.broadcast_to(np.asarray(msg_per_bit, dtype=float), gamma.shape[:1])
     if not np.all(kappa > 0):
         raise ConfigError("msg_per_bit coefficients must be positive")
     se = np.log2(1.0 + gamma)
+    bad = np.argwhere(~((se > 0.0) & (se < np.inf)))
+    if bad.size:
+        i, j = bad[0].tolist()
+        raise ConfigError(f"SINR {float(gamma[i, j]):g} of user {i} at BS {j} gives no finite, "
+                          "positive spectral efficiency log2(1 + SINR)")
     n_t = float(bit_rate_threshold) / se
     xi_t = kappa[:, None] * bit_rate(n_t, gamma)
     obj = DeterministicObjective.for_confidence(tau, sigma, alpha, xi_t)
@@ -150,18 +156,11 @@ class Allocation:
     kkt_residual: float = None
 
 
-def project_rows_to_simplex(v, mask):
-    """Project each row of v onto {x >= 0, sum x = 1} supported on mask.
-
-    Vectorized over rows; entries outside the mask come back as zero.
-    Raises ValueError if a row of the mask is empty, and SolverError if a
-    row's support is lost to rounding (entries beyond 2**53 in magnitude).
-    """
-    return _simplex_projector(mask)(np.asarray(v, dtype=float))
-
-
 def _simplex_projector(mask):
-    """`project_rows_to_simplex` for one mask, its constants built once.
+    """Row-wise projection onto {x >= 0, sum x = 1} supported on mask, its
+    constants built once. Entries off the mask come back as zero; it raises
+    ValueError for an empty mask row, and SolverError if a row's support is
+    lost to rounding (entries beyond 2**53 in magnitude).
 
     Each row is sorted in descending order with the entries off the mask
     last, at -1e300: their cumulative sums stay hugely negative, so they
@@ -375,12 +374,7 @@ class _SubsetStarts:
         )
 
 
-def _interior_start(mask, n_t, budgets):
-    """Strictly interior start: uniform rows, else a blend with a greedy packing."""
-    return _SubsetStarts(mask, n_t, budgets).start()
-
-
-def solve_relaxed_ua(inst, barrier=None, record_trace=False):
+def solve_relaxed_ua(inst, barrier=None, record_trace=False, *, start=None):
     """Barrier-method solve of the relaxed association problem.
 
     Spectral projected gradient ascent with a monotone Armijo backtracking
@@ -402,6 +396,10 @@ def solve_relaxed_ua(inst, barrier=None, record_trace=False):
     record_trace, at every iteration, so the iterates, pg_norm and the trace
     are those of testing pg <= tol at every iteration.
 
+    The solve begins at `start` (two_stage passes admission's), or else at
+    the one `_SubsetStarts` finds. A start of the wrong shape or without
+    slack on some budget raises ValueError.
+
     Raises
     ------
     InfeasibleError
@@ -414,12 +412,15 @@ def solve_relaxed_ua(inst, barrier=None, record_trace=False):
     mask = inst.mask()
     n_t, budgets = inst.n_t, inst.budgets
     m = inst.num_users
+    if start is not None:
+        x = np.asarray(start, dtype=float)
+        if x.shape != n_t.shape or np.any(budgets - _loads(x, n_t) <= 0.0):
+            raise ValueError(f"start of shape {x.shape} is not strictly interior to an "
+                             f"instance of shape {n_t.shape}")
     if m == 0:
         return RelaxedAssociation(np.zeros((0, inst.num_bs)))
-
-    x = getattr(inst, "start", None)  # set by two_stage's admission
-    if x is None:
-        x = _interior_start(mask, n_t, budgets)
+    if start is None:
+        x = _SubsetStarts(mask, n_t, budgets).start()
     project = _simplex_projector(mask)
     # The gradient is built as 0 off the mask, where x stays 0 and the
     # projector reads nothing, so ||g|| below covers only its inputs; dx is
@@ -772,33 +773,17 @@ def usable_links(inst):
     return inst.mask() & (inst.n_t <= inst.budgets[None, :] * (1.0 + 1e-12))
 
 
-@dataclass(frozen=True, eq=False)
-class _AdmittedInstance(UaInstance):
-    """The admitted users' instance, with the interior start admission found
-    for it (None: `solve_relaxed_ua` computes it)."""
-
-    start: np.ndarray = None
-
-
-def _restricted_instance(inst, usable, rows, start=None):
-    obj = inst.objective
-    sub_obj = DeterministicObjective(
-        tau=obj.tau, sigma=obj.sigma, q=obj.q, xi_t=obj.xi_t[rows], eps_norm=obj.eps_norm
-    )
-    return _AdmittedInstance(
-        objective=sub_obj,
-        feasible=FeasibleSets(usable[rows]),
-        budgets=inst.budgets,
-        n_t=inst.n_t[rows],
-        start=start,
-    )
+def _restricted_instance(inst, usable, rows):
+    """The instance of users `rows` over their `usable` links."""
+    return replace(inst, objective=replace(inst.objective, xi_t=inst.objective.xi_t[rows]),
+                   feasible=FeasibleSets(usable[rows]), n_t=inst.n_t[rows])
 
 
 def _admit(usable, n_t, budgets):
     """Users the relaxed problem can hold with a strictly interior point.
 
     Starts from every user with a usable link. While the greedy packing of
-    `_interior_start` overloads a budget, blocks the most bandwidth-hungry
+    `_SubsetStarts.start` overloads a budget, blocks the most bandwidth-hungry
     user (largest minimum usable n^T, ties to the largest index) touching an
     overloaded BS. Returns the admitted-user mask, the blocked users in
     eviction order, and the admitted users' interior start (None if no
@@ -833,21 +818,21 @@ def two_stage(inst, barrier=None, record_trace=False):
     be served by a binary association; they are blocked up front and the
     relaxed problem runs on the remaining users over their usable links.
     If the remaining users admit no strictly interior point, admission
-    blocks the most bandwidth-hungry user touching an overloaded budget, one
-    at a time, until one exists (the same eviction rule the repair step
-    applies after rounding); the relaxed problem is then solved once. The
-    users blocked at admission are returned in `evicted`, in order.
+    blocks, one at a time until one exists, the user with the largest
+    minimum usable n^T among those touching a BS the greedy packing
+    overloads (repair, after rounding, instead moves the user with the
+    largest n^T off the most overloaded BS). The relaxed problem is then
+    solved once, from admission's start. The users blocked at admission
+    are returned in `evicted`, in order.
     """
     usable = usable_links(inst)
     admitted, evicted, start = _admit(usable, inst.n_t, inst.budgets)
     rows = np.flatnonzero(admitted)
+    sub = solve_relaxed_ua(_restricted_instance(inst, usable, rows), barrier=barrier,
+                           record_trace=record_trace, start=start)
     x_star = np.zeros_like(inst.n_t)
-    relaxed = RelaxedAssociation(x_star)
-    if rows.size:
-        sub = solve_relaxed_ua(_restricted_instance(inst, usable, rows, start),
-                               barrier=barrier, record_trace=record_trace)
-        x_star[rows] = sub.x_star
-        relaxed = replace(sub, x_star=x_star)
+    x_star[rows] = sub.x_star
+    relaxed = replace(sub, x_star=x_star)
     assoc = repair_overload(round_association(relaxed, inst), relaxed, inst)
     alloc = allocate_residual(assoc, inst)
     return TwoStageSolution(relaxed=relaxed, association=assoc, allocation=alloc,

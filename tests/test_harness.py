@@ -1,19 +1,22 @@
 import json
+import math
 import os
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from semhetnet import harness
 from semhetnet.cli import main as cli_main
 from semhetnet.config import (MAX_DOMAINS, MAX_STATIONS, MAX_USERS, ScenarioConfig,
                               config_from_dict, load_config)
-from semhetnet.errors import ConfigError
+from semhetnet.errors import ConfigError, InfeasibleError, SolverError
 from semhetnet.harness import (RESULTS_FIELDS, SWEEP_FIELDS, apply_sweep_value,
                                build_scenario, rows_to_csv_bytes, run_scenario, sweep,
                                validate)
 from semhetnet.seeding import substream
+from semhetnet.solver import BarrierParams
 
 
 DESK = dict(scenario_id="desk", num_users=30, seeds=[1], methods=["two-stage"])
@@ -241,6 +244,77 @@ def test_cli_malformed_input_exits_2(tmp_path, monkeypatch, config, extra):
         path.write_text(json.dumps({**DESK, **config}))
     argv = extra or ["solve"]
     assert cli_main(argv + ["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("config", [
+    {"femto_power_dbm": -300},  # the femto tier switched off
+    {"macro_power_dbm": 400},  # interference overflows: an infinite SINR
+    {"region_radius_m": 1e9},
+    {"noise_power_dbm": 300},
+], ids=["femto-off", "macro-overflow", "radius-huge", "noise-huge"])
+def test_cli_link_without_spectral_efficiency_exits_2(tmp_path, capsys, config):
+    # log2(1 + SINR) rounds to 0 (or is not finite) on some link, so its n^T
+    # is infinite: the scenario is rejected as a config error naming the link
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**DESK, **config}))
+    assert cli_main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "of user 0 at BS" in capsys.readouterr().err
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+def tier_power_dbm(lo, hi):
+    """A tier's power, and one time in ten -300 dBm: the tier switched off."""
+    return st.tuples(st.integers(0, 9), st.floats(lo, hi)).map(
+        lambda t: -300.0 if t[0] == 0 else t[1])
+
+
+# a loose barrier schedule: the relaxed solve's precision is not under test
+LOOSE = BarrierParams(tol=1e-3, r_min=1e-2, mu=100.0)
+
+
+@st.composite
+def scenario_configs(draw):
+    num_domains = round(draw(log_uniform(1, 12)))
+    return ScenarioConfig(
+        num_users=draw(st.integers(0, 40)),
+        num_macro=draw(st.integers(0, 2)),
+        num_pico=draw(st.integers(0, 4)),
+        num_femto=draw(st.integers(0, 4)),
+        region_radius_m=draw(log_uniform(10.0, 1e4)),
+        macro_power_dbm=draw(tier_power_dbm(20.0, 50.0)),
+        pico_power_dbm=draw(tier_power_dbm(10.0, 40.0)),
+        femto_power_dbm=draw(tier_power_dbm(0.0, 30.0)),
+        noise_power_dbm=draw(st.floats(-140.0, -60.0)),
+        bandwidth_budget_hz=draw(log_uniform(1e3, 1e8)),
+        num_domains=num_domains,
+        kb_per_bs=round(draw(log_uniform(1, num_domains))),
+        needs_per_mu=round(draw(log_uniform(1, num_domains))),
+        tau=draw(log_uniform(1e-3, 0.999)),
+        sigma=draw(log_uniform(1e-4, 2.0)),
+        alpha=1.0 - draw(log_uniform(1e-4, 0.99)),
+        barrier=LOOSE,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario_configs())
+@example(ScenarioConfig(num_users=20, femto_power_dbm=-300.0, barrier=LOOSE))
+@example(ScenarioConfig(num_users=20, macro_power_dbm=400.0, barrier=LOOSE))
+@example(ScenarioConfig(num_users=20, region_radius_m=1e9, barrier=LOOSE))
+@example(ScenarioConfig(num_users=20, noise_power_dbm=300.0, barrier=LOOSE))
+def test_config_fuzz_raises_only_documented_errors_and_stays_feasible(config):
+    # the errors the CLI maps to exit codes 2, 3 and 4; anything else exits 1
+    try:
+        _, outcomes, _ = run_scenario(config)
+    except (ConfigError, InfeasibleError, SolverError):
+        return
+    for seed, per_method in outcomes.items():
+        check = harness.solution_feasibility(build_scenario(config, seed),
+                                             list(per_method.values()))
+        assert check.passed, check.detail
 
 
 def test_cli_projection_precision_loss_exits_4(tmp_path):

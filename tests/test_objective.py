@@ -152,7 +152,7 @@ def test_chance_check_at_the_mean(rng):
 def test_chance_check_calibrated_at_confidence_bound(rng):
     obj, x, y = _binary_instance(rng)
     fbar = objective_value(obj, x)
-    prob = chance_check(y, fbar, 0.5, 0.1, trials=100_000, seed=3, clamp=False)
+    prob = chance_check(y, fbar, 0.5, 0.1, trials=100_000, seed=3)
     assert 0.948 <= prob <= 0.952
 
 
@@ -163,19 +163,17 @@ def test_chance_check_deterministic(rng):
     assert a == b
 
 
-@pytest.mark.parametrize("clamp", [True, False])
-def test_chance_check_blocks_match_one_draw(rng, clamp):
+def test_chance_check_blocks_match_one_draw(rng):
     # 10001 trials span two full blocks and a partial one; drawn at once from
     # the same substream, the coefficients and the hit count are the same
     obj, x, y = _binary_instance(rng)
     fbar = objective_value(obj, x)
     trials = 10_001
     etas = substream(5, "chance").normal(0.5, 0.3, size=(trials, y.size))
-    if clamp:
-        np.clip(etas, ETA_CLAMP_EPS, 1.0 - ETA_CLAMP_EPS, out=etas)
+    np.clip(etas, ETA_CLAMP_EPS, 1.0 - ETA_CLAMP_EPS, out=etas)
     hits = int((etas @ y >= fbar).sum())
     assert 0 < hits < trials
-    assert chance_check(y, fbar, 0.5, 0.3, trials, seed=5, clamp=clamp) == hits / trials
+    assert chance_check(y, fbar, 0.5, 0.3, trials, seed=5) == hits / trials
 
 
 def test_chance_check_requires_trials():

@@ -61,7 +61,6 @@ def test_feasible_mask_shape(small_topology):
     mask = fs.mask()
     assert mask.dtype == bool
     assert mask.shape == (small_topology.num_users, small_topology.num_bs)
-    assert (fs.num_users, fs.num_bs) == mask.shape
     assert mask.any(axis=1).all()
 
 

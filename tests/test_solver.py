@@ -8,14 +8,14 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import make_instance
 from semhetnet import solver as solver_module
 from semhetnet.config import ScenarioConfig
-from semhetnet.errors import InfeasibleError, SolverError
+from semhetnet.errors import ConfigError, InfeasibleError, SolverError
 from semhetnet.harness import build_scenario
 from semhetnet.metrics import feasibility_violations, instance_fbar
 from semhetnet.objective import objective_gradient, objective_value
 from semhetnet.solver import (Allocation, Association, BarrierParams, RelaxedAssociation, _admit,
-                              _interior_start, _restricted_instance, _water_fill, allocate_residual,
-                              baseline_ba, baseline_max_sinr, make_instance as build_instance,
-                              project_rows_to_simplex, repair_overload, round_association,
+                              _restricted_instance, _simplex_projector, _SubsetStarts, _water_fill,
+                              allocate_residual, baseline_ba, baseline_max_sinr,
+                              make_instance as build_instance, repair_overload, round_association,
                               solve_relaxed_ua, two_stage, usable_links)
 
 
@@ -43,7 +43,7 @@ def test_projection_matches_reference(seed):
     for i in range(m):
         if not mask[i].any():
             mask[i, int(r.integers(l))] = True
-    got = project_rows_to_simplex(v, mask)
+    got = _simplex_projector(mask)(v)
     want = np.vstack([reference_simplex_projection(v[i], mask[i]) for i in range(m)])
     assert np.allclose(got, want, atol=1e-12)
     assert np.allclose(got.sum(axis=1), 1.0)
@@ -54,13 +54,13 @@ def test_projection_matches_reference(seed):
 def test_projection_idempotent_on_feasible_points():
     x = np.array([[0.25, 0.75, 0.0], [1.0, 0.0, 0.0]])
     mask = np.array([[True, True, False], [True, True, True]])
-    assert np.allclose(project_rows_to_simplex(x, mask), x, atol=1e-12)
+    assert np.allclose(_simplex_projector(mask)(x), x, atol=1e-12)
 
 
 def reference_rows_projection(v, mask):
     """The row projection with its mask constants rebuilt on every call and
     the padding zeroed before the cumulative sum: the bit-for-bit reference
-    for project_rows_to_simplex."""
+    for _simplex_projector."""
     v = np.asarray(v, dtype=float)
     m, l = v.shape
     if m == 0:
@@ -92,19 +92,19 @@ def test_projection_bits_match_reference(seed):
         v = r.choice([-1.0, 0.0, 0.25, 0.5, 1.0], size=(m, l))
     else:
         v = r.normal(0.0, 10.0 ** r.uniform(-3.0, 3.0), size=(m, l))
-    assert project_rows_to_simplex(v, mask).tobytes() == reference_rows_projection(v, mask).tobytes()
+    assert _simplex_projector(mask)(v).tobytes() == reference_rows_projection(v, mask).tobytes()
 
 
 def test_projection_rejects_empty_support():
     with pytest.raises(ValueError, match="empty support"):
-        project_rows_to_simplex(np.zeros((2, 2)), np.array([[True, False], [False, False]]))
-    assert project_rows_to_simplex(np.zeros((0, 3)), np.zeros((0, 3), bool)).shape == (0, 3)
+        _simplex_projector(np.array([[True, False], [False, False]]))(np.zeros((2, 2)))
+    assert _simplex_projector(np.zeros((0, 3), bool))(np.zeros((0, 3))).shape == (0, 3)
 
 
 def test_projection_precision_loss_is_a_solver_error():
     # beyond 2**53, u_1 - 1 rounds to u_1, so no entry passes the support test
     with pytest.raises(SolverError, match="rounding"):
-        project_rows_to_simplex(np.array([[1e17, 1e17]]), np.ones((1, 2), dtype=bool))
+        _simplex_projector(np.ones((1, 2), dtype=bool))(np.array([[1e17, 1e17]]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -117,10 +117,11 @@ def test_projection_path_is_monotone(seed):
     m, l = int(r.integers(1, 7)), int(r.integers(1, 6))
     mask = r.random((m, l)) < 0.6
     mask[np.arange(m), r.integers(l, size=m)] = True
-    x = project_rows_to_simplex(r.normal(size=(m, l)), mask)
+    project = _simplex_projector(mask)
+    x = project(r.normal(size=(m, l)))
     g = r.normal(0.0, 10.0 ** r.uniform(-2.0, 2.0), size=(m, l))
     ts = np.sort(10.0 ** r.uniform(-4.0, 4.0, size=12))
-    dist = np.array([np.linalg.norm(project_rows_to_simplex(x + t * g, mask) - x) for t in ts])
+    dist = np.array([np.linalg.norm(project(x + t * g) - x) for t in ts])
     # the rounding bound solve_relaxed_ua allows for each computed distance
     err = (l + 1) * np.sqrt(l) * np.finfo(float).eps * (np.sqrt(m) + ts * np.linalg.norm(g))
     assert np.all(np.diff(dist) >= -(err[1:] + err[:-1]))
@@ -137,6 +138,21 @@ def test_make_instance_bandwidth_floor_hits_threshold(rng):
     rates = inst.n_t * np.log2(1.0 + gamma)
     assert np.allclose(rates, 1e4, rtol=1e-12)
     assert np.allclose(inst.objective.xi_t, 1e4 / 1600.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("bad, value", [
+    ((1, 2), 1e-30),  # log2(1 + gamma) rounds to 0: n^T would be infinite
+    ((0, 1), np.inf),
+    ((2, 0), np.nan),
+], ids=["underflow", "inf", "nan"])
+def test_make_instance_rejects_links_without_spectral_efficiency(bad, value):
+    from semhetnet.semantics import FeasibleSets
+    gamma = np.full((3, 3), 2.0)
+    gamma[bad] = value
+    gamma[2, 2] = 0.0  # a later bad link: the message names the first one
+    with pytest.raises(ConfigError, match=rf"user {bad[0]} at BS {bad[1]}\b"):
+        build_instance(gamma, FeasibleSets(np.ones((3, 3), dtype=bool)), 1.0, np.ones(3), 1e4,
+                       0.5, 0.1, 0.95)
 
 
 # ------------------------------------------------------------- relaxed solve
@@ -232,7 +248,24 @@ def test_empty_instance():
     assert res.x_star.shape == (0, 2)
 
 
-def reference_relaxed_loop(inst, barrier=None, record_trace=False):
+@pytest.mark.parametrize("start", [
+    np.full((2, 3), 0.5),  # one column too many
+    np.full((3, 2), 0.5),  # one row too many
+    np.array([[1.0, 0.0], [1.0, 0.0]]),  # fills BS 0's budget exactly
+    np.array([[0.5, 0.5], [2.0, 0.0]]),  # loads BS 0 with 110 Hz of 100
+], ids=["extra-bs", "extra-user", "no-slack", "overloaded"])
+def test_relaxed_solve_rejects_a_start_that_is_not_strictly_interior(start):
+    inst = make_instance(xi=np.ones((2, 2)), n_t=[[60.0, 60.0], [40.0, 40.0]],
+                         budgets=[100.0, 100.0], sets=[(0, 1)] * 2)
+    with pytest.raises(ValueError, match="not strictly interior"):
+        solve_relaxed_ua(inst, start=start)
+    # a start with slack on every budget is where the solve begins
+    inside = solve_relaxed_ua(inst, barrier=BarrierParams(max_inner=1, r0=1.0, r_min=1.0,
+                                                          tol=1e9), start=np.full((2, 2), 0.5))
+    assert inside.x_star.tobytes() == np.full((2, 2), 0.5).tobytes()
+
+
+def reference_relaxed_loop(inst, barrier=None, record_trace=False, start=None):
     """The barrier loop that projects for pg at every iteration and evaluates
     W and its gradient from x alone, recording each stage's (r, iterations,
     backtracks, exit): the bit-for-bit reference for solve_relaxed_ua."""
@@ -240,7 +273,7 @@ def reference_relaxed_loop(inst, barrier=None, record_trace=False):
     obj = inst.objective
     mask = inst.mask()
     n_t, budgets = inst.n_t, inst.budgets
-    x = _interior_start(mask, n_t, budgets)
+    x = _SubsetStarts(mask, n_t, budgets).start() if start is None else start
 
     def w_of(x, r):
         slack = budgets - np.einsum("ml,ml->l", x, n_t)
@@ -312,18 +345,18 @@ def reference_relaxed_loop(inst, barrier=None, record_trace=False):
                               stages=tuple(stages))
 
 
-def assert_matches_reference_loop(inst, barrier=None, record_trace=False):
+def assert_matches_reference_loop(inst, barrier=None, record_trace=False, start=None):
     """solve_relaxed_ua and the reference loop agree bit for bit, on the
     result or on the exception raised; returns the result (None on error)."""
     try:
-        want = reference_relaxed_loop(inst, barrier, record_trace)
+        want = reference_relaxed_loop(inst, barrier, record_trace, start)
     except (InfeasibleError, SolverError) as err:
         with pytest.raises(type(err)) as got:
-            solve_relaxed_ua(inst, barrier, record_trace)
+            solve_relaxed_ua(inst, barrier, record_trace, start=start)
         assert str(got.value) == str(err)
         assert getattr(got.value, "trace", None) == getattr(err, "trace", None)
         return None
-    got = solve_relaxed_ua(inst, barrier, record_trace)
+    got = solve_relaxed_ua(inst, barrier, record_trace, start=start)
     assert got.x_star.tobytes() == want.x_star.tobytes()
     assert (got.iterations, got.pg_norm, got.stages) == (want.iterations, want.pg_norm, want.stages)
     assert got.trace == want.trace
@@ -331,13 +364,14 @@ def assert_matches_reference_loop(inst, barrier=None, record_trace=False):
 
 
 def admitted_instances(config, seeds):
-    """The admitted users' instance of each scenario seed, with its start."""
+    """The admitted users' instance of each scenario seed and the start
+    admission found for it, as two_stage hands them to solve_relaxed_ua."""
     subs = {}
     for seed in seeds:
         inst = build_scenario(config, seed).instance
         usable = usable_links(inst)
         admitted, _, start = _admit(usable, inst.n_t, inst.budgets)
-        subs[seed] = _restricted_instance(inst, usable, np.flatnonzero(admitted), start)
+        subs[seed] = _restricted_instance(inst, usable, np.flatnonzero(admitted)), start
     return subs
 
 
@@ -357,7 +391,8 @@ def admitted_congested():
 @pytest.mark.parametrize("record_trace", [True, False])
 @pytest.mark.parametrize("seed", [1, 3, 6])
 def test_relaxed_solve_matches_reference_loop_at_m200(admitted_m200, seed, record_trace):
-    got = assert_matches_reference_loop(admitted_m200[seed], record_trace=record_trace)
+    sub, start = admitted_m200[seed]
+    got = assert_matches_reference_loop(sub, record_trace=record_trace, start=start)
     assert got.iterations > 0
     assert sum(stage[1] for stage in got.stages) == got.iterations
 
@@ -366,7 +401,8 @@ def test_relaxed_solve_matches_reference_loop_at_m200(admitted_m200, seed, recor
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_relaxed_solve_matches_reference_loop_on_congested_cells(admitted_congested, seed,
                                                                  record_trace):
-    got = assert_matches_reference_loop(admitted_congested[seed], record_trace=record_trace)
+    sub, start = admitted_congested[seed]
+    got = assert_matches_reference_loop(sub, record_trace=record_trace, start=start)
     assert got.iterations > 0
 
 
@@ -376,7 +412,7 @@ def test_pg_skip_test_ignores_links_off_the_mask(admitted_congested, monkeypatch
     # skips pg projections: xi^T and n^T inflated there leave the projector
     # calls and the result unchanged, and both solves project less often
     # than the reference loop.
-    sub = admitted_congested[seed]
+    sub, start = admitted_congested[seed]
     off = ~sub.mask()
     xi = sub.objective.xi_t
     inflated = replace(sub, objective=replace(sub.objective, xi_t=np.where(off, 1e6 * xi, xi)),
@@ -396,7 +432,7 @@ def test_pg_skip_test_ignores_links_off_the_mask(admitted_congested, monkeypatch
     results = []
     for inst in (sub, inflated):
         calls.append(0)
-        results.append(solve_relaxed_ua(inst))
+        results.append(solve_relaxed_ua(inst, start=start))
     assert results[0].x_star.tobytes() == results[1].x_star.tobytes()
     assert calls[0] == calls[1]
 
@@ -408,7 +444,7 @@ def test_pg_skip_test_ignores_links_off_the_mask(admitted_congested, monkeypatch
         return reference_projection(v, mask)
 
     monkeypatch.setitem(globals(), "reference_rows_projection", counting_reference)
-    reference_relaxed_loop(sub)
+    reference_relaxed_loop(sub, start=start)
     assert calls[0] < reference_calls[0]
 
 
@@ -980,6 +1016,16 @@ def test_two_stage_pre_blocks_impossible_users():
     assert not usable_links(inst)[1].any()
 
 
+def test_two_stage_without_admitted_users():
+    # no link fits in a budget: the relaxed solve gets no user and no start
+    inst = make_instance(xi=np.ones((2, 1)), n_t=np.full((2, 1), 5e3), budgets=[1e3],
+                         sets=[(0,)] * 2)
+    sol = two_stage(inst, record_trace=True)
+    assert sol.association.unserved == (0, 1)
+    assert sol.relaxed.x_star.tobytes() == np.zeros((2, 1)).tobytes()
+    assert (sol.relaxed.iterations, sol.relaxed.stages, sol.relaxed.trace) == (0, (), ())
+
+
 def test_two_stage_deterministic(rng):
     xi = rng.uniform(0.5, 4.0, size=(8, 3))
     n_t = rng.uniform(20.0, 80.0, size=(8, 3))
@@ -1049,7 +1095,7 @@ def test_interior_start_packing_matches_array_loop(seed):
         budgets = r.uniform(10.0, 100.0, size=l) * max(1.0, m / l)
     want = array_interior_start(mask, n_t, budgets)
     try:
-        got = _interior_start(mask, n_t, budgets)
+        got = _SubsetStarts(mask, n_t, budgets).start()
     except InfeasibleError as err:
         assert list(err.overloaded) == want
     else:
@@ -1075,8 +1121,8 @@ def restart_loop_two_stage(inst, barrier=None):
         result = array_interior_start(usable[rows], inst.n_t[rows], inst.budgets)
         if isinstance(result, np.ndarray):
             start = result
-            sub = _restricted_instance(inst, usable, rows, start)
-            x_star[rows] = solve_relaxed_ua(sub, barrier=barrier).x_star
+            sub = _restricted_instance(inst, usable, rows)
+            x_star[rows] = solve_relaxed_ua(sub, barrier=barrier, start=start).x_star
             break
         over = np.zeros(inst.num_bs, dtype=bool)
         over[result] = True
