@@ -9,6 +9,7 @@ the repair step.
 
 import math
 import numbers
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from .semantics import FeasibleSets
 from .topology import bit_rate
 
 _ARMIJO = 1e-4
+_GLL_MEMORY = 10  # accepted W values the line search compares against
 _STEP_FLOOR = 1e-18
 
 
@@ -377,10 +379,13 @@ class _SubsetStarts:
 def solve_relaxed_ua(inst, barrier=None, record_trace=False, *, start=None):
     """Barrier-method solve of the relaxed association problem.
 
-    Spectral projected gradient ascent with a monotone Armijo backtracking
-    search maximizes W(x, r) for a decreasing barrier schedule r0, r0/mu,
-    ..., r_min. A stage ends with exit "tol" once the projected-gradient
-    norm pg = ||P(x + g) - x|| is at most tol, "stall" after a 25-iteration
+    Spectral projected gradient ascent maximizes W(x, r) for a decreasing
+    barrier schedule r0, r0/mu, ..., r_min. Its backtracking search is the
+    nonmonotone one of Grippo, Lampariello & Lucidi (1986): a trial x_new
+    is accepted once W(x_new) >= min(recent) + 1e-4 * g.(x_new - x), where
+    `recent` holds the stage's last 10 accepted W, its starting W included.
+    A stage ends with exit "tol" once the projected-gradient norm
+    pg = ||P(x + g) - x|| is at most tol, "stall" after a 25-iteration
     window that gains too little (see BarrierParams.stall_rtol), or
     "no_step" when no step is accepted. `stages` records each stage's r,
     iterations, backtracks and exit; pg_norm is the exact norm at the end of
@@ -391,10 +396,12 @@ def solve_relaxed_ua(inst, barrier=None, record_trace=False, *, start=None):
     nonincreasing (Calamai & More 1987, Lemma 2.2), so the line search's
     first trial gives lb = ||P(x + step g) - x|| / max(1, step) <= pg. While
     lb exceeds tol by more than a bound on the rounding of both norms,
-    pg > tol is certain and its projection is skipped. pg is computed at
-    every stall or no-step exit, at the last allowed iteration and, with
-    record_trace, at every iteration, so the iterates, pg_norm and the trace
-    are those of testing pg <= tol at every iteration.
+    pg > tol is certain and its projection is skipped. pg is computed at a
+    stage's first iteration (before the trial, so a stage that starts
+    converged projects once), at every stall or no-step exit, at the last
+    allowed iteration and, with record_trace, at every iteration, so the
+    iterates, pg_norm and the trace are those of testing pg <= tol at every
+    iteration.
 
     The solve begins at `start` (two_stage passes admission's), or else at
     the one `_SubsetStarts` finds. A start of the wrong shape or without
@@ -463,14 +470,20 @@ def solve_relaxed_ua(inst, barrier=None, record_trace=False, *, start=None):
         w_cur, slack, y = evaluate(x, r)
         g = grad_of(slack, y, r)
         w_window = w_cur
+        recent = deque([w_cur], maxlen=_GLL_MEMORY)
         backtracks = 0
         reason = None
         for it in range(barrier.max_inner):
-            xn = project(x + step * g)  # the line search's first trial
-            dx = xn - x
-            lb = float(np.linalg.norm(dx)) / max(1.0, step)
-            exact = (record_trace or it == barrier.max_inner - 1
-                     or lb <= tol + rounding * (float(np.linalg.norm(g)) + root_m))
+            # Where pg is computed regardless, it comes before the trial,
+            # which a tol exit then skips: a stage that starts converged
+            # projects once
+            exact = not it or record_trace or it == barrier.max_inner - 1
+            xn = None
+            if not exact:
+                xn = project(x + step * g)  # the line search's first trial
+                dx = xn - x
+                lb = float(np.linalg.norm(dx)) / max(1.0, step)
+                exact = lb <= tol + rounding * (float(np.linalg.norm(g)) + root_m)
             if exact:
                 pg = pg_of(x, g)
                 if record_trace:
@@ -483,11 +496,15 @@ def solve_relaxed_ua(inst, barrier=None, record_trace=False, *, start=None):
                     reason = "stall"  # ascent has flattened out at this stage
                     break
                 w_window = w_cur
+            if xn is None:
+                xn = project(x + step * g)
+                dx = xn - x
             trial = step
+            w_ref = min(recent)  # nonmonotone (GLL) reference value
             while True:
                 w_new, slack, y = evaluate(xn, r)
                 gain = float(np.vdot(g, dx))
-                if np.isfinite(w_new) and w_new >= w_cur + _ARMIJO * gain and w_new >= w_cur:
+                if np.isfinite(w_new) and w_new >= w_ref + _ARMIJO * gain:
                     break
                 backtracks += 1
                 trial *= 0.5
@@ -506,6 +523,7 @@ def solve_relaxed_ua(inst, barrier=None, record_trace=False, *, start=None):
             else:
                 step = min(trial * 2.0, 1e8)
             x, w_cur, g = xn, w_new, g_new
+            recent.append(w_cur)
         if reason is None:
             raise SolverError(
                 f"barrier stage r={r:g} did not converge within {barrier.max_inner} "

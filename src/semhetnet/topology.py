@@ -186,7 +186,10 @@ def compute_sinr(topology):
     rx_w = dbm_to_watts(topology.tx_power_dbm[None, :] - loss)
     total = rx_w.sum(axis=1, keepdims=True)
     noise_w = dbm_to_watts(topology.noise_power_dbm)
-    return rx_w / (noise_w + total - rx_w)
+    # a link whose noise and interference round away gets SINR inf, which
+    # make_instance rejects as a config error
+    with np.errstate(divide="ignore"):
+        return rx_w / (noise_w + total - rx_w)
 
 
 def bit_rate(bandwidth_hz, gamma):

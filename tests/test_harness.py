@@ -252,6 +252,7 @@ def test_cli_malformed_input_exits_2(tmp_path, monkeypatch, config, extra):
     {"region_radius_m": 1e9},
     {"noise_power_dbm": 300},
 ], ids=["femto-off", "macro-overflow", "radius-huge", "noise-huge"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_link_without_spectral_efficiency_exits_2(tmp_path, capsys, config):
     # log2(1 + SINR) rounds to 0 (or is not finite) on some link, so its n^T
     # is infinite: the scenario is rejected as a config error naming the link

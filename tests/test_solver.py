@@ -268,7 +268,9 @@ def test_relaxed_solve_rejects_a_start_that_is_not_strictly_interior(start):
 def reference_relaxed_loop(inst, barrier=None, record_trace=False, start=None):
     """The barrier loop that projects for pg at every iteration and evaluates
     W and its gradient from x alone, recording each stage's (r, iterations,
-    backtracks, exit): the bit-for-bit reference for solve_relaxed_ua."""
+    backtracks, exit): the bit-for-bit reference for solve_relaxed_ua. A
+    trial is accepted by the same nonmonotone (GLL) test: its W is at least
+    the smallest of the stage's last 10 accepted W plus 1e-4 times the gain."""
     barrier = barrier or BarrierParams()
     obj = inst.objective
     mask = inst.mask()
@@ -294,6 +296,7 @@ def reference_relaxed_loop(inst, barrier=None, record_trace=False, start=None):
         w_cur = w_of(x, r)
         g = grad_of(x, r)
         w_window = w_cur
+        recent = [w_cur]
         exit, backtracks = None, 0
         for it in range(barrier.max_inner):
             pg = float(np.linalg.norm(reference_rows_projection(x + g, mask) - x))
@@ -313,7 +316,7 @@ def reference_relaxed_loop(inst, barrier=None, record_trace=False, start=None):
                 xn = reference_rows_projection(x + trial * g, mask)
                 w_new = w_of(xn, r)
                 gain = float(np.vdot(g, xn - x))
-                if np.isfinite(w_new) and w_new >= w_cur + 1e-4 * gain and w_new >= w_cur:
+                if np.isfinite(w_new) and w_new >= min(recent[-10:]) + 1e-4 * gain:
                     accepted = True
                     break
                 trial *= 0.5
@@ -330,6 +333,7 @@ def reference_relaxed_loop(inst, barrier=None, record_trace=False, start=None):
             else:
                 step = min(trial * 2.0, 1e8)
             x, w_cur, g = xn, w_new, g_new
+            recent.append(w_cur)
             total_iters += 1
         if exit is None:
             raise SolverError(
@@ -448,6 +452,31 @@ def test_pg_skip_test_ignores_links_off_the_mask(admitted_congested, monkeypatch
     assert calls[0] < reference_calls[0]
 
 
+@pytest.mark.parametrize("seed", [1, 3, 6])
+def test_stage_that_starts_converged_projects_once(admitted_m200, monkeypatch, seed):
+    # Restarted from its own solution at its final r, the solve meets tol at
+    # the stage's first pg and projects no line-search trial
+    sub, start = admitted_m200[seed]
+    first = solve_relaxed_ua(sub, start=start)
+    r = first.stages[-1][0]
+    calls = [0]
+    projector = solver_module._simplex_projector
+
+    def counting_projector(mask):
+        project = projector(mask)
+
+        def counted(v):
+            calls[0] += 1
+            return project(v)
+        return counted
+
+    monkeypatch.setattr(solver_module, "_simplex_projector", counting_projector)
+    again = solve_relaxed_ua(sub, BarrierParams(r0=r, r_min=r), start=first.x_star)
+    assert again.stages == ((r, 0, 0, "tol"),)
+    assert calls[0] == 1
+    assert again.x_star.tobytes() == first.x_star.tobytes()
+
+
 def random_relaxed_case(r):
     """Up to 8 users on up to 4 BSs, with budgets from below the uniform
     start's loads (admission territory) to ample."""
@@ -481,6 +510,29 @@ def test_relaxed_solve_fuzz_matches_reference_loop(seed, tol, r_min, max_inner, 
     barrier = BarrierParams(tol=tol, r_min=r_min, max_inner=max_inner)
     inst = random_relaxed_case(np.random.default_rng(seed))
     assert_matches_reference_loop(inst, barrier, record_trace)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_relaxed_trace_keeps_the_nonmonotone_acceptance(seed):
+    # Within a stage, each accepted W is at least the smallest of the up to 10
+    # accepted before it (the GLL test, whose gain is nonnegative), and so at
+    # least the stage's first W
+    inst = random_relaxed_case(np.random.default_rng(seed))
+    try:
+        res = solve_relaxed_ua(inst, record_trace=True)
+    except InfeasibleError:
+        return
+    stages = []
+    for r, it, w, pg in res.trace:
+        if it == 0:
+            stages.append([])
+        stages[-1].append(w)
+    assert len(stages) == len(res.stages)
+    for ws in stages:
+        for k in range(1, len(ws)):
+            assert ws[k] >= min(ws[max(0, k - 10):k]) - 1e-9
+            assert ws[k] >= ws[0] - 1e-9
 
 
 # ------------------------------------------------------------------ rounding
@@ -1036,6 +1088,17 @@ def test_two_stage_deterministic(rng):
     assert np.array_equal(a.association.x, b.association.x)
     assert np.array_equal(a.allocation.n, b.allocation.n)
     assert a.association.unserved == b.association.unserved
+
+
+@pytest.mark.parametrize("seed", [1, 3, 6])
+def test_two_stage_association_survives_a_tighter_relaxed_solve(seed):
+    # The rounded association does not hang on the relaxed solve's last
+    # digits: a tighter tol with no stall exit rounds to the same one
+    inst = build_scenario(ScenarioConfig(num_users=200), seed).instance
+    default = two_stage(inst).association
+    tight = two_stage(inst, BarrierParams(stall_rtol=0.0, tol=1e-7)).association
+    assert default.x.tobytes() == tight.x.tobytes()
+    assert default.unserved == tight.unserved
 
 
 def test_two_stage_full_budget_use_on_active_bs(rng):
