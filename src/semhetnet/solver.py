@@ -474,9 +474,9 @@ def solve_relaxed_ua(inst, barrier=None, record_trace=False, *, start=None):
         backtracks = 0
         reason = None
         for it in range(barrier.max_inner):
-            # Where pg is computed regardless, it comes before the trial,
-            # which a tol exit then skips: a stage that starts converged
-            # projects once
+            # At a stage's start, with record_trace and at the last allowed
+            # iteration, pg comes before the trial, which a tol exit skips:
+            # a stage that starts converged projects once
             exact = not it or record_trace or it == barrier.max_inner - 1
             xn = None
             if not exact:
