@@ -120,7 +120,7 @@ def _method_report(scenario, outcome):
         "per_bs_load_hz": [float(v) for v in alloc_loads],
         "iterations": relaxed.iterations if relaxed else 0,
         "relaxed_stages": [
-            dict(zip(("r", "iterations", "backtracks", "exit"), stage))
+            dict(zip(("r", "iterations", "backtracks", "exit", "newton"), stage))
             for stage in (relaxed.stages if relaxed else ())
         ],
         "kkt_residuals": {

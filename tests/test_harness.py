@@ -110,7 +110,13 @@ def test_run_scenario_writes_artifacts(tmp_path):
         if entry["method"] == "two-stage":
             stages = entry["relaxed_stages"]
             assert stages and {s["exit"] for s in stages} <= {"tol", "stall", "no_step"}
+            assert all(0 <= s["newton"] <= s["iterations"] for s in stages)
             assert sum(s["iterations"] for s in stages) == entry["iterations"]
+            # one trace row per iteration, Newton steps included, and one per
+            # stage's last check, under the same four columns
+            trace = (tmp_path / "trace_seed1.csv").read_text().splitlines()
+            assert trace[0] == "r,iteration,value,pg_norm"
+            assert len(trace) - 1 == entry["iterations"] + len(stages)
             assert residuals["relaxed_pg_norm"] >= 0.0 and residuals["allocation_rel"] >= 0.0
         else:  # the baselines measure neither residual
             assert entry["relaxed_stages"] == []

@@ -11,7 +11,7 @@ from semhetnet.config import ScenarioConfig
 from semhetnet.errors import ConfigError, InfeasibleError, SolverError
 from semhetnet.harness import build_scenario
 from semhetnet.metrics import feasibility_violations, instance_fbar
-from semhetnet.objective import objective_gradient, objective_value
+from semhetnet.objective import DeterministicObjective, objective_gradient, objective_value
 from semhetnet.solver import (Allocation, Association, BarrierParams, RelaxedAssociation, _admit,
                               _restricted_instance, _simplex_projector, _SubsetStarts, _water_fill,
                               allocate_residual, baseline_ba, baseline_max_sinr,
@@ -268,9 +268,13 @@ def test_relaxed_solve_rejects_a_start_that_is_not_strictly_interior(start):
 def reference_relaxed_loop(inst, barrier=None, record_trace=False, start=None):
     """The barrier loop that projects for pg at every iteration and evaluates
     W and its gradient from x alone, recording each stage's (r, iterations,
-    backtracks, exit): the bit-for-bit reference for solve_relaxed_ua. A
-    trial is accepted by the same nonmonotone (GLL) test: its W is at least
-    the smallest of the stage's last 10 accepted W plus 1e-4 times the gain."""
+    backtracks, exit, Newton steps): the bit-for-bit reference for
+    solve_relaxed_ua. A trial is accepted by the same nonmonotone (GLL) test:
+    its W is at least the smallest of the stage's last 10 accepted W plus
+    1e-4 times the gain. Once the support is the same at two window checks,
+    it takes Newton steps along solver._newton_direction, each accepted at
+    the first of t = 1, 1/2, ... whose gain is positive and whose W is at
+    least the current W plus 1e-4 times the gain, until one is rejected."""
     barrier = barrier or BarrierParams()
     obj = inst.objective
     mask = inst.mask()
@@ -287,6 +291,21 @@ def reference_relaxed_loop(inst, barrier=None, record_trace=False, start=None):
         slack = budgets - np.einsum("ml,ml->l", x, n_t)
         return objective_gradient(obj, x) - r * (n_t / slack[None, :])
 
+    def newton_step(x, g, w_cur, r):
+        d = solver_module._newton_direction(inst, mask, x, g, r)
+        if d is None or float(np.vdot(g, d)) <= 0.0:
+            return None, 0, 0
+        t, halvings = 1.0, 0
+        while t >= 1e-18:
+            xn = reference_rows_projection(x + t * d, mask)
+            w_new = w_of(xn, r)
+            gain = float(np.vdot(g, xn - x))
+            if gain > 0.0 and np.isfinite(w_new) and w_new >= w_cur + 1e-4 * gain:
+                return xn, t, halvings
+            t *= 0.5
+            halvings += 1
+        return None, 0, halvings
+
     r = barrier.r0 if barrier.r0 is not None else max(1.0, abs(objective_value(obj, x)))
     step = 1.0
     total_iters = 0
@@ -296,8 +315,10 @@ def reference_relaxed_loop(inst, barrier=None, record_trace=False, start=None):
         w_cur = w_of(x, r)
         g = grad_of(x, r)
         w_window = w_cur
+        support = x > 0.0
+        newton = False
         recent = [w_cur]
-        exit, backtracks = None, 0
+        exit, backtracks, newton_steps = None, 0, 0
         for it in range(barrier.max_inner):
             pg = float(np.linalg.norm(reference_rows_projection(x + g, mask) - x))
             if record_trace:
@@ -310,20 +331,30 @@ def reference_relaxed_loop(inst, barrier=None, record_trace=False, start=None):
                     exit = "stall"
                     break
                 w_window = w_cur
+                if np.array_equal(x > 0.0, support):
+                    newton = True
+                support = x > 0.0
             accepted = False
-            trial = step
-            while trial >= 1e-18:
-                xn = reference_rows_projection(x + trial * g, mask)
-                w_new = w_of(xn, r)
-                gain = float(np.vdot(g, xn - x))
-                if np.isfinite(w_new) and w_new >= min(recent[-10:]) + 1e-4 * gain:
-                    accepted = True
-                    break
-                trial *= 0.5
-                backtracks += 1
+            if newton:
+                xn, trial, halvings = newton_step(x, g, w_cur, r)
+                backtracks += halvings
+                accepted = newton = xn is not None
+                newton_steps += accepted
+            if not accepted:
+                trial = step
+                while trial >= 1e-18:
+                    xn = reference_rows_projection(x + trial * g, mask)
+                    w_new = w_of(xn, r)
+                    gain = float(np.vdot(g, xn - x))
+                    if np.isfinite(w_new) and w_new >= min(recent[-10:]) + 1e-4 * gain:
+                        accepted = True
+                        break
+                    trial *= 0.5
+                    backtracks += 1
             if not accepted:
                 exit = "no_step"
                 break
+            w_new = w_of(xn, r)
             g_new = grad_of(xn, r)
             dx = xn - x
             dg = g_new - g
@@ -341,7 +372,7 @@ def reference_relaxed_loop(inst, barrier=None, record_trace=False, start=None):
                 f"iterations (projected-gradient norm {pg:g})",
                 trace=trace,
             )
-        stages.append((r, it, backtracks, exit))
+        stages.append((r, it, backtracks, exit, newton_steps))
         if r <= barrier.r_min * (1.0 + 1e-12):
             break
         r = max(r / barrier.mu, barrier.r_min)
@@ -472,7 +503,7 @@ def test_stage_that_starts_converged_projects_once(admitted_m200, monkeypatch, s
 
     monkeypatch.setattr(solver_module, "_simplex_projector", counting_projector)
     again = solve_relaxed_ua(sub, BarrierParams(r0=r, r_min=r), start=first.x_star)
-    assert again.stages == ((r, 0, 0, "tol"),)
+    assert again.stages == ((r, 0, 0, "tol", 0),)
     assert calls[0] == 1
     assert again.x_star.tobytes() == first.x_star.tobytes()
 
@@ -533,6 +564,120 @@ def test_relaxed_trace_keeps_the_nonmonotone_acceptance(seed):
         for k in range(1, len(ws)):
             assert ws[k] >= min(ws[max(0, k - 10):k]) - 1e-9
             assert ws[k] >= ws[0] - 1e-9
+
+
+def at_confidence(inst, sigma, alpha):
+    """inst with its objective at another sigma and alpha."""
+    obj = inst.objective
+    return replace(inst, objective=DeterministicObjective.for_confidence(obj.tau, sigma, alpha,
+                                                                         obj.xi_t))
+
+
+def dense_newton_direction(inst, mask, x, g, r):
+    """The direction of solver._newton_direction from the explicit reduced
+    Hessian: the face and pivots as there, a null-space basis Z whose
+    columns are e_ij - e_ip, -Z^T (d^2 W) Z built in full and shifted by
+    1e-12 of its largest diagonal entry, and np.linalg.solve. Returns the
+    direction and the condition number of the shifted matrix."""
+    obj, n_t = inst.objective, inst.n_t
+    m, l = x.shape
+    positive = x > 0.0
+    best = np.where(positive, g, -np.inf).max(axis=1)
+    free = positive | (mask & (g > best[:, None]))
+    pivot = x.argmax(axis=1)
+    free[np.arange(m), pivot] = False
+    ri, rj = np.nonzero(free)
+    if not ri.size:
+        return None, 1.0
+    z = np.zeros((m * l, ri.size))
+    z[ri * l + rj, np.arange(ri.size)] = 1.0
+    z[ri * l + pivot[ri], np.arange(ri.size)] = -1.0
+    slack = inst.budgets - np.einsum("ml,ml->l", x, n_t)
+    y = np.einsum("ml,ml->m", x, obj.xi_t)
+    norm = np.linalg.norm(y)
+    loads = np.zeros((m * l, l))  # d load_j / d x_ij = n_ij
+    loads[np.arange(m * l), np.tile(np.arange(l), m)] = n_t.ravel()
+    rates = np.zeros((m * l, m))  # d y_i / d x_ij = xi_ij
+    rates[np.arange(m * l), np.repeat(np.arange(m), l)] = obj.xi_t.ravel()
+    # -d^2 W = r L S^-2 L^T + (sigma q / ||y||) R (I - y y^T / ||y||^2) R^T
+    hess = r * (loads / slack) @ (loads / slack).T
+    hess += obj.sigma * obj.q / norm * (rates @ rates.T - np.outer(rates @ y, rates @ y) / norm ** 2)
+    reduced = z.T @ hess @ z
+    reduced += 1e-12 * np.abs(np.diag(reduced)).max() * np.eye(ri.size)
+    d = z @ np.linalg.solve(reduced, z.T @ g.ravel())
+    return d.reshape(m, l), np.linalg.cond(reduced)
+
+
+@pytest.mark.parametrize("sigma, alpha", [(None, 0.95), (0.0, 0.95), (0.3, 0.3)])
+def test_newton_direction_matches_a_dense_reduced_hessian_solve(sigma, alpha):
+    # On the faces where the barrier stages end (random cases solved down to
+    # r = 1e-2, at r = 1 and 1e-2), the structured solve equals the dense one
+    # wherever the dense one is itself good to 1e-9 (condition below 1e6);
+    # sigma = 0 leaves only the barrier's curvature, and alpha < 0.5 (q < 0)
+    # makes the reduced Hessian indefinite
+    compared = 0
+    for seed in range(40):
+        inst = random_relaxed_case(np.random.default_rng(seed))
+        inst = at_confidence(inst, inst.objective.sigma if sigma is None else sigma, alpha)
+        try:
+            x = solve_relaxed_ua(inst, BarrierParams(r_min=1e-2)).x_star
+        except (InfeasibleError, SolverError):
+            continue
+        mask = inst.mask()
+        for r in (1.0, 1e-2):
+            slack = inst.budgets - np.einsum("ml,ml->l", x, inst.n_t)
+            g = objective_gradient(inst.objective, x) - r * inst.n_t / slack
+            want, cond = dense_newton_direction(inst, mask, x, g, r)
+            got = solver_module._newton_direction(inst, mask, x, g, r)
+            if want is None:
+                assert got is None
+            elif cond < 1e6:
+                assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+                compared += 1
+    assert compared >= 30
+
+
+@pytest.mark.parametrize("seed", [7, 13, 15])
+def test_newton_direction_that_does_not_ascend_hands_back_to_gradient_steps(monkeypatch, seed):
+    # At alpha = 0.3, sigma q < 0 and some Newton directions do not ascend.
+    # The solve rejects them as the reference loop does, and a direction
+    # turned so that it never ascends costs nothing: the solve is then the
+    # one with gradient steps alone, and takes no Newton step
+    inst = at_confidence(random_relaxed_case(np.random.default_rng(seed)), 0.2, 0.3)
+    direction = solver_module._newton_direction
+    gains = []
+
+    def spy(inst, mask, x, g, r):
+        d = direction(inst, mask, x, g, r)
+        gains.append(None if d is None else float(np.vdot(g, d)))
+        return d
+
+    monkeypatch.setattr(solver_module, "_newton_direction", spy)
+    got = assert_matches_reference_loop(inst)
+    assert any(gain is not None and gain <= 0.0 for gain in gains)
+    assert any(stage[4] for stage in got.stages)
+
+    def never_ascends(*args):
+        d = spy(*args)
+        return d if d is None or float(np.vdot(args[3], d)) <= 0.0 else -d
+
+    monkeypatch.setattr(solver_module, "_newton_direction", never_ascends)
+    turned = solve_relaxed_ua(inst)
+    monkeypatch.setattr(solver_module, "_newton_direction", lambda *args: None)
+    plain = solve_relaxed_ua(inst)
+    assert turned.x_star.tobytes() == plain.x_star.tobytes()
+    assert turned.stages == plain.stages
+    assert all(stage[4] == 0 for stage in plain.stages)
+
+
+@pytest.mark.parametrize("seed", [2, 7])
+def test_every_barrier_stage_ends_at_tol_on_the_slow_m200_cells(seed):
+    # These cells' first stage used to stall far from tol; it now finishes
+    # on its face by Newton steps
+    relaxed = two_stage(build_scenario(ScenarioConfig(num_users=200), seed).instance).relaxed
+    assert [stage[3] for stage in relaxed.stages] == ["tol"] * len(relaxed.stages)
+    assert relaxed.stages[0][4] > 0
+    assert relaxed.pg_norm <= BarrierParams().tol
 
 
 # ------------------------------------------------------------------ rounding
@@ -1090,7 +1235,7 @@ def test_two_stage_deterministic(rng):
     assert a.association.unserved == b.association.unserved
 
 
-@pytest.mark.parametrize("seed", [1, 3, 6])
+@pytest.mark.parametrize("seed", [1, 2, 3, 6, 7])
 def test_two_stage_association_survives_a_tighter_relaxed_solve(seed):
     # The rounded association does not hang on the relaxed solve's last
     # digits: a tighter tol with no stall exit rounds to the same one
