@@ -22,6 +22,8 @@ from .topology import bit_rate
 _ARMIJO = 1e-4
 _GLL_MEMORY = 10  # accepted W values the line search compares against
 _STEP_FLOOR = 1e-18
+_EPS_ACTIVE = 1e-12  # entries this small count as at their bound in a Newton face
+_NEWTON_HALVINGS = 8  # halvings of a Newton step inside the budgets before gradient steps resume
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,7 +384,10 @@ def _newton_direction(inst, mask, x, g, r):
     """Projected Newton direction (Bertsekas 1982) of W(., r) at x, on x's face.
 
     The face frees x's positive entries, and the zero entries on the mask
-    whose gradient exceeds that of their row's best positive entry. Each row
+    whose gradient exceeds that of their row's best positive entry. Entries
+    up to 1e-12 count as zero (Bertsekas's epsilon-active set): rounding
+    dust of 1e-17 left in the face would otherwise cut the accepted step to
+    t of about 1e-17 instead of letting the projection clip it. Each row
     pivots on its largest entry, which absorbs the change of the row's other
     free entries, so the row sums stay 1. On these reduced entries (i, j) the
     Hessian of -W is
@@ -401,7 +406,7 @@ def _newton_direction(inst, mask, x, g, r):
     reduced entry or the solve is not finite.
     """
     obj, n_t = inst.objective, inst.n_t
-    positive = x > 0.0
+    positive = x > _EPS_ACTIVE
     best = np.where(positive, g, -np.inf).max(axis=1)
     free = positive | (mask & (g > best[:, None]))
     pivot = x.argmax(axis=1)
@@ -477,15 +482,18 @@ def solve_relaxed_ua(inst, barrier=None, record_trace=False, *, start=None):
     iterations, backtracks, exit and Newton steps; pg_norm is the exact norm
     at the end of the final stage.
 
-    Once the support {x > 0} at a window check is the one of the previous
-    check (or of the stage's start), the stage finishes on that face by
-    projected Newton steps (see `_newton_direction`): P(x + t d) for the
-    first t in 1, 1/2, ... whose W is at least the current W plus 1e-4
-    times its positive gain. Each accepted step is an iteration; the first
-    rejected one hands the stage back to the gradient steps until a later
-    window finds the support settled again. On the M = 200 cells this
-    turns the first stages' stalls into tol exits (seeds 2 and 7: 166 and
-    254 iterations instead of 1454 and 1525).
+    The support {x > 0} is checked at iteration 25 and from then on every 5
+    iterations. Once it is the one of the previous check (or, at iteration
+    25, of the stage's start), the stage finishes on that face by projected
+    Newton steps (see `_newton_direction`, whose face counts entries up to
+    1e-12 as zero): P(x + t d) for the first t in t0, t0/2, ... whose W is
+    at least the current W plus 1e-4 times its positive gain, t0 being the
+    largest power of 1/2 with t0 max|d| <= 1. Each accepted step is an
+    iteration; a rejected one (9 trials inside the budgets fail, or t
+    would fall below the step floor) hands the stage back to the gradient
+    steps until a later check finds the support settled again. On the
+    M = 200 cells this turns the first stages' stalls into tol exits (seeds
+    2 and 7: 111 and 81 iterations instead of 1454 and 1525).
 
     pg is computed only when it may be at most tol. For x feasible,
     ||P(x + t g) - x|| is nondecreasing in t and ||P(x + t g) - x|| / t is
@@ -555,14 +563,22 @@ def solve_relaxed_ua(inst, barrier=None, record_trace=False, *, start=None):
         return float(np.linalg.norm(project(x + g) - x))
 
     def newton_trial(x, g, w_cur, r):
-        """P(x + t d) for the Newton direction d and the first t in 1, 1/2,
-        ... that passes the monotone Armijo test, with its W, slack and
-        rates, or None if none does; and the number of halvings."""
+        """P(x + t d) for the Newton direction d and the first t in t0,
+        t0/2, ... that passes the monotone Armijo test, with its W, slack
+        and rates, or None if none does; and the number of rejected trials.
+        t0 is the largest power of 1/2 with t0 max|d| <= 1, so no entry of
+        the first trial moves further than a simplex's diameter. The search
+        gives up at the step floor, or once 9 trials inside the budgets
+        (t0 and 8 halvings) have failed. Trials outside the budgets do not
+        count: near a tight budget the projection's clipping can move load
+        onto it, and only a much shorter step is a point of W's domain."""
         d = _newton_direction(inst, mask, x, g, r)
         if d is None or not float(np.vdot(g, d)) > 0.0:
             return None, 0
-        t, halvings = 1.0, 0
-        while t >= _STEP_FLOOR:
+        frac, exp = math.frexp(float(np.abs(d).max()))
+        t = math.ldexp(1.0, -max(0, exp - (frac == 0.5)))
+        halvings = misses = 0
+        while t >= _STEP_FLOOR and misses <= _NEWTON_HALVINGS:
             xn = project(x + t * d)
             w_new, slack, y = evaluate(xn, r)
             gain = float(np.vdot(g, xn - x))
@@ -570,6 +586,7 @@ def solve_relaxed_ua(inst, barrier=None, record_trace=False, *, start=None):
                 return (xn, t, w_new, slack, y), halvings
             t *= 0.5
             halvings += 1
+            misses += bool(np.isfinite(w_new))
         return None, halvings
 
     r = barrier.r0 if barrier.r0 is not None else max(1.0, abs(fbar(x)[0]))
@@ -580,6 +597,7 @@ def solve_relaxed_ua(inst, barrier=None, record_trace=False, *, start=None):
     trace = []
     stages = []
     window = 25
+    support_every = 5  # iterations between support checks after the first window
     while True:
         w_cur, slack, y = evaluate(x, r)
         g = grad_of(slack, y, r)
@@ -612,7 +630,8 @@ def solve_relaxed_ua(inst, barrier=None, record_trace=False, *, start=None):
                     reason = "stall"  # ascent has flattened out at this stage
                     break
                 w_window = w_cur
-                # the support held over a whole window: finish on its face
+            if it >= window and it % support_every == 0:
+                # the support held since the last check: finish on its face
                 newton = newton or np.array_equal(x > 0.0, support)
                 support = x > 0.0
             if newton:

@@ -273,8 +273,12 @@ def reference_relaxed_loop(inst, barrier=None, record_trace=False, start=None):
     its W is at least the smallest of the stage's last 10 accepted W plus
     1e-4 times the gain. Once the support is the same at two window checks,
     it takes Newton steps along solver._newton_direction, each accepted at
-    the first of t = 1, 1/2, ... whose gain is positive and whose W is at
-    least the current W plus 1e-4 times the gain, until one is rejected."""
+    the first of t = t0, t0/2, ... (t0 the largest power of 1/2 with
+    t0 max|d| <= 1, and t at least 1e-18; at most 9 trials with a finite W)
+    whose gain is positive and whose W is at least the current W plus 1e-4
+    times the gain, until one is rejected. The support is compared at
+    iteration 25 with the stage's start, and from then on every 5
+    iterations with the previous check."""
     barrier = barrier or BarrierParams()
     obj = inst.objective
     mask = inst.mask()
@@ -295,8 +299,10 @@ def reference_relaxed_loop(inst, barrier=None, record_trace=False, start=None):
         d = solver_module._newton_direction(inst, mask, x, g, r)
         if d is None or float(np.vdot(g, d)) <= 0.0:
             return None, 0, 0
-        t, halvings = 1.0, 0
-        while t >= 1e-18:
+        t, halvings, finite = 1.0, 0, 0
+        while t * np.abs(d).max() > 1.0:
+            t *= 0.5
+        while t >= 1e-18 and finite < 9:
             xn = reference_rows_projection(x + t * d, mask)
             w_new = w_of(xn, r)
             gain = float(np.vdot(g, xn - x))
@@ -304,6 +310,7 @@ def reference_relaxed_loop(inst, barrier=None, record_trace=False, start=None):
                 return xn, t, halvings
             t *= 0.5
             halvings += 1
+            finite += np.isfinite(w_new)
         return None, 0, halvings
 
     r = barrier.r0 if barrier.r0 is not None else max(1.0, abs(objective_value(obj, x)))
@@ -331,6 +338,7 @@ def reference_relaxed_loop(inst, barrier=None, record_trace=False, start=None):
                     exit = "stall"
                     break
                 w_window = w_cur
+            if it >= 25 and it % 5 == 0:
                 if np.array_equal(x > 0.0, support):
                     newton = True
                 support = x > 0.0
@@ -441,17 +449,9 @@ def test_relaxed_solve_matches_reference_loop_on_congested_cells(admitted_conges
     assert got.iterations > 0
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_pg_skip_test_ignores_links_off_the_mask(admitted_congested, monkeypatch, seed):
-    # The projector reads nothing off the mask, so neither may the test that
-    # skips pg projections: xi^T and n^T inflated there leave the projector
-    # calls and the result unchanged, and both solves project less often
-    # than the reference loop.
-    sub, start = admitted_congested[seed]
-    off = ~sub.mask()
-    xi = sub.objective.xi_t
-    inflated = replace(sub, objective=replace(sub.objective, xi_t=np.where(off, 1e6 * xi, xi)),
-                       n_t=np.where(off, 1e6 * sub.n_t, sub.n_t))
+def count_projections(monkeypatch):
+    """Wrap solver._simplex_projector so that every projection adds 1 to the
+    last entry of the returned list; append 0 to it to start a count."""
     calls = []
     projector = solver_module._simplex_projector
 
@@ -464,6 +464,21 @@ def test_pg_skip_test_ignores_links_off_the_mask(admitted_congested, monkeypatch
         return counted
 
     monkeypatch.setattr(solver_module, "_simplex_projector", counting_projector)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pg_skip_test_ignores_links_off_the_mask(admitted_congested, monkeypatch, seed):
+    # The projector reads nothing off the mask, so neither may the test that
+    # skips pg projections: xi^T and n^T inflated there leave the projector
+    # calls and the result unchanged, and both solves project less often
+    # than the reference loop.
+    sub, start = admitted_congested[seed]
+    off = ~sub.mask()
+    xi = sub.objective.xi_t
+    inflated = replace(sub, objective=replace(sub.objective, xi_t=np.where(off, 1e6 * xi, xi)),
+                       n_t=np.where(off, 1e6 * sub.n_t, sub.n_t))
+    calls = count_projections(monkeypatch)
     results = []
     for inst in (sub, inflated):
         calls.append(0)
@@ -490,21 +505,11 @@ def test_stage_that_starts_converged_projects_once(admitted_m200, monkeypatch, s
     sub, start = admitted_m200[seed]
     first = solve_relaxed_ua(sub, start=start)
     r = first.stages[-1][0]
-    calls = [0]
-    projector = solver_module._simplex_projector
-
-    def counting_projector(mask):
-        project = projector(mask)
-
-        def counted(v):
-            calls[0] += 1
-            return project(v)
-        return counted
-
-    monkeypatch.setattr(solver_module, "_simplex_projector", counting_projector)
+    calls = count_projections(monkeypatch)
+    calls.append(0)
     again = solve_relaxed_ua(sub, BarrierParams(r0=r, r_min=r), start=first.x_star)
     assert again.stages == ((r, 0, 0, "tol", 0),)
-    assert calls[0] == 1
+    assert calls == [1]
     assert again.x_star.tobytes() == first.x_star.tobytes()
 
 
@@ -575,13 +580,14 @@ def at_confidence(inst, sigma, alpha):
 
 def dense_newton_direction(inst, mask, x, g, r):
     """The direction of solver._newton_direction from the explicit reduced
-    Hessian: the face and pivots as there, a null-space basis Z whose
-    columns are e_ij - e_ip, -Z^T (d^2 W) Z built in full and shifted by
-    1e-12 of its largest diagonal entry, and np.linalg.solve. Returns the
-    direction and the condition number of the shifted matrix."""
+    Hessian: the face and pivots as there (entries up to 1e-12 count as
+    zero), a null-space basis Z whose columns are e_ij - e_ip, -Z^T (d^2 W) Z
+    built in full and shifted by 1e-12 of its largest diagonal entry, and
+    np.linalg.solve. Returns the direction and the condition number of the
+    shifted matrix."""
     obj, n_t = inst.objective, inst.n_t
     m, l = x.shape
-    positive = x > 0.0
+    positive = x > 1e-12
     best = np.where(positive, g, -np.inf).max(axis=1)
     free = positive | (mask & (g > best[:, None]))
     pivot = x.argmax(axis=1)
@@ -637,7 +643,7 @@ def test_newton_direction_matches_a_dense_reduced_hessian_solve(sigma, alpha):
     assert compared >= 30
 
 
-@pytest.mark.parametrize("seed", [7, 13, 15])
+@pytest.mark.parametrize("seed", [7, 13, 18])
 def test_newton_direction_that_does_not_ascend_hands_back_to_gradient_steps(monkeypatch, seed):
     # At alpha = 0.3, sigma q < 0 and some Newton directions do not ascend.
     # The solve rejects them as the reference loop does, and a direction
@@ -678,6 +684,48 @@ def test_every_barrier_stage_ends_at_tol_on_the_slow_m200_cells(seed):
     assert [stage[3] for stage in relaxed.stages] == ["tol"] * len(relaxed.stages)
     assert relaxed.stages[0][4] > 0
     assert relaxed.pg_norm <= BarrierParams().tol
+
+
+def test_newton_finish_halves_the_projections_on_the_slow_m200_cells(monkeypatch):
+    # Projections two_stage makes on M = 200 seeds 2, 4 and 7 with a face
+    # that counts rounding dust as positive, a first Newton trial at t = 1,
+    # halvings down to the step floor and the support compared every 25
+    # iterations: 555, 381 and 426. Together they now take at most half.
+    before = [555, 381, 426]
+    calls = count_projections(monkeypatch)
+    for seed in (2, 4, 7):
+        calls.append(0)
+        two_stage(build_scenario(ScenarioConfig(num_users=200), seed).instance)
+    assert all(got < want for got, want in zip(calls, before))
+    assert 2 * sum(calls) <= sum(before)
+
+
+def test_newton_face_treats_rounding_dust_as_zero():
+    # Entries of 1e-17 whose gradient does not beat their row's best positive
+    # entry stay off the face: the direction is the one with them at 0
+    compared = 0
+    for seed in range(20):
+        inst = random_relaxed_case(np.random.default_rng(seed))
+        try:
+            x = solve_relaxed_ua(inst, BarrierParams(r_min=1e-2)).x_star
+        except (InfeasibleError, SolverError):
+            continue
+        mask = inst.mask()
+        slack = inst.budgets - np.einsum("ml,ml->l", x, inst.n_t)
+        g = objective_gradient(inst.objective, x) - 1e-2 * inst.n_t / slack
+        best = np.where(x > 0.0, g, -np.inf).max(axis=1)
+        dust = mask & (x == 0.0) & (g <= best[:, None])
+        if not dust.any():
+            continue
+        want = solver_module._newton_direction(inst, mask, x, g, 1e-2)
+        got = solver_module._newton_direction(inst, mask, np.where(dust, 1e-17, x), g, 1e-2)
+        if want is None:
+            assert got is None
+            continue
+        assert not got[dust].any()
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+        compared += 1
+    assert compared >= 5
 
 
 # ------------------------------------------------------------------ rounding
