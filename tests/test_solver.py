@@ -513,6 +513,66 @@ def test_stage_that_starts_converged_projects_once(admitted_m200, monkeypatch, s
     assert again.x_star.tobytes() == first.x_star.tobytes()
 
 
+def independent_pg(inst, x, r):
+    """pg at (x, r) from the analytic gradient and the test-side projection."""
+    slack = inst.budgets - np.einsum("ml,ml->l", x, inst.n_t)
+    g = objective_gradient(inst.objective, x) - r * inst.n_t / slack
+    return float(np.linalg.norm(reference_rows_projection(x + g, inst.mask()) - x))
+
+
+def check_zero_iteration_stages(inst, barrier=None, start=None):
+    """Every stage the solve records with 0 iterations, skipped or run,
+    starts at tol: the solve stopped at that stage's r, which runs it as its
+    final stage, records the same stages up to it, and pg recomputed at its
+    x_star is at most tol. Returns the solve and the number of such stages."""
+    barrier = barrier or BarrierParams()
+    full = solve_relaxed_ua(inst, barrier, start=start)
+    checked = 0
+    for k, (r, iterations, *_) in enumerate(full.stages):
+        if iterations:
+            continue
+        part = solve_relaxed_ua(inst, replace(barrier, r_min=r), start=start)
+        assert part.stages == full.stages[:k + 1]
+        assert independent_pg(inst, part.x_star, r) <= barrier.tol
+        checked += 1
+    return full, checked
+
+
+@pytest.mark.parametrize("seed", [1, 3, 6])
+def test_skipped_stages_start_converged_on_m200_cells(admitted_m200, seed):
+    # xi^T is constant along each row here, so the first stage certifies
+    # all the later ones, which are recorded without being run
+    sub, start = admitted_m200[seed]
+    full, checked = check_zero_iteration_stages(sub, start=start)
+    assert checked == len(full.stages) - 1 >= 8
+
+
+def test_zero_iteration_stages_start_converged_where_xi_varies_along_rows():
+    # Where xi^T varies along a row, the certificate fails and the later
+    # stages run; a stage is never recorded at tol without starting there
+    checked = 0
+    for seed in range(40):
+        inst = random_relaxed_case(np.random.default_rng(seed))
+        try:
+            checked += check_zero_iteration_stages(inst)[1]
+        except (InfeasibleError, SolverError):
+            continue
+    assert checked >= 100
+
+
+def test_later_stages_cost_one_projection_on_an_m200_cell(admitted_m200, monkeypatch):
+    # After the first stage, only the final stage runs, and it projects once
+    sub, start = admitted_m200[1]
+    calls = count_projections(monkeypatch)
+    calls.append(0)
+    full = solve_relaxed_ua(sub, start=start)
+    calls.append(0)
+    first = solve_relaxed_ua(sub, BarrierParams(r_min=full.stages[0][0]), start=start)
+    assert first.stages == full.stages[:1]
+    assert len(full.stages) == 10
+    assert calls[0] - calls[1] == 1
+
+
 def random_relaxed_case(r):
     """Up to 8 users on up to 4 BSs, with budgets from below the uniform
     start's loads (admission territory) to ample."""
