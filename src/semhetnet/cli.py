@@ -42,7 +42,7 @@ def _cmd_gen(args):
 
 def _cmd_solve(args):
     cfg = _load(args)
-    rows, _, _ = run_scenario(cfg, out_dir=args.out, record_trace=args.trace)
+    rows, _, _ = run_scenario(cfg, out_dir=args.out)
     for row in rows:
         print(f"seed={row['seed']} method={row['method']} "
               f"expected_stm={row['expected_stm']:.6g} fbar={row['fbar']:.6g} "
@@ -99,8 +99,6 @@ def build_parser():
 
     p_solve = sub.add_parser("solve", help="run one scenario and write results")
     _add_common(p_solve)
-    p_solve.add_argument("--trace", action="store_true",
-                         help="also write per-iteration solver trace CSVs")
     p_solve.set_defaults(func=_cmd_solve)
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep")

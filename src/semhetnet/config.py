@@ -67,11 +67,16 @@ class ScenarioConfig:
     sweep: SweepSpec = None
 
     def __post_init__(self):
+        self.validate()
         self.methods = tuple(self.methods)
         self.seeds = tuple(int(s) for s in self.seeds)
-        self.validate()
 
     def validate(self):
+        if not all(isinstance(v, (list, tuple)) for v in (self.methods, self.seeds)):
+            raise ConfigError("config fields 'methods' and 'seeds' must be lists")
+        if not self.seeds or not all(isinstance(s, numbers.Integral) and not isinstance(s, bool)
+                                     and s >= 0 for s in self.seeds):
+            raise ConfigError("config field 'seeds' must list one or more integers >= 0")
         counts = (self.num_macro, self.num_pico, self.num_femto, self.num_users,
                   self.num_domains, self.kb_per_bs, self.needs_per_mu)
         if not all(isinstance(v, numbers.Integral) for v in counts):
@@ -92,7 +97,6 @@ class ScenarioConfig:
             ("sigma", self.sigma >= 0.0),
             ("alpha", 0.0 < self.alpha < 1.0),
             ("bit_rate_threshold_bps", self.bit_rate_threshold_bps > 0),
-            ("seeds", len(self.seeds) >= 1),
         )
         for name, ok in checks:
             if not ok:

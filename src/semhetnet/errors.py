@@ -14,8 +14,5 @@ class InfeasibleError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    """Iterative solve failed to converge; carries the iteration trace."""
-
-    def __init__(self, message, trace=()):
-        super().__init__(message)
-        self.trace = tuple(trace)
+    """A barrier stage ran out of iterations (the message names its r and
+    pg), or a projection lost a row's support to rounding."""

@@ -70,11 +70,11 @@ def build_scenario(config, seed):
     return Scenario(config=config, seed=seed, topology=topology, gamma=gamma, instance=instance)
 
 
-def run_method(scenario, method, record_trace=False):
+def run_method(scenario, method):
     cfg = scenario.config
     inst = scenario.instance
     if method == "two-stage":
-        sol = solver.two_stage(inst, barrier=cfg.barrier, record_trace=record_trace)
+        sol = solver.two_stage(inst, barrier=cfg.barrier)
         assoc, alloc, relaxed, evicted = sol.association, sol.allocation, sol.relaxed, sol.evicted
     elif method in ("max-sinr-wf", "max-sinr-even"):
         assoc = solver.baseline_max_sinr(scenario.gamma, inst,
@@ -130,7 +130,7 @@ def _method_report(scenario, outcome):
     }
 
 
-def run_scenario(config, out_dir=None, record_trace=False):
+def run_scenario(config, out_dir=None):
     """Run every configured (seed, method) cell and optionally write artifacts.
 
     Returns (rows, outcomes, reports): CSV-ready row dicts in deterministic
@@ -144,7 +144,7 @@ def run_scenario(config, out_dir=None, record_trace=False):
         scenario = build_scenario(config, seed)
         per_method = {}
         for method in config.methods:
-            outcome = run_method(scenario, method, record_trace=record_trace)
+            outcome = run_method(scenario, method)
             per_method[method] = outcome
             rows.append(_result_row(config, seed, outcome))
         outcomes[seed] = per_method
@@ -163,22 +163,7 @@ def run_scenario(config, out_dir=None, record_trace=False):
         _write_csv(os.path.join(out_dir, "results.csv"), RESULTS_FIELDS, rows)
         with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
             json.dump(reports, fh, indent=2)
-        if record_trace:
-            _write_traces(out_dir, config, outcomes)
     return rows, outcomes, reports
-
-
-def _write_traces(out_dir, config, outcomes):
-    for seed, per_method in outcomes.items():
-        out = per_method.get("two-stage")
-        if out is None or out.relaxed is None:
-            continue
-        path = os.path.join(out_dir, f"trace_seed{seed}.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("r", "iteration", "value", "pg_norm"))
-            for row in out.relaxed.trace:
-                writer.writerow(row)
 
 
 def _write_csv(path, fields, rows):

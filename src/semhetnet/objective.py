@@ -13,6 +13,7 @@ y_i = sum_j x_ij * xi_ij. Pr{F >= Fbar} = alpha holds exactly, which
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -20,19 +21,6 @@ from .seeding import substream
 from .semantics import ETA_CLAMP_EPS
 
 _SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-# Rational approximation of the inverse normal CDF (relative error
-# below 1.2e-9 everywhere), then polished by one Newton step.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
 
 
 def std_normal_cdf(x):
@@ -40,36 +28,13 @@ def std_normal_cdf(x):
     return 0.5 * math.erfc(-float(x) / _SQRT2)
 
 
-def _quantile_rational(p):
-    if p < _P_LOW:
-        t = math.sqrt(-2.0 * math.log(p))
-        return (((((_C[0] * t + _C[1]) * t + _C[2]) * t + _C[3]) * t + _C[4]) * t + _C[5]) / (
-            (((_D[0] * t + _D[1]) * t + _D[2]) * t + _D[3]) * t + 1.0
-        )
-    if p > 1.0 - _P_LOW:
-        t = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((_C[0] * t + _C[1]) * t + _C[2]) * t + _C[3]) * t + _C[4]) * t + _C[5]) / (
-            (((_D[0] * t + _D[1]) * t + _D[2]) * t + _D[3]) * t + 1.0
-        )
-    t = p - 0.5
-    r = t * t
-    return (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * t / (
-        ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0
-    )
-
-
 def std_normal_quantile(alpha):
-    """Inverse standard normal CDF, accurate to |Phi(q) - alpha| < 1e-10.
-
-    A rational approximation supplies the starting point and one Newton
-    step against the erfc-based CDF polishes it.
-    """
+    """Inverse standard normal CDF: the standard library's Wichura AS241
+    (Applied Statistics 37(3), 1988), within a few ulps of the exact value."""
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    q = _quantile_rational(alpha)
-    pdf = math.exp(-0.5 * q * q) / _SQRT_2PI
-    return q - (std_normal_cdf(q) - alpha) / pdf
+    return NormalDist().inv_cdf(alpha)
 
 
 @dataclass(frozen=True, eq=False)

@@ -135,7 +135,6 @@ class RelaxedAssociation:
     x_star: np.ndarray
     iterations: int = 0
     pg_norm: float = 0.0
-    trace: tuple = ()
     stages: tuple = ()
 
 
@@ -467,7 +466,7 @@ def _newton_direction(inst, mask, x, g, r):
     return d
 
 
-def solve_relaxed_ua(inst, barrier=None, record_trace=False, *, start=None):
+def solve_relaxed_ua(inst, barrier=None, *, start=None):
     """Barrier-method solve of the relaxed association problem.
 
     Spectral projected gradient ascent maximizes W(x, r) for a decreasing
@@ -503,9 +502,8 @@ def solve_relaxed_ua(inst, barrier=None, record_trace=False, *, start=None):
     pg > tol is certain and its projection is skipped. pg is computed at a
     stage's first iteration (before the trial, so a stage that starts
     converged projects once), at every Newton step, at every stall or
-    no-step exit, at the last allowed iteration and, with record_trace, at
-    every iteration, so the iterates, pg_norm and the trace are those of
-    testing pg <= tol at every iteration.
+    no-step exit and at the last allowed iteration, so the iterates and
+    pg_norm are those of testing pg <= tol at every iteration.
 
     A stage that ends at tol at r may certify every later stage but the
     final one; these are recorded as (r', 0, 0, "tol", 0) without being run,
@@ -519,8 +517,7 @@ def solve_relaxed_ua(inst, barrier=None, record_trace=False, *, start=None):
     stages with ||g_F|| + r ||b|| for ||g||, to be at most tol. That holds
     where xi^T is constant along each row, as `make_instance` builds it
     (kappa * threshold on every link): Fbar is then constant on the relaxed
-    set, and W's maximizer does not depend on r. With record_trace every
-    stage runs.
+    set, and W's maximizer does not depend on r.
 
     The solve begins at `start` (two_stage passes admission's), or else at
     the one `_SubsetStarts` finds. A start of the wrong shape or without
@@ -618,7 +615,6 @@ def solve_relaxed_ua(inst, barrier=None, record_trace=False, *, start=None):
     step = 1.0
     total_iters = 0
     pg = np.inf
-    trace = []
     stages = []
     window = 25
     support_every = 5  # iterations between support checks after the first window
@@ -632,10 +628,10 @@ def solve_relaxed_ua(inst, barrier=None, record_trace=False, *, start=None):
         backtracks = newton_steps = 0
         reason = None
         for it in range(barrier.max_inner):
-            # At a stage's start, in Newton steps, with record_trace and at the
-            # last allowed iteration, pg comes before the trial, which a tol
-            # exit skips: a stage that starts converged projects once
-            exact = not it or newton or record_trace or it == barrier.max_inner - 1
+            # At a stage's start, in Newton steps and at the last allowed
+            # iteration, pg comes before the trial, which a tol exit skips: a
+            # stage that starts converged projects once
+            exact = not it or newton or it == barrier.max_inner - 1
             xn = None
             if not exact:
                 xn = project(x + step * g)  # the line search's first trial
@@ -644,8 +640,6 @@ def solve_relaxed_ua(inst, barrier=None, record_trace=False, *, start=None):
                 exact = lb <= tol + rounding * (float(np.linalg.norm(g)) + root_m)
             if exact:
                 pg = pg_of(x, g)
-                if record_trace:
-                    trace.append((r, it, w_cur, pg))
                 if pg <= tol:
                     reason = "tol"
                     break
@@ -698,22 +692,19 @@ def solve_relaxed_ua(inst, barrier=None, record_trace=False, *, start=None):
         if reason is None:
             raise SolverError(
                 f"barrier stage r={r:g} did not converge within {barrier.max_inner} "
-                f"iterations (projected-gradient norm {pg:g})",
-                trace=trace,
-            )
+                f"iterations (projected-gradient norm {pg:g})")
         if not exact:
             pg = pg_of(x, g)
         total_iters += it
         stages.append((r, it, backtracks, reason, newton_steps))
         if r <= last_r:
             break
-        skip = reason == "tol" and not record_trace and pg + drift(slack, y, r) <= tol
+        skip = reason == "tol" and pg + drift(slack, y, r) <= tol
         r = max(r / barrier.mu, barrier.r_min)
         while skip and r > last_r:
             stages.append((r, 0, 0, "tol", 0))
             r = max(r / barrier.mu, barrier.r_min)
-    return RelaxedAssociation(x, iterations=total_iters, pg_norm=pg, trace=tuple(trace),
-                              stages=tuple(stages))
+    return RelaxedAssociation(x, iterations=total_iters, pg_norm=pg, stages=tuple(stages))
 
 
 def round_association(xs, inst):
@@ -1004,7 +995,7 @@ def _admit(usable, n_t, budgets):
     return admitted, tuple(evicted), start
 
 
-def two_stage(inst, barrier=None, record_trace=False):
+def two_stage(inst, barrier=None):
     """Admission, relaxed solve, rounding, repair, and residual allocation.
 
     Users without a single feasible link that fits inside a budget can never
@@ -1021,8 +1012,7 @@ def two_stage(inst, barrier=None, record_trace=False):
     usable = usable_links(inst)
     admitted, evicted, start = _admit(usable, inst.n_t, inst.budgets)
     rows = np.flatnonzero(admitted)
-    sub = solve_relaxed_ua(_restricted_instance(inst, usable, rows), barrier=barrier,
-                           record_trace=record_trace, start=start)
+    sub = solve_relaxed_ua(_restricted_instance(inst, usable, rows), barrier=barrier, start=start)
     x_star = np.zeros_like(inst.n_t)
     x_star[rows] = sub.x_star
     relaxed = replace(sub, x_star=x_star)

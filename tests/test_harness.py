@@ -96,7 +96,7 @@ def test_run_scenario_empty_network(tmp_path):
 
 def test_run_scenario_writes_artifacts(tmp_path):
     cfg = config_from_dict({**DESK, "methods": list(ScenarioConfig().methods)})
-    rows, outcomes, reports = run_scenario(cfg, out_dir=str(tmp_path), record_trace=True)
+    rows, outcomes, reports = run_scenario(cfg, out_dir=str(tmp_path))
     assert len(rows) == 3
     text = (tmp_path / "results.csv").read_text().splitlines()
     assert text[0] == ",".join(RESULTS_FIELDS)
@@ -104,7 +104,7 @@ def test_run_scenario_writes_artifacts(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report[0]["methods"][0]["method"] == "two-stage"
     assert "per_bs_load_hz" in report[0]["methods"][0]
-    assert (tmp_path / "trace_seed1.csv").exists()
+    assert not list(tmp_path.glob("trace_seed*.csv"))  # the stage table is the record
     for entry in report[0]["methods"]:
         residuals = entry["kkt_residuals"]
         if entry["method"] == "two-stage":
@@ -112,11 +112,6 @@ def test_run_scenario_writes_artifacts(tmp_path):
             assert stages and {s["exit"] for s in stages} <= {"tol", "stall", "no_step"}
             assert all(0 <= s["newton"] <= s["iterations"] for s in stages)
             assert sum(s["iterations"] for s in stages) == entry["iterations"]
-            # one trace row per iteration, Newton steps included, and one per
-            # stage's last check, under the same four columns
-            trace = (tmp_path / "trace_seed1.csv").read_text().splitlines()
-            assert trace[0] == "r,iteration,value,pg_norm"
-            assert len(trace) - 1 == entry["iterations"] + len(stages)
             assert residuals["relaxed_pg_norm"] >= 0.0 and residuals["allocation_rel"] >= 0.0
         else:  # the baselines measure neither residual
             assert entry["relaxed_stages"] == []
@@ -212,6 +207,14 @@ def test_cli_bad_config_exit_code(tmp_path):
     ({"barrier": {"tol": float("nan")}}, []),
     ({"barrier": {"max_inner": 2.5}}, []),
     ({"seeds": ["a"]}, []),
+    # seeds are integers >= 0 in a list, and methods a list: no coercion
+    ({"seeds": [-3]}, []),
+    ({}, ["solve", "--seed", "-1"]),
+    ({"seeds": [1.5]}, []),
+    ({"seeds": ["7"]}, []),
+    ({"seeds": [True]}, []),
+    ({"seeds": 7}, []),
+    ({"methods": "two-stage"}, []),
     ({"num_users": 2.5}, []),
     ({"sweep": {"variable": "num_mus"}}, []),
     ({"sweep": {"variable": "alpha", "values": ["a"]}}, ["sweep"]),
@@ -235,11 +238,12 @@ def test_cli_bad_config_exit_code(tmp_path):
     ({"num_users": 10**25}, []),
     ({"num_domains": 10**20}, []),
 ], ids=["mu-1", "r_min-negative", "mu-below-1", "mu-string", "tol-nan", "max_inner-float",
-        "seed-string", "users-not-integer", "sweep-without-values", "sweep-value-string",
-        "missing-file", "values-not-numbers", "radius-inf", "radius-huge-int", "macro-power-inf",
-        "femto-power-nan", "msg_per_bit-inf", "threshold-inf", "sigma-inf", "budget-inf",
-        "noise-minus-inf", "num_mus-inf", "num_mus-nan", "num_bss-inf", "num_bss-nan",
-        "users-huge", "domains-huge"])
+        "seed-string", "seed-negative", "seed-flag-negative", "seed-float", "seed-digit-string",
+        "seed-bool", "seeds-not-list", "methods-string", "users-not-integer",
+        "sweep-without-values", "sweep-value-string", "missing-file", "values-not-numbers",
+        "radius-inf", "radius-huge-int", "macro-power-inf", "femto-power-nan", "msg_per_bit-inf",
+        "threshold-inf", "sigma-inf", "budget-inf", "noise-minus-inf", "num_mus-inf",
+        "num_mus-nan", "num_bss-inf", "num_bss-nan", "users-huge", "domains-huge"])
 def test_cli_malformed_input_exits_2(tmp_path, monkeypatch, config, extra):
     def no_solve(*args, **kwargs):
         raise AssertionError("malformed input must be rejected before any solve")
@@ -250,6 +254,13 @@ def test_cli_malformed_input_exits_2(tmp_path, monkeypatch, config, extra):
         path.write_text(json.dumps({**DESK, **config}))
     argv = extra or ["solve"]
     assert cli_main(argv + ["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_cli_solve_has_no_trace_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["solve", "--trace", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --trace" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("config", [

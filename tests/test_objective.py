@@ -29,7 +29,11 @@ def test_quantile_known_values():
 
 
 def test_quantile_matches_bisection_oracle():
-    for alpha in (0.01, 0.1, 0.3, 0.5, 0.55, 0.75, 0.9, 0.95, 0.975, 0.99):
+    # 1e-300 and 1e-12 reach AS241's far-tail branch (alpha < exp(-25)), 1e-6
+    # the deep end of its intermediate one; the upper tail is left out, as
+    # near 1 the bisection on the erfc CDF is good to about 1e-5
+    for alpha in (1e-300, 1e-12, 1e-6, 0.01, 0.1, 0.3, 0.5, 0.55, 0.75, 0.9, 0.95, 0.975,
+                  0.99):
         assert std_normal_quantile(alpha) == pytest.approx(bisect_quantile(alpha), abs=1e-9)
         assert abs(std_normal_cdf(std_normal_quantile(alpha)) - alpha) < 1e-10
 
