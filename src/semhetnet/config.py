@@ -4,11 +4,10 @@ import dataclasses
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
 from .semantics import DEFAULT_MSG_PER_BIT
-from .solver import BarrierParams
 from .topology import DEFAULT_BANDWIDTH_BUDGET_HZ, DEFAULT_NOISE_POWER_DBM
 
 METHOD_NAMES = ("two-stage", "max-sinr-wf", "max-sinr-even")
@@ -61,7 +60,6 @@ class ScenarioConfig:
     # baselines pick the strongest BS inside each user's feasible set by
     # default; set False for the fully knowledge-oblivious variant.
     baseline_respects_kb: bool = True
-    barrier: BarrierParams = field(default_factory=BarrierParams)
     methods: tuple = METHOD_NAMES
     seeds: tuple = (1,)
     sweep: SweepSpec = None
@@ -104,6 +102,11 @@ class ScenarioConfig:
         for m in self.methods:
             if m not in METHOD_NAMES:
                 raise ConfigError(f"unknown method {m!r}; expected subset of {METHOD_NAMES}")
+        if not self.methods:
+            raise ConfigError("config field 'methods' must list one or more methods")
+        for name, values in (("methods", self.methods), ("seeds", self.seeds)):
+            if len(set(values)) != len(values):
+                raise ConfigError(f"config field {name!r} lists an entry twice")
 
     def replace(self, **kwargs):
         return dataclasses.replace(self, **kwargs)
@@ -118,12 +121,6 @@ def config_from_dict(data):
         raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
     kwargs = dict(data)
     try:
-        if kwargs.get("barrier") is not None:
-            bfields = {f.name for f in dataclasses.fields(BarrierParams)}
-            extra = set(kwargs["barrier"]) - bfields
-            if extra:
-                raise ConfigError(f"unknown barrier field(s): {sorted(extra)}")
-            kwargs["barrier"] = BarrierParams(**kwargs["barrier"])
         if kwargs.get("sweep") is not None:
             sw = kwargs["sweep"]
             if not isinstance(sw, dict) or set(sw) != {"variable", "values"}:

@@ -14,5 +14,5 @@ class InfeasibleError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    """A barrier stage ran out of iterations (the message names its r and
-    pg), or a projection lost a row's support to rounding."""
+    """The relaxed stage ran out of iterations (the message names its pg),
+    or a projection lost a row's support to rounding."""

@@ -74,7 +74,7 @@ def run_method(scenario, method):
     cfg = scenario.config
     inst = scenario.instance
     if method == "two-stage":
-        sol = solver.two_stage(inst, barrier=cfg.barrier)
+        sol = solver.two_stage(inst)
         assoc, alloc, relaxed, evicted = sol.association, sol.allocation, sol.relaxed, sol.evicted
     elif method in ("max-sinr-wf", "max-sinr-even"):
         assoc = solver.baseline_max_sinr(scenario.gamma, inst,
@@ -119,10 +119,8 @@ def _method_report(scenario, outcome):
         "admission_evicted": list(outcome.evicted),
         "per_bs_load_hz": [float(v) for v in alloc_loads],
         "iterations": relaxed.iterations if relaxed else 0,
-        "relaxed_stages": [
-            dict(zip(("r", "iterations", "backtracks", "exit", "newton"), stage))
-            for stage in (relaxed.stages if relaxed else ())
-        ],
+        "relaxed_stage": (dict(zip(("iterations", "backtracks", "exit", "newton"), relaxed.stage))
+                          if relaxed and relaxed.stage else None),
         "kkt_residuals": {
             "relaxed_pg_norm": relaxed.pg_norm if relaxed else None,
             "allocation_rel": outcome.allocation.kkt_residual,

@@ -93,18 +93,11 @@ def objective_gradient(obj, x):
     """Analytic gradient: tau * xi - sigma * q * y_i * xi / ||y||, or tau * xi
     at y = 0, where the norm is not differentiable."""
     x = _check_shape(obj, x)
-    return gradient_from_rates(obj, np.einsum("ml,ml->m", x, obj.xi_t), obj.xi_t)
-
-
-def gradient_from_rates(obj, y, xi_t):
-    """`objective_gradient` at the per-user rates y_i = sum_j x_ij xi_ij,
-    with xi_t as the factor of each entry: obj.xi_t, or a copy with some
-    entries zeroed (the relaxed solve zeroes those off the feasible links).
-    """
+    y = np.einsum("ml,ml->m", x, obj.xi_t)
     norm = float(np.sqrt((y * y).sum()))
     if norm == 0.0:
-        return obj.tau * xi_t
-    return xi_t * (obj.tau - obj.sigma * obj.q * (y / norm)[:, None])
+        return obj.tau * obj.xi_t
+    return obj.xi_t * (obj.tau - obj.sigma * obj.q * (y / norm)[:, None])
 
 
 def chance_check(rates, fbar, tau, sigma, trials, seed=0):

@@ -1,29 +1,33 @@
 """Association and bandwidth-allocation machinery.
 
-Stage two of the pipeline: maximize the barrier-augmented objective
-W(x, r) = Fbar(x) + r * sum_j log(N_j - sum_i x_ij * n^T_ij) over the
+Stage two of the pipeline: find the analytic centre of the load polytope,
+the maximizer of phi(x) = sum_j log(N_j - sum_i x_ij * n^T_ij) over the
 product of per-user simplices, then round, repair budget overloads, and
 split each base station's residual bandwidth. Two max-SINR baselines share
 the repair step.
 """
 
 import math
-import numbers
 from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, InfeasibleError, SolverError
-from .objective import DeterministicObjective, confidence_bound, gradient_from_rates
+from .objective import DeterministicObjective, confidence_bound
 from .semantics import FeasibleSets
 from .topology import bit_rate
 
 _ARMIJO = 1e-4
-_GLL_MEMORY = 10  # accepted W values the line search compares against
+_GLL_MEMORY = 10  # accepted phi values the line search compares against
 _STEP_FLOOR = 1e-18
 _EPS_ACTIVE = 1e-12  # entries this small count as at their bound in a Newton face
 _NEWTON_HALVINGS = 8  # halvings of a Newton step inside the budgets before gradient steps resume
+_TOL = 1e-9  # projected-gradient norm at which the relaxed stage ends
+_MAX_INNER = 20000  # iterations after which the relaxed stage raises SolverError
+# The stage also ends once a 25-iteration window improves phi by less than
+# _STALL_RTOL * (1 + |phi|); the final pg norm is reported either way.
+_STALL_RTOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,54 +92,20 @@ def make_instance(gamma, feasible, msg_per_bit, budgets, bit_rate_threshold, tau
     return UaInstance(objective=obj, feasible=feasible, budgets=np.asarray(budgets, float), n_t=n_t)
 
 
-@dataclass
-class BarrierParams:
-    r0: float = None  # None -> max(1, |Fbar| at the start point)
-    mu: float = 10.0
-    r_min: float = 1e-6
-    tol: float = 1e-6
-    max_inner: int = 20000
-    # A stage also ends once a 25-iteration window improves W by less than
-    # stall_rtol * (1 + |W|); the final pg norm is reported either way.
-    stall_rtol: float = 1e-10
-
-    def __post_init__(self):
-        # Each test is positive so that NaN fails it; mu <= 1 or r_min <= 0
-        # would never end the barrier schedule.
-        checks = (
-            ("r0", self.r0 is None or _finite(self.r0) and self.r0 > 0),
-            ("mu", _finite(self.mu) and self.mu > 1),
-            ("r_min", _finite(self.r_min) and self.r_min > 0),
-            ("tol", _finite(self.tol) and self.tol >= 0),
-            ("max_inner", isinstance(self.max_inner, numbers.Integral)
-             and _finite(self.max_inner) and self.max_inner >= 1),
-            ("stall_rtol", _finite(self.stall_rtol) and self.stall_rtol >= 0),
-        )
-        for name, ok in checks:
-            if not ok:
-                raise ConfigError(f"barrier field {name!r} is out of range: "
-                                  f"{getattr(self, name)!r}")
-
-
-def _finite(value):
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
 @dataclass(frozen=True, eq=False)
 class RelaxedAssociation:
     """Interior solution of the relaxed association problem.
 
-    `stages` holds one (r, iterations, backtracks, exit, newton) record per
-    barrier stage; exit is "tol", "stall" or "no_step", and newton counts
-    the stage's Newton steps, which its iterations include (see
+    `stage` is the solve's (iterations, backtracks, exit, newton) record, or
+    None where no solve ran; exit is "tol", "stall" or "no_step", and newton
+    counts the Newton steps, which the iterations include (see
     `solve_relaxed_ua`).
     """
 
     x_star: np.ndarray
     iterations: int = 0
     pg_norm: float = 0.0
-    stages: tuple = ()
+    stage: tuple = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,8 +349,8 @@ class _SubsetStarts:
         )
 
 
-def _newton_direction(inst, mask, x, g, r):
-    """Projected Newton direction (Bertsekas 1982) of W(., r) at x, on x's face.
+def _newton_direction(inst, mask, x, g):
+    """Projected Newton direction (Bertsekas 1982) of phi at x, on x's face.
 
     The face frees x's positive entries, and the zero entries on the mask
     whose gradient exceeds that of their row's best positive entry. Entries
@@ -389,22 +359,17 @@ def _newton_direction(inst, mask, x, g, r):
     t of about 1e-17 instead of letting the projection clip it. Each row
     pivots on its largest entry, which absorbs the change of the row's other
     free entries, so the row sums stay 1. On these reduced entries (i, j) the
-    Hessian of -W is
-
-        r Bz S^-2 Bz^T + c blockdiag(a_i a_i^T) - c w w^T,
-
-    with a_ij = xi_ij - xi_ip (p the pivot), c = sigma q / ||y||,
-    w_ij = a_ij y_i / ||y||, S = diag(slack) and Bz the change of the loads,
-    whose rows are n_ij e_j - n_ip e_p. Shifted by 1e-12 times its largest
-    diagonal entry, it is solved by Sherman-Morrison on each row's block and
-    Woodbury on the L + 1 columns of the rest, then refined twice against
-    the exact product, which the shift's small size otherwise leaves short
-    of full precision. No matrix has more than L + 1 columns.
+    Hessian of -phi is Bz S^-2 Bz^T, with S = diag(slack) and Bz the change
+    of the loads, whose rows are n_ij e_j - n_ip e_p (p the pivot). Shifted
+    by 1e-12 times its largest diagonal entry, it is solved by Woodbury on
+    its L load columns, then refined twice against the exact product, which
+    the shift's small size otherwise leaves short of full precision. No
+    matrix has more than L columns.
 
     Returns the direction, zero off the face, or None when the face has no
     reduced entry or the solve is not finite.
     """
-    obj, n_t = inst.objective, inst.n_t
+    n_t = inst.n_t
     positive = x > _EPS_ACTIVE
     best = np.where(positive, g, -np.inf).max(axis=1)
     free = positive | (mask & (g > best[:, None]))
@@ -414,110 +379,79 @@ def _newton_direction(inst, mask, x, g, r):
     if not ri.size:
         return None
     pj = pivot[ri]
-    firsts = np.flatnonzero(np.r_[True, ri[1:] != ri[:-1]])
-    counts = np.diff(np.r_[firsts, ri.size])
     slack = inst.budgets - _loads(x, n_t)
-    y = np.einsum("ml,ml->m", x, obj.xi_t)
-    norm = float(np.sqrt((y * y).sum()))
-    c = obj.sigma * obj.q / norm if norm > 0.0 else 0.0
-    a = obj.xi_t[ri, rj] - obj.xi_t[ri, pj]
-    w = a * y[ri] / norm if norm > 0.0 else np.zeros(ri.size)
-    bz = np.zeros((ri.size, x.shape[1]))
+    bz = np.zeros((ri.size, x.shape[1]))  # Bz S^-1
     k = np.arange(ri.size)
     bz[k, rj] = n_t[ri, rj] / slack[rj]
     bz[k, pj] = -n_t[ri, pj] / slack[pj]
-    shift = 1e-12 * float(np.abs(r * (bz * bz).sum(axis=1) + c * (a * a - w * w)).max())
+    shift = 1e-12 * float((bz * bz).sum(axis=1).max())
+    # (shift I + V V^T)^-1 = (I - V (shift I + V^T V)^-1 V^T) / shift
+    cap = shift * np.eye(bz.shape[1]) + bz.T @ bz
 
-    def row_sums(v):
-        return np.repeat(np.add.reduceat(v, firsts), counts, axis=0)
+    def solve(b):
+        return (b - bz @ np.linalg.solve(cap, bz.T @ b)) / shift
 
-    def product(d):  # (shifted reduced Hessian) @ d
-        return (shift * d + r * (bz @ (bz.T @ d)) + c * a * row_sums(a * d)
-                - c * w * float(w @ d))
-
+    gr = g[ri, rj] - g[ri, pj]
     with np.errstate(all="ignore"):
-        scale = c / (shift + c * row_sums(a * a))
-
-        def block_solve(v):  # per-row Sherman-Morrison for shift I + c a_i a_i^T
-            return (v - (a * scale)[:, None] * row_sums(a[:, None] * v)) / shift
-
-        v = np.column_stack((bz, w))
-        e = np.r_[np.full(bz.shape[1], r), -c]
-        dv = block_solve(v)
-        cap = np.eye(v.shape[1]) + e[:, None] * (v.T @ dv)
-
-        def solve(b):
-            db = block_solve(b[:, None])[:, 0]
-            return db - dv @ np.linalg.solve(cap, e * (v.T @ db))
-
-        gr = g[ri, rj] - g[ri, pj]
         try:
             dr = solve(gr)
             for _ in range(2):
-                dr += solve(gr - product(dr))
-        except np.linalg.LinAlgError:  # an exactly singular L + 1 system
+                dr += solve(gr - shift * dr - bz @ (bz.T @ dr))
+        except np.linalg.LinAlgError:  # an exactly singular L x L system
             return None
     if not np.all(np.isfinite(dr)):
         return None
     d = np.zeros_like(x)
     d[ri, rj] = dr
+    firsts = np.flatnonzero(np.r_[True, ri[1:] != ri[:-1]])
     rows = ri[firsts]
     d[rows, pivot[rows]] = -np.add.reduceat(dr, firsts)
     return d
 
 
-def solve_relaxed_ua(inst, barrier=None, *, start=None):
-    """Barrier-method solve of the relaxed association problem.
+def solve_relaxed_ua(inst, *, start=None):
+    """The relaxed association problem, solved as the analytic centre of the
+    load polytope.
 
-    Spectral projected gradient ascent maximizes W(x, r) for a decreasing
-    barrier schedule r0, r0/mu, ..., r_min. Its backtracking search is the
-    nonmonotone one of Grippo, Lampariello & Lucidi (1986): a trial x_new
-    is accepted once W(x_new) >= min(recent) + 1e-4 * g.(x_new - x), where
-    `recent` holds the stage's last 10 accepted W, its starting W included.
-    A stage ends with exit "tol" once the projected-gradient norm
-    pg = ||P(x + g) - x|| is at most tol, "stall" after a 25-iteration
-    window that gains too little (see BarrierParams.stall_rtol), or
-    "no_step" when no step is accepted. `stages` records each stage's r,
-    iterations, backtracks, exit and Newton steps; pg_norm is the exact norm
-    at the end of the final stage.
+    `make_instance` sizes n^T to the bit-rate threshold, so xi^T_ij is
+    kappa_i times the threshold on every link, and Fbar is constant on the
+    relaxed set. The relaxed stage therefore maximizes the log-load
+    potential phi(x) = sum_j log(N_j - sum_i x_ij n^T_ij) over the product
+    of row simplices on the mask: the analytic centre (Boyd & Vandenberghe,
+    Convex Optimization, s. 8.5), which leaves each BS room in the sense of
+    log-load association (Ye et al., IEEE TWC 2013).
+
+    Spectral projected gradient ascent maximizes phi. Its backtracking
+    search is the nonmonotone one of Grippo, Lampariello & Lucidi (1986): a
+    trial x_new is accepted once phi(x_new) >= min(recent) + 1e-4 *
+    g.(x_new - x), where `recent` holds the last 10 accepted phi, the
+    starting phi included. The solve ends with exit "tol" once the
+    projected-gradient norm pg = ||P(x + g) - x|| is at most _TOL, "stall"
+    after a 25-iteration window that gains too little (see _STALL_RTOL), or
+    "no_step" when no step is accepted. `stage` records the iterations,
+    backtracks, exit and Newton steps; pg_norm is the exact norm at the end.
 
     The support {x > 0} is checked at iteration 25 and from then on every 5
     iterations. Once it is the one of the previous check (or, at iteration
-    25, of the stage's start), the stage finishes on that face by projected
-    Newton steps (see `_newton_direction`, whose face counts entries up to
-    1e-12 as zero): P(x + t d) for the first t in t0, t0/2, ... whose W is
-    at least the current W plus 1e-4 times its positive gain, t0 being the
+    25, of the start), the solve finishes on that face by projected Newton
+    steps (see `_newton_direction`, whose face counts entries up to 1e-12
+    as zero): P(x + t d) for the first t in t0, t0/2, ... whose phi is at
+    least the current phi plus 1e-4 times its positive gain, t0 being the
     largest power of 1/2 with t0 max|d| <= 1. Each accepted step is an
-    iteration; a rejected one (9 trials inside the budgets fail, or t
-    would fall below the step floor) hands the stage back to the gradient
-    steps until a later check finds the support settled again. On the
-    M = 200 cells this turns the first stages' stalls into tol exits (seeds
-    2 and 7: 111 and 81 iterations instead of 1454 and 1525).
+    iteration; a rejected one (9 trials inside the budgets fail, or t would
+    fall below the step floor) hands back to the gradient steps until a
+    later check finds the support settled again.
 
-    pg is computed only when it may be at most tol. For x feasible,
+    pg is computed only when it may be at most _TOL. For x feasible,
     ||P(x + t g) - x|| is nondecreasing in t and ||P(x + t g) - x|| / t is
     nonincreasing (Calamai & More 1987, Lemma 2.2), so the line search's
     first trial gives lb = ||P(x + step g) - x|| / max(1, step) <= pg. While
-    lb exceeds tol by more than a bound on the rounding of both norms,
-    pg > tol is certain and its projection is skipped. pg is computed at a
-    stage's first iteration (before the trial, so a stage that starts
-    converged projects once), at every Newton step, at every stall or
-    no-step exit and at the last allowed iteration, so the iterates and
-    pg_norm are those of testing pg <= tol at every iteration.
-
-    A stage that ends at tol at r may certify every later stage but the
-    final one; these are recorded as (r', 0, 0, "tol", 0) without being run,
-    and the final stage still runs, so pg_norm stays its exact norm. With
-    g_F the gradient of Fbar, b = n^T / slack and e = g_F minus its row
-    means on the mask, the gradient is g_F - r b. A per-row constant
-    cancels in the row-simplex projection P, ||P(x - t b) - x|| is
-    nondecreasing in t (the lemma above) and P is nonexpansive, so
-    pg(r') <= pg(r) + 2 ||e|| at the same x for r' < r. The skip needs
-    pg + 2 ||e|| plus the first-trial test's rounding margin, taken at both
-    stages with ||g_F|| + r ||b|| for ||g||, to be at most tol. That holds
-    where xi^T is constant along each row, as `make_instance` builds it
-    (kappa * threshold on every link): Fbar is then constant on the relaxed
-    set, and W's maximizer does not depend on r.
+    lb exceeds _TOL by more than a bound on the rounding of both norms,
+    pg > _TOL is certain and its projection is skipped. pg is computed at
+    the first iteration (before the trial, so a solve that starts converged
+    projects once), at every Newton step, at every stall or no-step exit and
+    at the last allowed iteration, so the iterates and pg_norm are those of
+    testing pg <= _TOL at every iteration.
 
     The solve begins at `start` (two_stage passes admission's), or else at
     the one `_SubsetStarts` finds. A start of the wrong shape or without
@@ -528,10 +462,8 @@ def solve_relaxed_ua(inst, barrier=None, *, start=None):
     InfeasibleError
         If no strictly interior point exists.
     SolverError
-        If an inner stage exhausts its iteration budget.
+        If the solve runs out of iterations (_MAX_INNER).
     """
-    barrier = barrier or BarrierParams()
-    obj = inst.objective
     mask = inst.mask()
     n_t, budgets = inst.n_t, inst.budgets
     m = inst.num_users
@@ -548,43 +480,38 @@ def solve_relaxed_ua(inst, barrier=None, *, start=None):
     # The gradient is built as 0 off the mask, where x stays 0 and the
     # projector reads nothing, so ||g|| below covers only its inputs; dx is
     # 0 there too, so the steps and iterates are those of the full gradient.
-    xi_on, n_on = np.where(mask, obj.xi_t, 0.0), np.where(mask, n_t, 0.0)
+    n_on = np.where(mask, n_t, 0.0)
     # lb and pg are each computed to within (l + 1) sqrt(l) eps / 2 times
     # ||g|| + sqrt(m): a projected entry is off by at most (l + 1) eps / 2
     # times its row's largest input, and ||x + t g|| / max(1, t) <= ||g|| +
-    # sqrt(m) on the simplices. The margin over tol is twice their sum.
+    # sqrt(m) on the simplices. The margin over _TOL is twice their sum.
     rounding = 2.0 * (inst.num_bs + 1) * np.sqrt(inst.num_bs) * np.finfo(float).eps
     root_m = np.sqrt(m)
 
-    def fbar(x):
-        y = np.einsum("ml,ml->m", x, obj.xi_t)
-        return confidence_bound(y, obj.tau, obj.sigma, obj.q), y
-
-    def evaluate(x, r):
-        """W(x, r), and the slack and per-user rates the gradient reuses."""
+    def evaluate(x):
+        """phi(x), and the slack the gradient reuses."""
         slack = budgets - _loads(x, n_t)
         if np.any(slack <= 0.0):
-            return -np.inf, slack, None
-        f, y = fbar(x)
-        return f + r * float(np.log(slack).sum()), slack, y
+            return -np.inf, slack
+        return float(np.log(slack).sum()), slack
 
-    def grad_of(slack, y, r):
-        return gradient_from_rates(obj, y, xi_on) - r * (n_on / slack[None, :])
+    def grad_of(slack):
+        return -n_on / slack[None, :]
 
     def pg_of(x, g):
         return float(np.linalg.norm(project(x + g) - x))
 
-    def newton_trial(x, g, w_cur, r):
+    def newton_trial(x, g, w_cur):
         """P(x + t d) for the Newton direction d and the first t in t0,
-        t0/2, ... that passes the monotone Armijo test, with its W, slack
-        and rates, or None if none does; and the number of rejected trials.
+        t0/2, ... that passes the monotone Armijo test, with its phi and
+        slack, or None if none does; and the number of rejected trials.
         t0 is the largest power of 1/2 with t0 max|d| <= 1, so no entry of
         the first trial moves further than a simplex's diameter. The search
         gives up at the step floor, or once 9 trials inside the budgets
         (t0 and 8 halvings) have failed. Trials outside the budgets do not
         count: near a tight budget the projection's clipping can move load
-        onto it, and only a much shorter step is a point of W's domain."""
-        d = _newton_direction(inst, mask, x, g, r)
+        onto it, and only a much shorter step is a point of phi's domain."""
+        d = _newton_direction(inst, mask, x, g)
         if d is None or not float(np.vdot(g, d)) > 0.0:
             return None, 0
         frac, exp = math.frexp(float(np.abs(d).max()))
@@ -592,119 +519,96 @@ def solve_relaxed_ua(inst, barrier=None, *, start=None):
         halvings = misses = 0
         while t >= _STEP_FLOOR and misses <= _NEWTON_HALVINGS:
             xn = project(x + t * d)
-            w_new, slack, y = evaluate(xn, r)
+            w_new, slack = evaluate(xn)
             gain = float(np.vdot(g, xn - x))
             if gain > 0.0 and np.isfinite(w_new) and w_new >= w_cur + _ARMIJO * gain:
-                return (xn, t, w_new, slack, y), halvings
+                return (xn, t, w_new, slack), halvings
             t *= 0.5
             halvings += 1
             misses += bool(np.isfinite(w_new))
         return None, halvings
 
-    def drift(slack, y, r):
-        """How far pg at x may rise above its value at r at any later r,
-        rounding included (see the certificate in the docstring)."""
-        g_f = gradient_from_rates(obj, y, xi_on)
-        e = np.where(mask, g_f - (g_f.sum(axis=1) / mask.sum(axis=1))[:, None], 0.0)
-        size = float(np.linalg.norm(g_f)) + r * float(np.linalg.norm(n_on / slack)) + root_m
-        return 2.0 * float(np.linalg.norm(e)) + 2.0 * rounding * size
-
-    r = barrier.r0 if barrier.r0 is not None else max(1.0, abs(fbar(x)[0]))
-    last_r = barrier.r_min * (1.0 + 1e-12)  # a stage at r <= last_r is the final one
-    tol = barrier.tol
+    w_cur, slack = evaluate(x)
+    g = grad_of(slack)
+    w_window = w_cur
+    support = x > 0.0
+    newton = False
+    recent = deque([w_cur], maxlen=_GLL_MEMORY)
     step = 1.0
-    total_iters = 0
     pg = np.inf
-    stages = []
+    backtracks = newton_steps = 0
+    reason = None
     window = 25
     support_every = 5  # iterations between support checks after the first window
-    while True:
-        w_cur, slack, y = evaluate(x, r)
-        g = grad_of(slack, y, r)
-        w_window = w_cur
-        support = x > 0.0
-        newton = False
-        recent = deque([w_cur], maxlen=_GLL_MEMORY)
-        backtracks = newton_steps = 0
-        reason = None
-        for it in range(barrier.max_inner):
-            # At a stage's start, in Newton steps and at the last allowed
-            # iteration, pg comes before the trial, which a tol exit skips: a
-            # stage that starts converged projects once
-            exact = not it or newton or it == barrier.max_inner - 1
-            xn = None
-            if not exact:
-                xn = project(x + step * g)  # the line search's first trial
-                dx = xn - x
-                lb = float(np.linalg.norm(dx)) / max(1.0, step)
-                exact = lb <= tol + rounding * (float(np.linalg.norm(g)) + root_m)
-            if exact:
-                pg = pg_of(x, g)
-                if pg <= tol:
-                    reason = "tol"
-                    break
-            if it and it % window == 0:
-                if w_cur - w_window <= barrier.stall_rtol * (1.0 + abs(w_cur)):
-                    reason = "stall"  # ascent has flattened out at this stage
-                    break
-                w_window = w_cur
-            if it >= window and it % support_every == 0:
-                # the support held since the last check: finish on its face
-                newton = newton or np.array_equal(x > 0.0, support)
-                support = x > 0.0
-            if newton:
-                accepted, halvings = newton_trial(x, g, w_cur, r)
-                backtracks += halvings
-                newton = accepted is not None
-            if newton:
-                newton_steps += 1
-                xn, trial, w_new, slack, y = accepted
-                dx = xn - x
-            else:
-                if xn is None:
-                    xn = project(x + step * g)
-                    dx = xn - x
-                trial = step
-                w_ref = min(recent)  # nonmonotone (GLL) reference value
-                while True:
-                    w_new, slack, y = evaluate(xn, r)
-                    gain = float(np.vdot(g, dx))
-                    if np.isfinite(w_new) and w_new >= w_ref + _ARMIJO * gain:
-                        break
-                    backtracks += 1
-                    trial *= 0.5
-                    if trial < _STEP_FLOOR:
-                        reason = "no_step"  # no ascent direction left at machine precision
-                        break
-                    xn = project(x + trial * g)
-                    dx = xn - x
-                if reason:
-                    break
-            g_new = grad_of(slack, y, r)
-            dg = g_new - g
-            curv = -float(np.vdot(dx, dg))
-            if curv > 0:  # spectral (Barzilai-Borwein) step for the next iterate
-                step = min(max(float(np.vdot(dx, dx)) / curv, 1e-12), 1e8)
-            else:
-                step = min(trial * 2.0, 1e8)
-            x, w_cur, g = xn, w_new, g_new
-            recent.append(w_cur)
-        if reason is None:
-            raise SolverError(
-                f"barrier stage r={r:g} did not converge within {barrier.max_inner} "
-                f"iterations (projected-gradient norm {pg:g})")
+    for it in range(_MAX_INNER):
+        # At the first iteration, in Newton steps and at the last allowed
+        # iteration, pg comes before the trial, which a tol exit skips: a
+        # solve that starts converged projects once
+        exact = not it or newton or it == _MAX_INNER - 1
+        xn = None
         if not exact:
+            xn = project(x + step * g)  # the line search's first trial
+            dx = xn - x
+            lb = float(np.linalg.norm(dx)) / max(1.0, step)
+            exact = lb <= _TOL + rounding * (float(np.linalg.norm(g)) + root_m)
+        if exact:
             pg = pg_of(x, g)
-        total_iters += it
-        stages.append((r, it, backtracks, reason, newton_steps))
-        if r <= last_r:
-            break
-        skip = reason == "tol" and pg + drift(slack, y, r) <= tol
-        r = max(r / barrier.mu, barrier.r_min)
-        while skip and r > last_r:
-            stages.append((r, 0, 0, "tol", 0))
-            r = max(r / barrier.mu, barrier.r_min)
-    return RelaxedAssociation(x, iterations=total_iters, pg_norm=pg, stages=tuple(stages))
+            if pg <= _TOL:
+                reason = "tol"
+                break
+        if it and it % window == 0:
+            if w_cur - w_window <= _STALL_RTOL * (1.0 + abs(w_cur)):
+                reason = "stall"  # ascent has flattened out
+                break
+            w_window = w_cur
+        if it >= window and it % support_every == 0:
+            # the support held since the last check: finish on its face
+            newton = newton or np.array_equal(x > 0.0, support)
+            support = x > 0.0
+        if newton:
+            accepted, halvings = newton_trial(x, g, w_cur)
+            backtracks += halvings
+            newton = accepted is not None
+        if newton:
+            newton_steps += 1
+            xn, trial, w_new, slack = accepted
+            dx = xn - x
+        else:
+            if xn is None:
+                xn = project(x + step * g)
+                dx = xn - x
+            trial = step
+            w_ref = min(recent)  # nonmonotone (GLL) reference value
+            while True:
+                w_new, slack = evaluate(xn)
+                gain = float(np.vdot(g, dx))
+                if np.isfinite(w_new) and w_new >= w_ref + _ARMIJO * gain:
+                    break
+                backtracks += 1
+                trial *= 0.5
+                if trial < _STEP_FLOOR:
+                    reason = "no_step"  # no ascent direction left at machine precision
+                    break
+                xn = project(x + trial * g)
+                dx = xn - x
+            if reason:
+                break
+        g_new = grad_of(slack)
+        dg = g_new - g
+        curv = -float(np.vdot(dx, dg))
+        if curv > 0:  # spectral (Barzilai-Borwein) step for the next iterate
+            step = min(max(float(np.vdot(dx, dx)) / curv, 1e-12), 1e8)
+        else:
+            step = min(trial * 2.0, 1e8)
+        x, w_cur, g = xn, w_new, g_new
+        recent.append(w_cur)
+    if reason is None:
+        raise SolverError(f"relaxed stage did not converge within {_MAX_INNER} iterations "
+                          f"(projected-gradient norm {pg:g})")
+    if not exact:
+        pg = pg_of(x, g)
+    return RelaxedAssociation(x, iterations=it, pg_norm=pg,
+                              stage=(it, backtracks, reason, newton_steps))
 
 
 def round_association(xs, inst):
@@ -995,7 +899,7 @@ def _admit(usable, n_t, budgets):
     return admitted, tuple(evicted), start
 
 
-def two_stage(inst, barrier=None):
+def two_stage(inst):
     """Admission, relaxed solve, rounding, repair, and residual allocation.
 
     Users without a single feasible link that fits inside a budget can never
@@ -1012,7 +916,7 @@ def two_stage(inst, barrier=None):
     usable = usable_links(inst)
     admitted, evicted, start = _admit(usable, inst.n_t, inst.budgets)
     rows = np.flatnonzero(admitted)
-    sub = solve_relaxed_ua(_restricted_instance(inst, usable, rows), barrier=barrier, start=start)
+    sub = solve_relaxed_ua(_restricted_instance(inst, usable, rows), start=start)
     x_star = np.zeros_like(inst.n_t)
     x_star[rows] = sub.x_star
     relaxed = replace(sub, x_star=x_star)

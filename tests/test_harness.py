@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from semhetnet import harness
+from semhetnet import harness, solver
 from semhetnet.cli import main as cli_main
 from semhetnet.config import (MAX_DOMAINS, MAX_STATIONS, MAX_USERS, ScenarioConfig,
                               config_from_dict, load_config)
@@ -16,7 +16,6 @@ from semhetnet.harness import (RESULTS_FIELDS, SWEEP_FIELDS, apply_sweep_value,
                                build_scenario, rows_to_csv_bytes, run_scenario, sweep,
                                validate)
 from semhetnet.seeding import substream
-from semhetnet.solver import BarrierParams
 
 
 DESK = dict(scenario_id="desk", num_users=30, seeds=[1], methods=["two-stage"])
@@ -57,6 +56,18 @@ def test_config_rejects_unknown_fields():
 def test_config_rejects_unknown_method():
     with pytest.raises(ConfigError, match="unknown method"):
         ScenarioConfig(methods=("two-stage", "genie"))
+
+
+@pytest.mark.parametrize("fields, match", [
+    ({"methods": []}, "one or more methods"),
+    ({"methods": ["two-stage", "max-sinr-wf", "two-stage"]}, "'methods' lists an entry twice"),
+    ({"seeds": [1, 2, 1]}, "'seeds' lists an entry twice"),
+], ids=["methods-empty", "methods-repeated", "seeds-repeated"])
+def test_config_rejects_empty_or_repeated_lists(fields, match):
+    # an empty list solved nothing and wrote a header-only results.csv; a
+    # repeated entry solved its cell twice and wrote duplicate rows
+    with pytest.raises(ConfigError, match=match):
+        config_from_dict({**DESK, **fields})
 
 
 def test_load_config_reports_json_position(tmp_path):
@@ -108,13 +119,13 @@ def test_run_scenario_writes_artifacts(tmp_path):
     for entry in report[0]["methods"]:
         residuals = entry["kkt_residuals"]
         if entry["method"] == "two-stage":
-            stages = entry["relaxed_stages"]
-            assert stages and {s["exit"] for s in stages} <= {"tol", "stall", "no_step"}
-            assert all(0 <= s["newton"] <= s["iterations"] for s in stages)
-            assert sum(s["iterations"] for s in stages) == entry["iterations"]
+            stage = entry["relaxed_stage"]
+            assert set(stage) == {"iterations", "backtracks", "exit", "newton"}
+            assert stage["exit"] in {"tol", "stall", "no_step"}
+            assert 0 <= stage["newton"] <= stage["iterations"] == entry["iterations"]
             assert residuals["relaxed_pg_norm"] >= 0.0 and residuals["allocation_rel"] >= 0.0
         else:  # the baselines measure neither residual
-            assert entry["relaxed_stages"] == []
+            assert entry["relaxed_stage"] is None
             assert residuals == {"relaxed_pg_norm": None, "allocation_rel": None}
 
 
@@ -200,8 +211,9 @@ def test_cli_bad_config_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize("config, extra", [
-    ({"barrier": {"mu": 1.0}}, []),  # used to hang
-    ({"barrier": {"r_min": -1.0}}, []),  # used to hang
+    # the relaxed stage has no settings: a barrier block is an unknown field
+    ({"barrier": {"mu": 1.0}}, []),
+    ({"barrier": {"r_min": -1.0}}, []),
     ({"barrier": {"mu": 0.5}}, []),
     ({"barrier": {"mu": "x"}}, []),
     ({"barrier": {"tol": float("nan")}}, []),
@@ -215,6 +227,7 @@ def test_cli_bad_config_exit_code(tmp_path):
     ({"seeds": [True]}, []),
     ({"seeds": 7}, []),
     ({"methods": "two-stage"}, []),
+    ({"seeds": [1, 1]}, []),
     ({"num_users": 2.5}, []),
     ({"sweep": {"variable": "num_mus"}}, []),
     ({"sweep": {"variable": "alpha", "values": ["a"]}}, ["sweep"]),
@@ -239,7 +252,7 @@ def test_cli_bad_config_exit_code(tmp_path):
     ({"num_domains": 10**20}, []),
 ], ids=["mu-1", "r_min-negative", "mu-below-1", "mu-string", "tol-nan", "max_inner-float",
         "seed-string", "seed-negative", "seed-flag-negative", "seed-float", "seed-digit-string",
-        "seed-bool", "seeds-not-list", "methods-string", "users-not-integer",
+        "seed-bool", "seeds-not-list", "methods-string", "seeds-repeated", "users-not-integer",
         "sweep-without-values", "sweep-value-string", "missing-file", "values-not-numbers",
         "radius-inf", "radius-huge-int", "macro-power-inf", "femto-power-nan", "msg_per_bit-inf",
         "threshold-inf", "sigma-inf", "budget-inf", "noise-minus-inf", "num_mus-inf",
@@ -289,10 +302,6 @@ def tier_power_dbm(lo, hi):
         lambda t: -300.0 if t[0] == 0 else t[1])
 
 
-# a loose barrier schedule: the relaxed solve's precision is not under test
-LOOSE = BarrierParams(tol=1e-3, r_min=1e-2, mu=100.0)
-
-
 @st.composite
 def scenario_configs(draw):
     num_domains = round(draw(log_uniform(1, 12)))
@@ -313,16 +322,15 @@ def scenario_configs(draw):
         tau=draw(log_uniform(1e-3, 0.999)),
         sigma=draw(log_uniform(1e-4, 2.0)),
         alpha=1.0 - draw(log_uniform(1e-4, 0.99)),
-        barrier=LOOSE,
     )
 
 
 @settings(max_examples=300, deadline=None)
 @given(scenario_configs())
-@example(ScenarioConfig(num_users=20, femto_power_dbm=-300.0, barrier=LOOSE))
-@example(ScenarioConfig(num_users=20, macro_power_dbm=400.0, barrier=LOOSE))
-@example(ScenarioConfig(num_users=20, region_radius_m=1e9, barrier=LOOSE))
-@example(ScenarioConfig(num_users=20, noise_power_dbm=300.0, barrier=LOOSE))
+@example(ScenarioConfig(num_users=20, femto_power_dbm=-300.0))
+@example(ScenarioConfig(num_users=20, macro_power_dbm=400.0))
+@example(ScenarioConfig(num_users=20, region_radius_m=1e9))
+@example(ScenarioConfig(num_users=20, noise_power_dbm=300.0))
 def test_config_fuzz_raises_only_documented_errors_and_stays_feasible(config):
     # the errors the CLI maps to exit codes 2, 3 and 4; anything else exits 1
     try:
@@ -335,11 +343,25 @@ def test_config_fuzz_raises_only_documented_errors_and_stays_feasible(config):
         assert check.passed, check.detail
 
 
-def test_cli_projection_precision_loss_exits_4(tmp_path):
-    # message rates near 1e16 exceed 2**53, so a projected row loses its support
+def test_cli_huge_message_rates_solve_feasibly(tmp_path):
+    # message rates near 1e16 exceed 2**53; the relaxed stage never reads
+    # them, so no projected row loses its support to rounding
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({**DESK, "msg_per_bit": 1e12}))
+    path.write_text(json.dumps({**DESK, "msg_per_bit": 1e12,
+                                "methods": list(ScenarioConfig().methods)}))
+    assert cli_main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 0
+    cfg = load_config(str(path))
+    _, outcomes, _ = run_scenario(cfg)
+    check = harness.solution_feasibility(build_scenario(cfg, 1), list(outcomes[1].values()))
+    assert check.passed, check.detail
+
+
+def test_cli_relaxed_stage_out_of_iterations_exits_4(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(solver, "_MAX_INNER", 3)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(DESK))
     assert cli_main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 4
+    assert "did not converge within 3 iterations" in capsys.readouterr().err
 
 
 def test_validate_all_pass_on_desk_config():

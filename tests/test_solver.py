@@ -12,7 +12,7 @@ from semhetnet.errors import ConfigError, InfeasibleError, SolverError
 from semhetnet.harness import build_scenario
 from semhetnet.metrics import feasibility_violations, instance_fbar
 from semhetnet.objective import DeterministicObjective, objective_gradient, objective_value
-from semhetnet.solver import (Allocation, Association, BarrierParams, RelaxedAssociation, _admit,
+from semhetnet.solver import (Allocation, Association, RelaxedAssociation, _admit,
                               _restricted_instance, _simplex_projector, _SubsetStarts, _water_fill,
                               allocate_residual, baseline_ba, baseline_max_sinr,
                               make_instance as build_instance, repair_overload, round_association,
@@ -155,6 +155,30 @@ def test_make_instance_rejects_links_without_spectral_efficiency(bad, value):
                        0.5, 0.1, 0.95)
 
 
+def test_xi_is_constant_along_rows_so_the_relaxed_stage_ignores_the_objective():
+    # The relaxed stage's premise: n^T is sized to the bit-rate threshold, so
+    # xi^T_ij = kappa_i * threshold on every link (to a few ulps), Fbar is
+    # constant on the relaxed set, and the analytic centre of the load
+    # polytope is as good a relaxed solution as any. If xi^T comes to vary
+    # along a row, the relaxed stage must look at Fbar again.
+    from semhetnet.harness import _tiny_random_instance
+    from semhetnet.semantics import DEFAULT_MSG_PER_BIT
+    eps = np.finfo(float).eps
+    cases = [(build_scenario(ScenarioConfig(num_users=m), seed).instance, DEFAULT_MSG_PER_BIT * 1e4)
+             for m, seed in ((200, 1), (200, 2), (1000, 1))]
+    rng = np.random.default_rng(2024)
+    cases += [(_tiny_random_instance(rng, 0.5, 0.1, 0.95), 1e4 / 1600.0) for _ in range(50)]
+    for inst, rate in cases:
+        assert np.all(np.abs(inst.objective.xi_t / rate - 1.0) <= 4 * eps)
+
+    # so x_star is the same bytes whatever the confidence level and kappa
+    base = ScenarioConfig(num_users=200)
+    want = two_stage(build_scenario(base, 2).instance).relaxed.x_star.tobytes()
+    for alpha, sigma, scale in itertools.product((0.3, 0.55, 0.95), (0.0, 0.3), (1.0, 1e6)):
+        cfg = base.replace(alpha=alpha, sigma=sigma, msg_per_bit=base.msg_per_bit * scale)
+        assert two_stage(build_scenario(cfg, 2).instance).relaxed.x_star.tobytes() == want
+
+
 # ------------------------------------------------------------- relaxed solve
 
 def test_forced_association_single_feasible_bs():
@@ -181,24 +205,34 @@ def test_symmetric_instance_matches_enumeration():
     assert objective_value(inst.objective, res.x_star) == pytest.approx(max(candidates), abs=1e-6)
 
 
-def test_relaxed_solution_upper_bounds_binary_optimum(rng):
-    xi = np.array([[3.0, 1.0], [1.0, 3.0], [2.0, 2.5]])
-    n_t = np.full((3, 2), 50.0)
-    inst = make_instance(xi=xi, n_t=n_t, budgets=[200.0, 200.0],
-                         sets=[(0, 1)] * 3)
-    res = solve_relaxed_ua(inst)
-    relaxed_value = objective_value(inst.objective, res.x_star)
-    best_binary = -np.inf
-    for combo in itertools.product((0, 1), repeat=3):
-        x = np.zeros((3, 2))
-        x[np.arange(3), combo] = 1.0
-        if np.any((x * n_t).sum(axis=0) > inst.budgets):
+def analytic_centre_gap(inst, x):
+    """n_ij / slack_j over its row's minimum on the mask, minus 1: KKT for
+    the maximizer of phi puts x_ij > 0 only where the gap is 0."""
+    ratio = np.where(inst.mask(), inst.n_t / (inst.budgets - (x * inst.n_t).sum(axis=0)), np.inf)
+    return ratio / ratio.min(axis=1, keepdims=True) - 1.0
+
+
+def test_relaxed_solution_is_the_analytic_centre():
+    # KKT for the maximizer of phi over the row simplices: mass only where
+    # n_ij / slack_j is (to 1e-7) its row's smallest, whatever xi^T is; on
+    # hand-built cases whose xi^T varies along rows and on random cases
+    cases = [make_instance(xi=[[3.0, 1.0], [1.0, 3.0], [2.0, 2.5]], n_t=np.full((3, 2), 50.0),
+                           budgets=[200.0, 200.0], sets=[(0, 1)] * 3),
+             make_instance(xi=[[3.0, 1.0], [1.0, 3.0], [2.0, 2.0]],
+                           n_t=[[50.0, 10.0], [20.0, 50.0], [30.0, 40.0]], budgets=[60.0, 70.0],
+                           sets=[(0, 1)] * 3)]
+    cases += [random_relaxed_case(np.random.default_rng(seed)) for seed in range(40)]
+    checked = 0
+    for inst in cases:
+        try:
+            res = solve_relaxed_ua(inst)
+        except InfeasibleError:
             continue
-        best_binary = max(best_binary, objective_value(inst.objective, x))
-    assert relaxed_value >= best_binary - 1e-6
-    # sandwich: the rounded-and-repaired association cannot beat the relaxed bound
-    rounded = repair_overload(round_association(res, inst), res, inst)
-    assert objective_value(inst.objective, rounded.x.astype(float)) <= relaxed_value + 1e-6
+        gap = analytic_centre_gap(inst, res.x_star)
+        assert np.all(gap[res.x_star > 1e-7] <= 1e-7)
+        assert np.all((res.x_star * inst.n_t).sum(axis=0) < inst.budgets)
+        checked += 1
+    assert checked >= 35
 
 
 def test_tight_budget_keeps_mass_interior():
@@ -207,21 +241,18 @@ def test_tight_budget_keeps_mass_interior():
                          budgets=[100.0, 1e4], sets=[(0, 1), (0, 1)])
     res = solve_relaxed_ua(inst)
     mass_on_a = res.x_star[:, 0].sum()
-    assert mass_on_a <= 1.0 + 1e-9
-    assert mass_on_a >= 0.5
+    assert mass_on_a < 1.0
 
 
-def test_w_monotone_within_stage():
-    # on the trace of the reference loop, which the solve matches bit for bit
-    inst = make_instance(xi=[[3.0, 1.0], [1.0, 3.0], [2.0, 2.0]],
-                         n_t=np.full((3, 2), 50.0), budgets=[120.0, 120.0],
-                         sets=[(0, 1)] * 3)
-    _, trace = assert_matches_reference_loop(inst)
-    by_stage = {}
-    for r, it, w, pg in trace:
-        by_stage.setdefault(r, []).append(w)
-    for r, ws in by_stage.items():
-        assert all(b >= a - 1e-9 for a, b in zip(ws, ws[1:]))
+def test_w_monotone_within_stage(admitted_m200):
+    # The gradient steps' acceptance is nonmonotone (see
+    # test_relaxed_trace_keeps_the_nonmonotone_acceptance), but no Newton
+    # step may lower phi: checked on the trace of the reference loop, which
+    # the solve matches bit for bit
+    sub, start = admitted_m200[3]
+    _, trace = assert_matches_reference_loop(sub, start=start)
+    newton = [(a[1], b[1]) for a, b in zip(trace, trace[1:]) if b[3] > a[3]]
+    assert newton and all(b >= a for a, b in newton)
 
 
 def test_row_sums_and_budget_feasible(rng):
@@ -255,51 +286,51 @@ def test_empty_instance():
     np.array([[1.0, 0.0], [1.0, 0.0]]),  # fills BS 0's budget exactly
     np.array([[0.5, 0.5], [2.0, 0.0]]),  # loads BS 0 with 110 Hz of 100
 ], ids=["extra-bs", "extra-user", "no-slack", "overloaded"])
-def test_relaxed_solve_rejects_a_start_that_is_not_strictly_interior(start):
+def test_relaxed_solve_rejects_a_start_that_is_not_strictly_interior(monkeypatch, start):
     inst = make_instance(xi=np.ones((2, 2)), n_t=[[60.0, 60.0], [40.0, 40.0]],
                          budgets=[100.0, 100.0], sets=[(0, 1)] * 2)
     with pytest.raises(ValueError, match="not strictly interior"):
         solve_relaxed_ua(inst, start=start)
     # a start with slack on every budget is where the solve begins
-    inside = solve_relaxed_ua(inst, barrier=BarrierParams(max_inner=1, r0=1.0, r_min=1.0,
-                                                          tol=1e9), start=np.full((2, 2), 0.5))
+    monkeypatch.setattr(solver_module, "_TOL", 1e9)
+    inside = solve_relaxed_ua(inst, start=np.full((2, 2), 0.5))
     assert inside.x_star.tobytes() == np.full((2, 2), 0.5).tobytes()
 
 
-def reference_relaxed_loop(inst, barrier=None, start=None):
-    """The barrier loop that runs every stage, projects for pg at every
-    iteration and evaluates W and its gradient from x alone, recording each
-    stage's (r, iterations, backtracks, exit, Newton steps): the bit-for-bit
-    reference for solve_relaxed_ua. A trial is accepted by the same
-    nonmonotone (GLL) test: its W is at least the smallest of the stage's
-    last 10 accepted W plus 1e-4 times the gain. Once the support is the
-    same at two window checks, it takes Newton steps along
+def reference_relaxed_loop(inst, start=None):
+    """The loop that projects for pg at every iteration and evaluates phi and
+    its gradient from x alone, recording its (iterations, backtracks, exit,
+    Newton steps): the bit-for-bit reference for solve_relaxed_ua, with its
+    tol, iteration cap and stall test read from the solver module. A trial
+    is accepted by the same nonmonotone (GLL) test: its phi is at least the
+    smallest of the last 10 accepted phi plus 1e-4 times the gain. Once the
+    support is the same at two window checks, it takes Newton steps along
     solver._newton_direction, each accepted at the first of t = t0, t0/2,
     ... (t0 the largest power of 1/2 with t0 max|d| <= 1, and t at least
-    1e-18; at most 9 trials with a finite W) whose gain is positive and
-    whose W is at least the current W plus 1e-4 times the gain, until one is
-    rejected. The support is compared at iteration 25 with the stage's
-    start, and from then on every 5 iterations with the previous check.
-    Returns the result and the trace: (r, iteration, W, pg) at every pg
-    test of every stage."""
-    barrier = barrier or BarrierParams()
-    obj = inst.objective
+    1e-18; at most 9 trials with a finite phi) whose gain is positive and
+    whose phi is at least the current phi plus 1e-4 times the gain, until
+    one is rejected. The support is compared at iteration 25 with the start,
+    and from then on every 5 iterations with the previous check. Returns the
+    result and the trace: (iteration, phi, pg, Newton steps so far) at every
+    pg test."""
+    tol, max_inner = solver_module._TOL, solver_module._MAX_INNER
+    stall_rtol = solver_module._STALL_RTOL
     mask = inst.mask()
     n_t, budgets = inst.n_t, inst.budgets
     x = _SubsetStarts(mask, n_t, budgets).start() if start is None else start
 
-    def w_of(x, r):
+    def phi_of(x):
         slack = budgets - np.einsum("ml,ml->l", x, n_t)
         if np.any(slack <= 0.0):
             return -np.inf
-        return objective_value(obj, x) + r * float(np.log(slack).sum())
+        return float(np.log(slack).sum())
 
-    def grad_of(x, r):
+    def grad_of(x):
         slack = budgets - np.einsum("ml,ml->l", x, n_t)
-        return objective_gradient(obj, x) - r * (n_t / slack[None, :])
+        return -n_t / slack[None, :]
 
-    def newton_step(x, g, w_cur, r):
-        d = solver_module._newton_direction(inst, mask, x, g, r)
+    def newton_step(x, g, w_cur):
+        d = solver_module._newton_direction(inst, mask, x, g)
         if d is None or float(np.vdot(g, d)) <= 0.0:
             return None, 0, 0
         t, halvings, finite = 1.0, 0, 0
@@ -307,7 +338,7 @@ def reference_relaxed_loop(inst, barrier=None, start=None):
             t *= 0.5
         while t >= 1e-18 and finite < 9:
             xn = reference_rows_projection(x + t * d, mask)
-            w_new = w_of(xn, r)
+            w_new = phi_of(xn)
             gain = float(np.vdot(g, xn - x))
             if gain > 0.0 and np.isfinite(w_new) and w_new >= w_cur + 1e-4 * gain:
                 return xn, t, halvings
@@ -316,92 +347,83 @@ def reference_relaxed_loop(inst, barrier=None, start=None):
             finite += np.isfinite(w_new)
         return None, 0, halvings
 
-    r = barrier.r0 if barrier.r0 is not None else max(1.0, abs(objective_value(obj, x)))
     step = 1.0
-    total_iters = 0
     pg = np.inf
-    trace, stages = [], []
-    while True:
-        w_cur = w_of(x, r)
-        g = grad_of(x, r)
-        w_window = w_cur
-        support = x > 0.0
-        newton = False
-        recent = [w_cur]
-        exit, backtracks, newton_steps = None, 0, 0
-        for it in range(barrier.max_inner):
-            pg = float(np.linalg.norm(reference_rows_projection(x + g, mask) - x))
-            trace.append((r, it, w_cur, pg))
-            if pg <= barrier.tol:
-                exit = "tol"
-                break
-            if it and it % 25 == 0:
-                if w_cur - w_window <= barrier.stall_rtol * (1.0 + abs(w_cur)):
-                    exit = "stall"
-                    break
-                w_window = w_cur
-            if it >= 25 and it % 5 == 0:
-                if np.array_equal(x > 0.0, support):
-                    newton = True
-                support = x > 0.0
-            accepted = False
-            if newton:
-                xn, trial, halvings = newton_step(x, g, w_cur, r)
-                backtracks += halvings
-                accepted = newton = xn is not None
-                newton_steps += accepted
-            if not accepted:
-                trial = step
-                while trial >= 1e-18:
-                    xn = reference_rows_projection(x + trial * g, mask)
-                    w_new = w_of(xn, r)
-                    gain = float(np.vdot(g, xn - x))
-                    if np.isfinite(w_new) and w_new >= min(recent[-10:]) + 1e-4 * gain:
-                        accepted = True
-                        break
-                    trial *= 0.5
-                    backtracks += 1
-            if not accepted:
-                exit = "no_step"
-                break
-            w_new = w_of(xn, r)
-            g_new = grad_of(xn, r)
-            dx = xn - x
-            dg = g_new - g
-            curv = -float(np.vdot(dx, dg))
-            if curv > 0:
-                step = min(max(float(np.vdot(dx, dx)) / curv, 1e-12), 1e8)
-            else:
-                step = min(trial * 2.0, 1e8)
-            x, w_cur, g = xn, w_new, g_new
-            recent.append(w_cur)
-            total_iters += 1
-        if exit is None:
-            raise SolverError(
-                f"barrier stage r={r:g} did not converge within {barrier.max_inner} "
-                f"iterations (projected-gradient norm {pg:g})")
-        stages.append((r, it, backtracks, exit, newton_steps))
-        if r <= barrier.r_min * (1.0 + 1e-12):
+    trace = []
+    w_cur = phi_of(x)
+    g = grad_of(x)
+    w_window = w_cur
+    support = x > 0.0
+    newton = False
+    recent = [w_cur]
+    exit, backtracks, newton_steps = None, 0, 0
+    for it in range(max_inner):
+        pg = float(np.linalg.norm(reference_rows_projection(x + g, mask) - x))
+        trace.append((it, w_cur, pg, newton_steps))
+        if pg <= tol:
+            exit = "tol"
             break
-        r = max(r / barrier.mu, barrier.r_min)
-    return RelaxedAssociation(x, iterations=total_iters, pg_norm=pg,
-                              stages=tuple(stages)), tuple(trace)
+        if it and it % 25 == 0:
+            if w_cur - w_window <= stall_rtol * (1.0 + abs(w_cur)):
+                exit = "stall"
+                break
+            w_window = w_cur
+        if it >= 25 and it % 5 == 0:
+            if np.array_equal(x > 0.0, support):
+                newton = True
+            support = x > 0.0
+        accepted = False
+        if newton:
+            xn, trial, halvings = newton_step(x, g, w_cur)
+            backtracks += halvings
+            accepted = newton = xn is not None
+            newton_steps += accepted
+        if not accepted:
+            trial = step
+            while trial >= 1e-18:
+                xn = reference_rows_projection(x + trial * g, mask)
+                w_new = phi_of(xn)
+                gain = float(np.vdot(g, xn - x))
+                if np.isfinite(w_new) and w_new >= min(recent[-10:]) + 1e-4 * gain:
+                    accepted = True
+                    break
+                trial *= 0.5
+                backtracks += 1
+        if not accepted:
+            exit = "no_step"
+            break
+        w_new = phi_of(xn)
+        g_new = grad_of(xn)
+        dx = xn - x
+        dg = g_new - g
+        curv = -float(np.vdot(dx, dg))
+        if curv > 0:
+            step = min(max(float(np.vdot(dx, dx)) / curv, 1e-12), 1e8)
+        else:
+            step = min(trial * 2.0, 1e8)
+        x, w_cur, g = xn, w_new, g_new
+        recent.append(w_cur)
+    if exit is None:
+        raise SolverError(f"relaxed stage did not converge within {max_inner} iterations "
+                          f"(projected-gradient norm {pg:g})")
+    return RelaxedAssociation(x, iterations=it, pg_norm=pg,
+                              stage=(it, backtracks, exit, newton_steps)), tuple(trace)
 
 
-def assert_matches_reference_loop(inst, barrier=None, start=None):
+def assert_matches_reference_loop(inst, start=None):
     """solve_relaxed_ua and the reference loop agree bit for bit, on the
     result or on the exception raised; returns the result and the reference's
     trace (None and None on error)."""
     try:
-        want, trace = reference_relaxed_loop(inst, barrier, start)
+        want, trace = reference_relaxed_loop(inst, start)
     except (InfeasibleError, SolverError) as err:
         with pytest.raises(type(err)) as got:
-            solve_relaxed_ua(inst, barrier, start=start)
+            solve_relaxed_ua(inst, start=start)
         assert str(got.value) == str(err)
         return None, None
-    got = solve_relaxed_ua(inst, barrier, start=start)
+    got = solve_relaxed_ua(inst, start=start)
     assert got.x_star.tobytes() == want.x_star.tobytes()
-    assert (got.iterations, got.pg_norm, got.stages) == (want.iterations, want.pg_norm, want.stages)
+    assert (got.iterations, got.pg_norm, got.stage) == (want.iterations, want.pg_norm, want.stage)
     return got, trace
 
 
@@ -435,7 +457,7 @@ def test_relaxed_solve_matches_reference_loop_at_m200(admitted_m200, seed):
     sub, start = admitted_m200[seed]
     got, _ = assert_matches_reference_loop(sub, start=start)
     assert got.iterations > 0
-    assert sum(stage[1] for stage in got.stages) == got.iterations
+    assert got.stage[0] == got.iterations
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -496,77 +518,16 @@ def test_pg_skip_test_ignores_links_off_the_mask(admitted_congested, monkeypatch
 
 @pytest.mark.parametrize("seed", [1, 3, 6])
 def test_stage_that_starts_converged_projects_once(admitted_m200, monkeypatch, seed):
-    # Restarted from its own solution at its final r, the solve meets tol at
-    # the stage's first pg and projects no line-search trial
+    # Restarted from its own solution, the solve meets tol at its first pg
+    # and projects no line-search trial
     sub, start = admitted_m200[seed]
     first = solve_relaxed_ua(sub, start=start)
-    r = first.stages[-1][0]
     calls = count_projections(monkeypatch)
     calls.append(0)
-    again = solve_relaxed_ua(sub, BarrierParams(r0=r, r_min=r), start=first.x_star)
-    assert again.stages == ((r, 0, 0, "tol", 0),)
+    again = solve_relaxed_ua(sub, start=first.x_star)
+    assert again.stage == (0, 0, "tol", 0)
     assert calls == [1]
     assert again.x_star.tobytes() == first.x_star.tobytes()
-
-
-def independent_pg(inst, x, r):
-    """pg at (x, r) from the analytic gradient and the test-side projection."""
-    slack = inst.budgets - np.einsum("ml,ml->l", x, inst.n_t)
-    g = objective_gradient(inst.objective, x) - r * inst.n_t / slack
-    return float(np.linalg.norm(reference_rows_projection(x + g, inst.mask()) - x))
-
-
-def check_zero_iteration_stages(inst, barrier=None, start=None):
-    """Every stage the solve records with 0 iterations, skipped or run,
-    starts at tol: the solve stopped at that stage's r, which runs it as its
-    final stage, records the same stages up to it, and pg recomputed at its
-    x_star is at most tol. Returns the solve and the number of such stages."""
-    barrier = barrier or BarrierParams()
-    full = solve_relaxed_ua(inst, barrier, start=start)
-    checked = 0
-    for k, (r, iterations, *_) in enumerate(full.stages):
-        if iterations:
-            continue
-        part = solve_relaxed_ua(inst, replace(barrier, r_min=r), start=start)
-        assert part.stages == full.stages[:k + 1]
-        assert independent_pg(inst, part.x_star, r) <= barrier.tol
-        checked += 1
-    return full, checked
-
-
-@pytest.mark.parametrize("seed", [1, 3, 6])
-def test_skipped_stages_start_converged_on_m200_cells(admitted_m200, seed):
-    # xi^T is constant along each row here, so the first stage certifies
-    # all the later ones, which are recorded without being run
-    sub, start = admitted_m200[seed]
-    full, checked = check_zero_iteration_stages(sub, start=start)
-    assert checked == len(full.stages) - 1 >= 8
-
-
-def test_zero_iteration_stages_start_converged_where_xi_varies_along_rows():
-    # Where xi^T varies along a row, the certificate fails and the later
-    # stages run; a stage is never recorded at tol without starting there
-    checked = 0
-    for seed in range(40):
-        inst = random_relaxed_case(np.random.default_rng(seed))
-        try:
-            checked += check_zero_iteration_stages(inst)[1]
-        except (InfeasibleError, SolverError):
-            continue
-    assert checked >= 100
-
-
-def test_later_stages_cost_one_projection_on_an_m200_cell(admitted_m200, monkeypatch):
-    # After the first stage, only the final stage runs, and it projects once
-    sub, start = admitted_m200[1]
-    calls = count_projections(monkeypatch)
-    calls.append(0)
-    full = solve_relaxed_ua(sub, start=start)
-    calls.append(0)
-    first = solve_relaxed_ua(sub, BarrierParams(r_min=full.stages[0][0]), start=start)
-    assert first.stages == full.stages[:1]
-    assert len(full.stages) == 10
-    assert calls[0] - calls[1] == 1
 
 
 def random_relaxed_case(r):
@@ -585,49 +546,42 @@ def random_relaxed_case(r):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**31 - 1), st.sampled_from([1e-6, 1e-12, 0.0]),
-       st.sampled_from([1e-6, 1e3]), st.sampled_from([20000, 40]))
+@given(st.integers(0, 2**31 - 1), st.sampled_from([1e-9, 1e-12, 0.0]), st.sampled_from([20000, 40]))
 # Cases where the stopping test goes wrong if pg is skipped without a rounding
-# margin, with lb over step < 1, or at a stall, a no-step exit or the last
+# margin, with lb over step < 1, at a stall or no-step exit, or at the last
 # allowed iteration.
-@example(0, 0.0, 1e3, 40)
-@example(46, 1e-12, 1e-6, 20000)
-@example(13, 1e-12, 1e3, 20000)
-@example(1, 0.0, 1e3, 20000)
-@example(7, 1e-6, 1e3, 40)
-@example(64, 0.0, 1e3, 40)
-def test_relaxed_solve_fuzz_matches_reference_loop(seed, tol, r_min, max_inner):
-    # r_min = 1e3 leaves one stage, so its exit sets pg_norm; tol = 0 leaves
-    # only the stall and no-step exits; max_inner = 40 often runs out and
-    # raises SolverError with the pg of the last iteration
-    barrier = BarrierParams(tol=tol, r_min=r_min, max_inner=max_inner)
+@example(31, 0.0, 20000)
+@example(312, 1e-12, 20000)
+@example(1185, 1e-9, 20000)
+@example(43, 1e-9, 40)
+def test_relaxed_solve_fuzz_matches_reference_loop(seed, tol, max_inner):
+    # tol = 0 leaves only the stall and no-step exits; max_inner = 40 often
+    # runs out and raises SolverError with the pg of the last iteration
     inst = random_relaxed_case(np.random.default_rng(seed))
-    assert_matches_reference_loop(inst, barrier)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_module, "_TOL", tol)
+        mp.setattr(solver_module, "_MAX_INNER", max_inner)
+        assert_matches_reference_loop(inst)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_relaxed_trace_keeps_the_nonmonotone_acceptance(seed):
-    # Within a stage, each accepted W is at least the smallest of the up to 10
-    # accepted before it (the GLL test, whose gain is nonnegative), and so at
-    # least the stage's first W: checked on the trace of the reference loop,
-    # which the solve matches bit for bit
+    # Each accepted phi is at least the smallest of the up to 10 accepted
+    # before it (the GLL test, whose gain is nonnegative), and so at least
+    # the first phi: checked on the trace of the reference loop, which the
+    # solve matches bit for bit
     inst = random_relaxed_case(np.random.default_rng(seed))
     try:
         solve_relaxed_ua(inst)
     except InfeasibleError:
         return
     res, trace = assert_matches_reference_loop(inst)
-    stages = []
-    for r, it, w, pg in trace:
-        if it == 0:
-            stages.append([])
-        stages[-1].append(w)
-    assert len(stages) == len(res.stages)
-    for ws in stages:
-        for k in range(1, len(ws)):
-            assert ws[k] >= min(ws[max(0, k - 10):k]) - 1e-9
-            assert ws[k] >= ws[0] - 1e-9
+    ws = [w for it, w, pg, newton in trace]
+    assert len(ws) == res.iterations + 1
+    for k in range(1, len(ws)):
+        assert ws[k] >= min(ws[max(0, k - 10):k]) - 1e-9
+        assert ws[k] >= ws[0] - 1e-9
 
 
 def at_confidence(inst, sigma, alpha):
@@ -637,14 +591,14 @@ def at_confidence(inst, sigma, alpha):
                                                                          obj.xi_t))
 
 
-def dense_newton_direction(inst, mask, x, g, r):
+def dense_newton_direction(inst, mask, x, g):
     """The direction of solver._newton_direction from the explicit reduced
     Hessian: the face and pivots as there (entries up to 1e-12 count as
-    zero), a null-space basis Z whose columns are e_ij - e_ip, -Z^T (d^2 W) Z
+    zero), a null-space basis Z whose columns are e_ij - e_ip, -Z^T (d^2 phi) Z
     built in full and shifted by 1e-12 of its largest diagonal entry, and
     np.linalg.solve. Returns the direction and the condition number of the
     shifted matrix."""
-    obj, n_t = inst.objective, inst.n_t
+    n_t = inst.n_t
     m, l = x.shape
     positive = x > 1e-12
     best = np.where(positive, g, -np.inf).max(axis=1)
@@ -658,91 +612,92 @@ def dense_newton_direction(inst, mask, x, g, r):
     z[ri * l + rj, np.arange(ri.size)] = 1.0
     z[ri * l + pivot[ri], np.arange(ri.size)] = -1.0
     slack = inst.budgets - np.einsum("ml,ml->l", x, n_t)
-    y = np.einsum("ml,ml->m", x, obj.xi_t)
-    norm = np.linalg.norm(y)
     loads = np.zeros((m * l, l))  # d load_j / d x_ij = n_ij
     loads[np.arange(m * l), np.tile(np.arange(l), m)] = n_t.ravel()
-    rates = np.zeros((m * l, m))  # d y_i / d x_ij = xi_ij
-    rates[np.arange(m * l), np.repeat(np.arange(m), l)] = obj.xi_t.ravel()
-    # -d^2 W = r L S^-2 L^T + (sigma q / ||y||) R (I - y y^T / ||y||^2) R^T
-    hess = r * (loads / slack) @ (loads / slack).T
-    hess += obj.sigma * obj.q / norm * (rates @ rates.T - np.outer(rates @ y, rates @ y) / norm ** 2)
+    hess = (loads / slack) @ (loads / slack).T  # -d^2 phi = L S^-2 L^T
     reduced = z.T @ hess @ z
     reduced += 1e-12 * np.abs(np.diag(reduced)).max() * np.eye(ri.size)
     d = z @ np.linalg.solve(reduced, z.T @ g.ravel())
     return d.reshape(m, l), np.linalg.cond(reduced)
 
 
+def phi_gradient(inst, x):
+    slack = inst.budgets - np.einsum("ml,ml->l", x, inst.n_t)
+    return -inst.n_t / slack
+
+
 @pytest.mark.parametrize("sigma, alpha", [(None, 0.95), (0.0, 0.95), (0.3, 0.3)])
 def test_newton_direction_matches_a_dense_reduced_hessian_solve(sigma, alpha):
-    # On the faces where the barrier stages end (random cases solved down to
-    # r = 1e-2, at r = 1 and 1e-2), the structured solve equals the dense one
-    # wherever the dense one is itself good to 1e-9 (condition below 1e6);
-    # sigma = 0 leaves only the barrier's curvature, and alpha < 0.5 (q < 0)
-    # makes the reduced Hessian indefinite
+    # At the start and at the solution of random cases, the structured solve
+    # equals the dense one wherever the dense one is itself good to 1e-9
+    # (condition below 1e6). The right-hand side is phi's gradient, and phi's
+    # gradient plus the Fbar gradient at sigma and alpha, which varies along
+    # rows and so moves the face (sigma = 0 leaves tau xi; alpha < 0.5 makes
+    # sigma q negative)
     compared = 0
     for seed in range(40):
         inst = random_relaxed_case(np.random.default_rng(seed))
         inst = at_confidence(inst, inst.objective.sigma if sigma is None else sigma, alpha)
+        mask = inst.mask()
         try:
-            x = solve_relaxed_ua(inst, BarrierParams(r_min=1e-2)).x_star
+            points = (_SubsetStarts(mask, inst.n_t, inst.budgets).start(),
+                      solve_relaxed_ua(inst).x_star)
         except (InfeasibleError, SolverError):
             continue
-        mask = inst.mask()
-        for r in (1.0, 1e-2):
-            slack = inst.budgets - np.einsum("ml,ml->l", x, inst.n_t)
-            g = objective_gradient(inst.objective, x) - r * inst.n_t / slack
-            want, cond = dense_newton_direction(inst, mask, x, g, r)
-            got = solver_module._newton_direction(inst, mask, x, g, r)
-            if want is None:
-                assert got is None
-            elif cond < 1e6:
-                assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
-                compared += 1
+        for x in points:
+            g_phi = phi_gradient(inst, x)
+            for g in (g_phi, g_phi + objective_gradient(inst.objective, x)):
+                want, cond = dense_newton_direction(inst, mask, x, g)
+                got = solver_module._newton_direction(inst, mask, x, g)
+                if want is None:
+                    assert got is None
+                elif cond < 1e6:
+                    assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+                    compared += 1
     assert compared >= 30
 
 
-@pytest.mark.parametrize("seed", [7, 13, 18])
+@pytest.mark.parametrize("seed", [7, 13, 21])  # random cases that take Newton steps
 def test_newton_direction_that_does_not_ascend_hands_back_to_gradient_steps(monkeypatch, seed):
-    # At alpha = 0.3, sigma q < 0 and some Newton directions do not ascend.
-    # The solve rejects them as the reference loop does, and a direction
-    # turned so that it never ascends costs nothing: the solve is then the
-    # one with gradient steps alone, and takes no Newton step
-    inst = at_confidence(random_relaxed_case(np.random.default_rng(seed)), 0.2, 0.3)
+    # phi's reduced Hessian is positive definite once shifted, so every
+    # Newton direction ascends. A direction turned so that it never ascends
+    # costs nothing: the solve rejects it as the reference loop does, and is
+    # then the one with gradient steps alone, taking no Newton step
+    inst = random_relaxed_case(np.random.default_rng(seed))
     direction = solver_module._newton_direction
     gains = []
 
-    def spy(inst, mask, x, g, r):
-        d = direction(inst, mask, x, g, r)
+    def spy(inst, mask, x, g):
+        d = direction(inst, mask, x, g)
         gains.append(None if d is None else float(np.vdot(g, d)))
         return d
 
     monkeypatch.setattr(solver_module, "_newton_direction", spy)
     got, _ = assert_matches_reference_loop(inst)
-    assert any(gain is not None and gain <= 0.0 for gain in gains)
-    assert any(stage[4] for stage in got.stages)
+    assert got.stage[3] > 0
+    assert all(gain > 0.0 for gain in gains if gain is not None)
 
     def never_ascends(*args):
         d = spy(*args)
         return d if d is None or float(np.vdot(args[3], d)) <= 0.0 else -d
 
     monkeypatch.setattr(solver_module, "_newton_direction", never_ascends)
-    turned = solve_relaxed_ua(inst)
+    turned, _ = assert_matches_reference_loop(inst)
     monkeypatch.setattr(solver_module, "_newton_direction", lambda *args: None)
     plain = solve_relaxed_ua(inst)
     assert turned.x_star.tobytes() == plain.x_star.tobytes()
-    assert turned.stages == plain.stages
-    assert all(stage[4] == 0 for stage in plain.stages)
+    assert turned.stage == plain.stage
+    assert plain.stage[3] == 0
 
 
 @pytest.mark.parametrize("seed", [2, 7])
 def test_every_barrier_stage_ends_at_tol_on_the_slow_m200_cells(seed):
-    # These cells' first stage used to stall far from tol; it now finishes
+    # These cells' relaxed stage used to stall far from tol; it now finishes
     # on its face by Newton steps
     relaxed = two_stage(build_scenario(ScenarioConfig(num_users=200), seed).instance).relaxed
-    assert [stage[3] for stage in relaxed.stages] == ["tol"] * len(relaxed.stages)
-    assert relaxed.stages[0][4] > 0
-    assert relaxed.pg_norm <= BarrierParams().tol
+    assert relaxed.stage[2] == "tol"
+    assert relaxed.stage[3] > 0
+    assert relaxed.pg_norm <= solver_module._TOL
 
 
 def test_newton_finish_halves_the_projections_on_the_slow_m200_cells(monkeypatch):
@@ -766,18 +721,17 @@ def test_newton_face_treats_rounding_dust_as_zero():
     for seed in range(20):
         inst = random_relaxed_case(np.random.default_rng(seed))
         try:
-            x = solve_relaxed_ua(inst, BarrierParams(r_min=1e-2)).x_star
+            x = solve_relaxed_ua(inst).x_star
         except (InfeasibleError, SolverError):
             continue
         mask = inst.mask()
-        slack = inst.budgets - np.einsum("ml,ml->l", x, inst.n_t)
-        g = objective_gradient(inst.objective, x) - 1e-2 * inst.n_t / slack
+        g = phi_gradient(inst, x)
         best = np.where(x > 0.0, g, -np.inf).max(axis=1)
         dust = mask & (x == 0.0) & (g <= best[:, None])
         if not dust.any():
             continue
-        want = solver_module._newton_direction(inst, mask, x, g, 1e-2)
-        got = solver_module._newton_direction(inst, mask, np.where(dust, 1e-17, x), g, 1e-2)
+        want = solver_module._newton_direction(inst, mask, x, g)
+        got = solver_module._newton_direction(inst, mask, np.where(dust, 1e-17, x), g)
         if want is None:
             assert got is None
             continue
@@ -1327,7 +1281,7 @@ def test_two_stage_without_admitted_users():
     sol = two_stage(inst)
     assert sol.association.unserved == (0, 1)
     assert sol.relaxed.x_star.tobytes() == np.zeros((2, 1)).tobytes()
-    assert (sol.relaxed.iterations, sol.relaxed.stages) == (0, ())
+    assert (sol.relaxed.iterations, sol.relaxed.stage) == (0, None)
 
 
 def test_two_stage_deterministic(rng):
@@ -1343,12 +1297,14 @@ def test_two_stage_deterministic(rng):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 6, 7])
-def test_two_stage_association_survives_a_tighter_relaxed_solve(seed):
+def test_two_stage_association_survives_a_tighter_relaxed_solve(monkeypatch, seed):
     # The rounded association does not hang on the relaxed solve's last
     # digits: a tighter tol with no stall exit rounds to the same one
     inst = build_scenario(ScenarioConfig(num_users=200), seed).instance
     default = two_stage(inst).association
-    tight = two_stage(inst, BarrierParams(stall_rtol=0.0, tol=1e-7)).association
+    monkeypatch.setattr(solver_module, "_TOL", 1e-11)
+    monkeypatch.setattr(solver_module, "_STALL_RTOL", 0.0)
+    tight = two_stage(inst).association
     assert default.x.tobytes() == tight.x.tobytes()
     assert default.unserved == tight.unserved
 
@@ -1417,7 +1373,7 @@ def test_interior_start_packing_matches_array_loop(seed):
         assert isinstance(want, np.ndarray) and got.tobytes() == want.tobytes()
 
 
-def restart_loop_two_stage(inst, barrier=None):
+def restart_loop_two_stage(inst):
     """Admission by one full array-level pass per eviction.
 
     The reference for two_stage's admission: each pass of the frozen
@@ -1437,7 +1393,7 @@ def restart_loop_two_stage(inst, barrier=None):
         if isinstance(result, np.ndarray):
             start = result
             sub = _restricted_instance(inst, usable, rows)
-            x_star[rows] = solve_relaxed_ua(sub, barrier=barrier, start=start).x_star
+            x_star[rows] = solve_relaxed_ua(sub, start=start).x_star
             break
         over = np.zeros(inst.num_bs, dtype=bool)
         over[result] = True
@@ -1454,9 +1410,9 @@ def restart_loop_two_stage(inst, barrier=None):
     return x_star, assoc, tuple(evicted), start
 
 
-def assert_matches_restart_loop(inst, barrier=None):
-    sol = two_stage(inst, barrier=barrier)
-    x_star, assoc, evicted, start = restart_loop_two_stage(inst, barrier=barrier)
+def assert_matches_restart_loop(inst):
+    sol = two_stage(inst)
+    x_star, assoc, evicted, start = restart_loop_two_stage(inst)
     assert sol.relaxed.x_star.tobytes() == x_star.tobytes()
     assert sol.association.x.tobytes() == assoc.x.tobytes()
     assert sol.association.unserved == assoc.unserved
@@ -1594,8 +1550,7 @@ def test_admission_uniform_loads_near_thresholds(monkeypatch, n_t, sets, budgets
 @given(st.integers(0, 2**31 - 1))
 def test_admission_fuzz_matches_restart_loop_and_stays_feasible(seed):
     inst = random_admission_case(np.random.default_rng(seed))
-    # a loose barrier schedule: the relaxed solve's precision is not under test
-    sol = assert_matches_restart_loop(inst, BarrierParams(tol=1e-3, r_min=1e-2, mu=100.0))
+    sol = assert_matches_restart_loop(inst)
     viol = feasibility_violations(sol.association, sol.allocation, inst)
     assert viol["association_defects"] == 0
     assert viol["budget_overshoot_rel"] <= 1e-9
