@@ -2,7 +2,7 @@
 semantic-communication heterogeneous networks."""
 
 from .config import METHOD_NAMES, ScenarioConfig, SweepSpec, load_config
-from .errors import ConfigError, InfeasibleError, SolverError
+from .errors import ConfigError, SolverError
 from .metrics import PerformanceReport, bit_throughput, oracle_enumerate
 from .objective import (DeterministicObjective, chance_check, confidence_bound,
                         objective_gradient, objective_value, std_normal_cdf, std_normal_quantile)

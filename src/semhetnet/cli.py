@@ -5,8 +5,8 @@ import json
 import os
 import sys
 
-from .config import METHOD_NAMES, ScenarioConfig, load_config
-from .errors import ConfigError, InfeasibleError, SolverError
+from .config import METHOD_NAMES, SWEEP_VARIABLES, ScenarioConfig, load_config
+from .errors import ConfigError, SolverError
 from .harness import build_scenario, run_scenario, sweep, validate
 
 
@@ -53,16 +53,13 @@ def _cmd_solve(args):
 
 def _cmd_sweep(args):
     cfg = _load(args)
-    variable = args.variable or (cfg.sweep.variable if cfg.sweep else None)
     values = None
     if args.values:
         try:
             values = [float(v) for v in args.values.split(",")]
         except ValueError as exc:
             raise ConfigError(f"--values: {exc}") from exc
-    elif cfg.sweep:
-        values = cfg.sweep.values
-    rows = sweep(cfg, variable=variable, values=values, out_dir=args.out)
+    rows = sweep(cfg, variable=args.variable, values=values, out_dir=args.out)
     print(f"wrote {os.path.join(args.out, 'sweep.csv')} ({len(rows)} rows)")
     return 0
 
@@ -103,7 +100,7 @@ def build_parser():
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep")
     _add_common(p_sweep)
-    p_sweep.add_argument("--variable", choices=("num_mus", "alpha", "tau", "num_bss"))
+    p_sweep.add_argument("--variable", choices=SWEEP_VARIABLES)
     p_sweep.add_argument("--values", help="comma-separated sweep values")
     p_sweep.set_defaults(func=_cmd_sweep)
 
@@ -121,9 +118,6 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except InfeasibleError as exc:
-        print(f"infeasible scenario: {exc}", file=sys.stderr)
-        return 3
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 4

@@ -32,6 +32,9 @@ class SweepSpec:
             raise ConfigError("sweep.values must be non-empty")
         if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in self.values):
             raise ConfigError("sweep.values must be finite numbers")
+        if self.variable in ("num_mus", "num_bss") and not all(float(v).is_integer()
+                                                               for v in self.values):
+            raise ConfigError(f"sweep.values for {self.variable} must be whole numbers")
         self.values = tuple(self.values)
 
 

@@ -1,16 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: the CLI exits 2 on a
+ConfigError and 4 on a SolverError. Budgets that cannot hold every user are
+no error; admission blocks users until the rest fit (`solver.two_stage`)."""
 
 
 class ConfigError(ValueError):
     """Invalid scenario parameters or malformed configuration input."""
-
-
-class InfeasibleError(RuntimeError):
-    """No strictly interior association exists for the given budgets."""
-
-    def __init__(self, message, overloaded=()):
-        super().__init__(message)
-        self.overloaded = tuple(overloaded)
 
 
 class SolverError(RuntimeError):

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import metrics, solver
 from .config import ScenarioConfig, SweepSpec
-from .errors import ConfigError, InfeasibleError
+from .errors import ConfigError
 from .objective import (DeterministicObjective, chance_check, objective_gradient,
                         objective_value, std_normal_cdf, std_normal_quantile)
 from .semantics import FeasibleSets, assign_knowledge, feasible_bs_sets, sample_eta
@@ -196,13 +196,16 @@ def apply_sweep_value(config, variable, value):
 def sweep(config, variable=None, values=None, out_dir=None):
     """Repeat run_scenario per value, holding everything else fixed.
 
-    Emits long-format rows; identical config and seeds produce byte-identical
-    CSV output.
+    `variable` and `values` each default to config.sweep's. Emits
+    long-format rows; identical config and seeds produce byte-identical CSV
+    output.
     """
+    if variable is None and config.sweep:
+        variable = config.sweep.variable
+    if values is None and config.sweep:
+        values = config.sweep.values
     if variable is None or values is None:
-        if config.sweep is None:
-            raise ConfigError("no sweep spec: pass variable/values or set config.sweep")
-        variable, values = config.sweep.variable, config.sweep.values
+        raise ConfigError("no sweep spec: pass variable/values or set config.sweep")
     SweepSpec(variable=variable, values=tuple(values))  # range checks
     rows = []
     for value in values:
@@ -260,10 +263,7 @@ def oracle_gap_distribution(tau, sigma, alpha):
         inst = _tiny_random_instance(rng, tau, sigma, alpha)
         residual_scale = float(np.median(inst.budgets) / 6.0)
         quantum = max(float(inst.n_t[inst.mask()].min()), residual_scale)
-        try:
-            sol = solver.two_stage(inst)
-        except InfeasibleError:
-            continue
+        sol = solver.two_stage(inst)
         oracle = metrics.oracle_enumerate(inst, quantum=quantum)
         fbar_two_stage = metrics.instance_fbar(sol.association, sol.allocation, inst)
         if oracle.fbar <= 0:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleError, SolverError
+from .errors import ConfigError, SolverError
 from .objective import DeterministicObjective, confidence_bound
 from .semantics import FeasibleSets
 from .topology import bit_rate
@@ -53,10 +53,6 @@ class UaInstance:
             raise ValueError("minimum bandwidths must be positive")
         object.__setattr__(self, "budgets", budgets)
         object.__setattr__(self, "n_t", n_t)
-
-    @property
-    def num_users(self):
-        return self.n_t.shape[0]
 
     @property
     def num_bs(self):
@@ -181,21 +177,22 @@ def _link_lists(mask, n_t):
     return [pairs[start:end] for start, end in zip([0] + ends[:-1], ends)]
 
 
-def _greedy_pack(order, links, budgets, proof=None):
+def _greedy_pack(order, links, budgets, proof):
     """Greedy packing: each row in `order` goes to the BS with the most room
-    left (first maximum on ties). Returns each row's BS, in `order`.
+    left (first maximum on ties). Returns (cols, None), each row's BS in
+    `order`, or (None, the BSs proven overloaded so far) once the pass stops.
 
-    With proof = (dry, watched), two boolean lists over the BSs, a failing
-    pass may stop early. Loads only grow, so a running load of at least
-    N_j * (1 + margin) proves that BS j ends the pass overloaded: the margin
-    exceeds the gap between these running sums and `_loads`, each within
-    about m * eps of the exact sum. Once a proven BS is `dry` and a proven BS
-    is `watched`, raises InfeasibleError naming the BSs proven so far.
+    proof = (dry, watched) are two boolean lists over the BSs. Loads only
+    grow, so a running load of at least N_j * (1 + margin) proves that BS j
+    ends the pass overloaded: the margin exceeds the gap between these
+    running sums and `_loads`, each within about m * eps of the exact sum.
+    The pass stops once a proven BS is `dry` and a proven BS is `watched`;
+    otherwise it packs every row.
     """
     num_bs = len(budgets)
-    dry, watched = proof or ([False] * num_bs, [False] * num_bs)
+    dry, watched = proof
     margin = 1e-9 + 2.0 * len(order) * np.finfo(float).eps
-    full = (budgets * (1.0 + margin)).tolist() if proof else [math.inf] * num_bs
+    full = (budgets * (1.0 + margin)).tolist()
     b = budgets.tolist()
     loads = [0.0] * num_bs
     room = b[:]  # b[j] - loads[j], kept for each BS
@@ -214,10 +211,8 @@ def _greedy_pack(order, links, budgets, proof=None):
             fails = fails or dry[best]
             hits = hits or watched[best]
             if fails and hits:
-                over = [j for j in range(num_bs) if loads[j] >= full[j]]
-                raise InfeasibleError(f"greedy packing overloads budgets at BS {over}",
-                                      overloaded=over)
-    return cols
+                return None, [j for j in range(num_bs) if loads[j] >= full[j]]
+    return cols, None
 
 
 class _SubsetStarts:
@@ -230,11 +225,8 @@ class _SubsetStarts:
     """
 
     def __init__(self, mask, n_t, budgets):
-        sizes = mask.sum(axis=1)
-        if np.any(sizes == 0):
-            raise InfeasibleError("user with empty feasible set")
         self.mask, self.n_t, self.budgets = mask, n_t, budgets
-        self.x_unif = mask / sizes[:, None]
+        self.x_unif = mask / mask.sum(axis=1)[:, None]
         self.inside = np.ones(mask.shape[0], dtype=bool)
         self.loads = _loads(self.x_unif, n_t)
         self.load_err = None  # exact loads until a row is removed
@@ -300,30 +292,32 @@ class _SubsetStarts:
         rows = self.rows()
         return (b - _loads(self.x_unif.take(rows, axis=0), self.n_t.take(rows, axis=0))) / b
 
-    def start(self, stop_early=False):
+    def start(self):
         """Strictly interior start for the live rows: uniform rows, else a
         blend with a greedy packing that puts the hungriest rows first.
-        Raises InfeasibleError naming the BSs the packing overloads.
+        Returns (x, None), or (None, overloaded) with the BSs the packing
+        overloads when no blend is strictly interior.
 
-        With stop_early, a failing pass ends as soon as its partial packing
-        proves two things: some BS ends without slack in both the uniform
-        start and the packing (so no blend can help), and some BS usable by
-        the hungriest row (largest minimum n^T, ties to the last row) ends
-        overloaded. `overloaded` then lists only the BSs proven so far.
+        A failing pass ends as soon as its partial packing proves two things:
+        some BS ends without slack in both the uniform start and the packing
+        (so no blend can help), and some BS usable by the hungriest row
+        (largest minimum n^T, ties to the last row) ends overloaded.
+        `overloaded` then lists only the BSs proven so far. A pass the proof
+        does not stop packs every row.
         """
         budgets = self.budgets
         slack_unif = self.uniform_slack()
         if slack_unif.min() > 1e-9:
-            return self.x_unif.take(self.rows(), axis=0)
+            return self.x_unif.take(self.rows(), axis=0), None
         if self.live is None:
             self.links = _link_lists(self.mask, self.n_t)
             self.demand = np.where(self.mask, self.n_t, np.inf).min(axis=1)
             order = np.argsort(-self.demand, kind="stable")
             self.live = order[self.inside[order]].tolist()
-        proof = None
-        if stop_early:
-            proof = ((slack_unif <= 0).tolist(), self.mask[self.hungriest()].tolist())
-        cols = _greedy_pack(self.live, self.links, budgets, proof)
+        proof = ((slack_unif <= 0).tolist(), self.mask[self.hungriest()].tolist())
+        cols, overloaded = _greedy_pack(self.live, self.links, budgets, proof)
+        if cols is None:
+            return None, overloaded
 
         # take copies the same rows as fancy indexing, a few times faster
         rows = self.rows()
@@ -341,15 +335,11 @@ class _SubsetStarts:
             for theta in (0.5, 0.25, 0.1, 0.01, 1e-3, 1e-4, 0.0):
                 x = theta * x_unif + (1.0 - theta) * x_greedy
                 if rel_slack(x).min() > 1e-12:
-                    return x
-        overloaded = [int(j) for j in np.flatnonzero(slack_greedy <= 0)]
-        raise InfeasibleError(
-            f"no strictly interior association; overloaded budgets at BS {overloaded}",
-            overloaded=overloaded,
-        )
+                    return x, None
+        return None, [int(j) for j in np.flatnonzero(slack_greedy <= 0)]
 
 
-def _newton_direction(inst, mask, x, g):
+def _newton_direction(n_t, budgets, mask, x, g):
     """Projected Newton direction (Bertsekas 1982) of phi at x, on x's face.
 
     The face frees x's positive entries, and the zero entries on the mask
@@ -369,7 +359,6 @@ def _newton_direction(inst, mask, x, g):
     Returns the direction, zero off the face, or None when the face has no
     reduced entry or the solve is not finite.
     """
-    n_t = inst.n_t
     positive = x > _EPS_ACTIVE
     best = np.where(positive, g, -np.inf).max(axis=1)
     free = positive | (mask & (g > best[:, None]))
@@ -379,7 +368,7 @@ def _newton_direction(inst, mask, x, g):
     if not ri.size:
         return None
     pj = pivot[ri]
-    slack = inst.budgets - _loads(x, n_t)
+    slack = budgets - _loads(x, n_t)
     bz = np.zeros((ri.size, x.shape[1]))  # Bz S^-1
     k = np.arange(ri.size)
     bz[k, rj] = n_t[ri, rj] / slack[rj]
@@ -409,9 +398,12 @@ def _newton_direction(inst, mask, x, g):
     return d
 
 
-def solve_relaxed_ua(inst, *, start=None):
-    """The relaxed association problem, solved as the analytic centre of the
-    load polytope.
+def solve_relaxed_ua(mask, n_t, budgets, start):
+    """The relaxed association problem of admission's users, solved as the
+    analytic centre of their load polytope.
+
+    mask, n_t and start are admission's users' usable links, n^T and
+    strictly interior start (see `_admit`), and budgets the BSs' N_j.
 
     `make_instance` sizes n^T to the bit-rate threshold, so xi^T_ij is
     kappa_i times the threshold on every link, and Fbar is constant on the
@@ -453,29 +445,15 @@ def solve_relaxed_ua(inst, *, start=None):
     at the last allowed iteration, so the iterates and pg_norm are those of
     testing pg <= _TOL at every iteration.
 
-    The solve begins at `start` (two_stage passes admission's), or else at
-    the one `_SubsetStarts` finds. A start of the wrong shape or without
-    slack on some budget raises ValueError.
-
-    Raises
-    ------
-    InfeasibleError
-        If no strictly interior point exists.
-    SolverError
-        If the solve runs out of iterations (_MAX_INNER).
+    Raises ValueError for a start of the wrong shape or without slack on
+    some budget, and SolverError if the solve runs out of iterations
+    (_MAX_INNER).
     """
-    mask = inst.mask()
-    n_t, budgets = inst.n_t, inst.budgets
-    m = inst.num_users
-    if start is not None:
-        x = np.asarray(start, dtype=float)
-        if x.shape != n_t.shape or np.any(budgets - _loads(x, n_t) <= 0.0):
-            raise ValueError(f"start of shape {x.shape} is not strictly interior to an "
-                             f"instance of shape {n_t.shape}")
-    if m == 0:
-        return RelaxedAssociation(np.zeros((0, inst.num_bs)))
-    if start is None:
-        x = _SubsetStarts(mask, n_t, budgets).start()
+    x = np.asarray(start, dtype=float)
+    if x.shape != n_t.shape or np.any(budgets - _loads(x, n_t) <= 0.0):
+        raise ValueError(f"start of shape {x.shape} is not strictly interior to an "
+                         f"instance of shape {n_t.shape}")
+    m, l = n_t.shape
     project = _simplex_projector(mask)
     # The gradient is built as 0 off the mask, where x stays 0 and the
     # projector reads nothing, so ||g|| below covers only its inputs; dx is
@@ -485,7 +463,7 @@ def solve_relaxed_ua(inst, *, start=None):
     # ||g|| + sqrt(m): a projected entry is off by at most (l + 1) eps / 2
     # times its row's largest input, and ||x + t g|| / max(1, t) <= ||g|| +
     # sqrt(m) on the simplices. The margin over _TOL is twice their sum.
-    rounding = 2.0 * (inst.num_bs + 1) * np.sqrt(inst.num_bs) * np.finfo(float).eps
+    rounding = 2.0 * (l + 1) * np.sqrt(l) * np.finfo(float).eps
     root_m = np.sqrt(m)
 
     def evaluate(x):
@@ -511,7 +489,7 @@ def solve_relaxed_ua(inst, *, start=None):
         (t0 and 8 halvings) have failed. Trials outside the budgets do not
         count: near a tight budget the projection's clipping can move load
         onto it, and only a much shorter step is a point of phi's domain."""
-        d = _newton_direction(inst, mask, x, g)
+        d = _newton_direction(n_t, budgets, mask, x, g)
         if d is None or not float(np.vdot(g, d)) > 0.0:
             return None, 0
         frac, exp = math.frexp(float(np.abs(d).max()))
@@ -614,17 +592,14 @@ def solve_relaxed_ua(inst, *, start=None):
 def round_association(xs, inst):
     """Per-user argmax of the relaxed weights over the feasible set.
 
-    Ties break toward higher xi^T, then toward the lower BS index. The
-    result may violate budgets and must go through `repair_overload`.
-    All-zero rows (users blocked before the relaxed solve) stay unserved.
+    Ties break toward the lower BS index. The result may violate budgets
+    and must go through `repair_overload`. All-zero rows (users blocked
+    before the relaxed solve) stay unserved.
     """
     mask = inst.mask()
     w = np.where(mask, xs.x_star, -np.inf)
-    w_max = w.max(axis=1, keepdims=True)
-    top = w == w_max
-    xv = np.where(top, inst.objective.xi_t, -np.inf)
-    best = np.argmax(top & (xv == xv.max(axis=1, keepdims=True)), axis=1)
-    served = w_max[:, 0] > 0.0
+    best = np.argmax(w, axis=1)
+    served = w.max(axis=1) > 0.0
     x = np.zeros(mask.shape, dtype=np.int8)
     x[served, best[served]] = 1
     return Association(x=x, unserved=tuple(np.flatnonzero(~served).tolist()))
@@ -635,10 +610,9 @@ def _repair_budget(x, weights, inst, cand_mask, unserved=()):
 
     Always drains the BS with the largest excess first, evicting its most
     bandwidth-hungry user, who lands on the highest-weight candidate with
-    room, or becomes unserved when none exists.
+    room (ties to the lower BS index), or becomes unserved when none exists.
     """
     n_t, budgets = inst.n_t, inst.budgets
-    xi = inst.objective.xi_t
     x = np.asarray(x, dtype=np.int8).copy()
     blocked = set(int(i) for i in unserved)
     loads = _loads(x, n_t)
@@ -655,7 +629,7 @@ def _repair_budget(x, weights, inst, cand_mask, unserved=()):
         loads[j] -= n_t[i, j]
         ks = np.flatnonzero(cand_mask[i])
         ks = ks[ks != j]
-        order = np.lexsort((ks, -xi[i, ks], -weights[i, ks]))
+        order = np.lexsort((ks, -weights[i, ks]))
         placed = False
         for k in ks[order]:
             k = int(k)
@@ -861,19 +835,13 @@ def usable_links(inst):
     return inst.mask() & (inst.n_t <= inst.budgets[None, :] * (1.0 + 1e-12))
 
 
-def _restricted_instance(inst, usable, rows):
-    """The instance of users `rows` over their `usable` links."""
-    return replace(inst, objective=replace(inst.objective, xi_t=inst.objective.xi_t[rows]),
-                   feasible=FeasibleSets(usable[rows]), n_t=inst.n_t[rows])
-
-
 def _admit(usable, n_t, budgets):
     """Users the relaxed problem can hold with a strictly interior point.
 
-    Starts from every user with a usable link. While the greedy packing of
-    `_SubsetStarts.start` overloads a budget, blocks the most bandwidth-hungry
-    user (largest minimum usable n^T, ties to the largest index) touching an
-    overloaded BS. Returns the admitted-user mask, the blocked users in
+    Starts from every user with a usable link. While `_SubsetStarts.start`
+    finds no strictly interior start, blocks the most bandwidth-hungry user
+    (largest minimum usable n^T, ties to the largest index) touching a BS it
+    names overloaded. Returns the admitted-user mask, the blocked users in
     eviction order, and the admitted users' interior start (None if no
     user is admitted).
 
@@ -888,13 +856,12 @@ def _admit(usable, n_t, budgets):
     evicted = []
     start = None
     while len(evicted) < users.size:
-        try:
-            start = starts.start(stop_early=True)
+        start, overloaded = starts.start()
+        if start is not None:
             break
-        except InfeasibleError as err:
-            victim = starts.victim(err.overloaded)
-            starts.remove(victim)
-            evicted.append(int(users[victim]))
+        victim = starts.victim(overloaded)
+        starts.remove(victim)
+        evicted.append(int(users[victim]))
     admitted[evicted] = False
     return admitted, tuple(evicted), start
 
@@ -910,16 +877,19 @@ def two_stage(inst):
     minimum usable n^T among those touching a BS the greedy packing
     overloads (repair, after rounding, instead moves the user with the
     largest n^T off the most overloaded BS). The relaxed problem is then
-    solved once, from admission's start. The users blocked at admission
+    solved once, from admission's start; where admission admits nobody, no
+    solve runs and every user is unserved. The users blocked at admission
     are returned in `evicted`, in order.
     """
     usable = usable_links(inst)
     admitted, evicted, start = _admit(usable, inst.n_t, inst.budgets)
     rows = np.flatnonzero(admitted)
-    sub = solve_relaxed_ua(_restricted_instance(inst, usable, rows), start=start)
     x_star = np.zeros_like(inst.n_t)
-    x_star[rows] = sub.x_star
-    relaxed = replace(sub, x_star=x_star)
+    relaxed = RelaxedAssociation(x_star)
+    if rows.size:
+        sub = solve_relaxed_ua(usable[rows], inst.n_t[rows], inst.budgets, start)
+        x_star[rows] = sub.x_star
+        relaxed = replace(sub, x_star=x_star)
     assoc = repair_overload(round_association(relaxed, inst), relaxed, inst)
     alloc = allocate_residual(assoc, inst)
     return TwoStageSolution(relaxed=relaxed, association=assoc, allocation=alloc,

@@ -9,9 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from semhetnet import harness, solver
 from semhetnet.cli import main as cli_main
-from semhetnet.config import (MAX_DOMAINS, MAX_STATIONS, MAX_USERS, ScenarioConfig,
+from semhetnet.config import (MAX_DOMAINS, MAX_STATIONS, MAX_USERS, ScenarioConfig, SweepSpec,
                               config_from_dict, load_config)
-from semhetnet.errors import ConfigError, InfeasibleError, SolverError
+from semhetnet.errors import ConfigError, SolverError
 from semhetnet.harness import (RESULTS_FIELDS, SWEEP_FIELDS, apply_sweep_value,
                                build_scenario, rows_to_csv_bytes, run_scenario, sweep,
                                validate)
@@ -177,6 +177,36 @@ def test_sweep_requires_spec():
         sweep(cfg)
 
 
+def test_sweep_arguments_fall_back_to_the_config_spec_one_by_one():
+    # A variable passed alone runs at the spec's values, and values passed
+    # alone at the spec's variable; the spec's variable never overrides the
+    # one passed
+    cfg = config_from_dict({**DESK, "num_users": 10,
+                            "sweep": {"variable": "alpha", "values": [0.6, 0.9]}})
+    rows = sweep(cfg, variable="tau")
+    assert [(r["variable"], r["value"]) for r in rows] == [("tau", 0.6), ("tau", 0.9)]
+    rows = sweep(cfg, values=(0.7,))
+    assert [(r["variable"], r["value"]) for r in rows] == [("alpha", 0.7)]
+
+
+@pytest.mark.parametrize("variable, values, whole", [
+    ("num_mus", (20.7, 30), False),
+    ("num_bss", (7.9,), False),
+    ("num_mus", (-0.5,), False),
+    ("num_mus", (20, 30.0), True),
+    ("num_bss", (16.0,), True),
+    ("alpha", (0.6, 0.9), True),
+])
+def test_sweep_counts_must_be_whole_numbers(variable, values, whole):
+    # a fractional user or station count would be truncated (20.7 runs 20
+    # users) while the sweep's value column keeps 20.7
+    if whole:
+        assert SweepSpec(variable, values).values == tuple(values)
+    else:
+        with pytest.raises(ConfigError, match="whole numbers"):
+            SweepSpec(variable, values)
+
+
 def test_cli_gen_solve_sweep_validate(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
@@ -247,6 +277,9 @@ def test_cli_bad_config_exit_code(tmp_path):
     ({}, ["sweep", "--variable", "num_mus", "--values", "20,nan"]),
     ({}, ["sweep", "--variable", "num_bss", "--values", "20,inf"]),
     ({}, ["sweep", "--variable", "num_bss", "--values", "20,nan"]),
+    # user and station counts are whole numbers
+    ({}, ["sweep", "--variable", "num_mus", "--values", "20.7,30"]),
+    ({}, ["sweep", "--variable", "num_bss", "--values", "7.9"]),
     # integer counts are bounded (config.MAX_USERS, MAX_STATIONS, MAX_DOMAINS)
     ({"num_users": 10**25}, []),
     ({"num_domains": 10**20}, []),
@@ -256,7 +289,8 @@ def test_cli_bad_config_exit_code(tmp_path):
         "sweep-without-values", "sweep-value-string", "missing-file", "values-not-numbers",
         "radius-inf", "radius-huge-int", "macro-power-inf", "femto-power-nan", "msg_per_bit-inf",
         "threshold-inf", "sigma-inf", "budget-inf", "noise-minus-inf", "num_mus-inf",
-        "num_mus-nan", "num_bss-inf", "num_bss-nan", "users-huge", "domains-huge"])
+        "num_mus-nan", "num_bss-inf", "num_bss-nan", "num_mus-fractional", "num_bss-fractional",
+        "users-huge", "domains-huge"])
 def test_cli_malformed_input_exits_2(tmp_path, monkeypatch, config, extra):
     def no_solve(*args, **kwargs):
         raise AssertionError("malformed input must be rejected before any solve")
@@ -332,15 +366,29 @@ def scenario_configs(draw):
 @example(ScenarioConfig(num_users=20, region_radius_m=1e9))
 @example(ScenarioConfig(num_users=20, noise_power_dbm=300.0))
 def test_config_fuzz_raises_only_documented_errors_and_stays_feasible(config):
-    # the errors the CLI maps to exit codes 2, 3 and 4; anything else exits 1
+    # the errors the CLI maps to exit codes 2 and 4; anything else exits 1
     try:
         _, outcomes, _ = run_scenario(config)
-    except (ConfigError, InfeasibleError, SolverError):
+    except (ConfigError, SolverError):
         return
     for seed, per_method in outcomes.items():
         check = harness.solution_feasibility(build_scenario(config, seed),
                                              list(per_method.values()))
         assert check.passed, check.detail
+
+
+def test_cli_budgets_that_fit_no_user_solve_with_every_user_unserved(tmp_path):
+    # No n^T fits a 100 Hz budget: every method leaves every user unserved,
+    # and the solve exits 0, since infeasible budgets are no error
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**DESK, "bandwidth_budget_hz": 100,
+                                "methods": list(ScenarioConfig().methods)}))
+    assert cli_main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    for entry in report[0]["methods"]:
+        assert entry["served"] == 0 and entry["unserved"] == list(range(DESK["num_users"]))
+        assert entry["relaxed_stage"] is None
+    assert report[0]["methods"][0]["admission_evicted"] == []  # blocked up front
 
 
 def test_cli_huge_message_rates_solve_feasibly(tmp_path):
