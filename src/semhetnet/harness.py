@@ -14,7 +14,8 @@ from .config import ScenarioConfig, SweepSpec
 from .errors import ConfigError
 from .objective import (DeterministicObjective, chance_check, objective_gradient,
                         objective_value, std_normal_cdf, std_normal_quantile)
-from .semantics import FeasibleSets, assign_knowledge, feasible_bs_sets, sample_eta
+from .seeding import substream
+from .semantics import FeasibleSets, assign_knowledge, eta_blocks, feasible_bs_sets
 from .topology import Tier, compute_sinr, generate_topology
 
 RESULTS_FIELDS = ("scenario", "seed", "method", "alpha", "tau", "sigma", "num_users",
@@ -338,8 +339,8 @@ def validate(config):
 
     if config.sigma > 0:
         draws = 1_000_000
-        etas = sample_eta(config.tau, config.sigma, draws, seed=11)
-        clamped = float(np.mean((etas <= 1e-9) | (etas >= 1.0 - 1e-9)))
+        blocks = eta_blocks(substream(11, "eta"), config.tau, config.sigma, draws)
+        clamped = sum(int(np.count_nonzero((e <= 1e-9) | (e >= 1 - 1e-9))) for e in blocks) / draws
         expected = std_normal_cdf(-config.tau / config.sigma) + 1.0 - std_normal_cdf(
             (1.0 - config.tau) / config.sigma
         )

@@ -133,6 +133,7 @@ def _oracle_search(inst, options, quantum):
     sq = obj.sigma * obj.q
     budgets = inst.budgets
 
+    fits, grids = {}, {}  # per (BS, its users): budget verdict; sum s, sum s^2 on its grid
     best_f = -np.inf
     best_combo = None
     best_pick = None
@@ -142,25 +143,25 @@ def _oracle_search(inst, options, quantum):
         for i, j in enumerate(combo):
             if j is not None:
                 users_of[j].append(i)
-        feasible = True
-        for j in range(l):
-            if users_of[j] and inst.n_t[users_of[j], j].sum() > budgets[j] * (1 + 1e-12):
-                feasible = False
-                break
-        if not feasible:
+        keys = [(j, tuple(users)) for j, users in enumerate(users_of) if users]
+        for j, users in keys:
+            if (j, users) not in fits:
+                fits[j, users] = inst.n_t[list(users), j].sum() <= budgets[j] * (1 + 1e-12)
+        if not all(fits[key] for key in keys):
             continue
         s1 = np.zeros(1)
         s2 = np.zeros(1)
         dims = []
-        for j in range(l):
-            if not users_of[j]:
-                continue
-            s_opts = _bs_rate_options(inst, c, users_of[j], j, quantum)
-            dims.append((j, s_opts.shape[0]))
-            if s1.size * s_opts.shape[0] > _ORACLE_MAX_COMBOS:
+        for j, users in keys:
+            if (j, users) not in grids:
+                s_opts = _bs_rate_options(inst, c, list(users), j, quantum)
+                grids[j, users] = (s_opts.sum(axis=1), (s_opts**2).sum(axis=1))
+            g1, g2 = grids[j, users]
+            dims.append((j, g1.size))
+            if s1.size * g1.size > _ORACLE_MAX_COMBOS:
                 raise ValueError("oracle grid too fine; raise the quantum")
-            s1 = (s1[:, None] + s_opts.sum(axis=1)[None, :]).ravel()
-            s2 = (s2[:, None] + (s_opts**2).sum(axis=1)[None, :]).ravel()
+            s1 = (s1[:, None] + g1[None, :]).ravel()
+            s2 = (s2[:, None] + g2[None, :]).ravel()
         f = obj.tau * s1 - sq * np.sqrt(s2)
         idx = int(np.argmax(f))
         if f[idx] > best_f:

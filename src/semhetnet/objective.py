@@ -8,7 +8,7 @@ its alpha-quantile lower bound
 
 where q is the standard normal quantile at alpha and
 y_i = sum_j x_ij * xi_ij. Pr{F >= Fbar} = alpha holds exactly, which
-`chance_check` verifies empirically.
+`chance_check` verifies empirically in fixed memory.
 """
 
 import math
@@ -18,7 +18,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .seeding import substream
-from .semantics import ETA_CLAMP_EPS
+from .semantics import eta_blocks
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -105,19 +105,12 @@ def chance_check(rates, fbar, tau, sigma, trials, seed=0):
 
     F = sum_i eta_i * rates_i with eta_i ~ N(tau, sigma^2), clamped into
     (0, 1) like `sample_eta`. With fbar the confidence bound of the rates,
-    the exact Gaussian quantile property makes this converge to alpha.
+    the exact Gaussian quantile property makes this converge to alpha. The
+    draws stream through `eta_blocks`: memory depends on neither M nor trials.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     y = np.asarray(rates, dtype=float)
-    rng = substream(seed, "chance")
-    hits = 0
-    done = 0
-    while done < trials:
-        n = min(4000, trials - done)  # draws per block, bounding memory
-        etas = rng.normal(tau, sigma, size=(n, y.size))
-        np.clip(etas, ETA_CLAMP_EPS, 1.0 - ETA_CLAMP_EPS, out=etas)
-        f = etas @ y
-        hits += int((f >= fbar).sum())
-        done += n
+    hits = sum(int(np.count_nonzero(etas @ y >= fbar))
+               for etas in eta_blocks(substream(seed, "chance"), tau, sigma, trials, y.size))
     return hits / trials

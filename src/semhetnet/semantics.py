@@ -10,9 +10,29 @@ from .seeding import substream
 
 # Knowledge-matching draws must stay inside the open interval (0, 1).
 ETA_CLAMP_EPS = 1e-9
+ETA_BLOCK = 2**16  # draws per reused Monte Carlo buffer (512 KB)
 
 # Roughly a 20-word sentence at 10 bits/word plus coding overhead.
 DEFAULT_MSG_PER_BIT = 1.0 / 1600.0
+
+
+def fill_eta(rng, tau, sigma, out):
+    """Fill `out` in place with eta ~ N(tau, sigma^2) from rng, clamped into
+    (0, 1): rng.normal's values, whether drawn at once or block by block."""
+    if sigma < 0:
+        raise ValueError("sigma must be nonnegative")
+    rng.standard_normal(out=out)
+    out *= sigma
+    out += tau
+    return np.clip(out, ETA_CLAMP_EPS, 1.0 - ETA_CLAMP_EPS, out=out)
+
+
+def eta_blocks(rng, tau, sigma, rows, width=1):
+    """Yield `rows` rows of `width` draws of `fill_eta` as views of one buffer
+    of about ETA_BLOCK draws, each overwritten by the next: fixed memory."""
+    block = np.empty((max(1, ETA_BLOCK // max(1, width)), width))
+    for done in range(0, rows, len(block)):
+        yield fill_eta(rng, tau, sigma, block[:rows - done])
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,8 +86,6 @@ def feasible_bs_sets(kb, needs):
 
 
 def sample_eta(tau, sigma, num_users, seed=0):
-    """Draw i.i.d. matching coefficients eta ~ N(tau, sigma^2), clamped into (0, 1)."""
-    rng = substream(seed, "eta")
-    draws = rng.normal(tau, sigma, size=num_users)
-    np.clip(draws, ETA_CLAMP_EPS, 1.0 - ETA_CLAMP_EPS, out=draws)
-    return draws
+    """Draw i.i.d. matching coefficients eta ~ N(tau, sigma^2) into one array
+    of `num_users` with `fill_eta`, from the seed's "eta" substream."""
+    return fill_eta(substream(seed, "eta"), tau, sigma, np.empty(num_users))

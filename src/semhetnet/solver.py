@@ -260,13 +260,11 @@ class _SubsetStarts:
     def victim(self, overloaded):
         """The live row the admission rule blocks after a pass that names
         `overloaded`: the hungriest row touching one of those BSs (ties to
-        the last row), or the hungriest row if none touches one."""
+        the last row). Some live row touches one: each carries load."""
         hungriest = self.hungriest()
         if self.mask[hungriest, list(overloaded)].any():
             return hungriest
         touching = np.flatnonzero(self.inside & self.mask[:, list(overloaded)].any(axis=1))
-        if touching.size == 0:
-            return hungriest
         demand = self.demand[touching]
         return int(touching[demand == demand.max()].max())
 
@@ -296,7 +294,8 @@ class _SubsetStarts:
         """Strictly interior start for the live rows: uniform rows, else a
         blend with a greedy packing that puts the hungriest rows first.
         Returns (x, None), or (None, overloaded) with the BSs the packing
-        overloads when no blend is strictly interior.
+        overloads, else those it leaves within 1e-12 of their budget, when
+        no blend is strictly interior: never none, and each carries load.
 
         A failing pass ends as soon as its partial packing proves two things:
         some BS ends without slack in both the uniform start and the packing
@@ -336,7 +335,9 @@ class _SubsetStarts:
                 x = theta * x_unif + (1.0 - theta) * x_greedy
                 if rel_slack(x).min() > 1e-12:
                     return x, None
-        return None, [int(j) for j in np.flatnonzero(slack_greedy <= 0)]
+        # the BSs the packing overloads, else those the pure packing fails on
+        tight = 0.0 if np.any(slack_greedy <= 0) else 1e-12
+        return None, [int(j) for j in np.flatnonzero(slack_greedy <= tight)]
 
 
 def _newton_direction(n_t, budgets, mask, x, g):

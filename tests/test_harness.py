@@ -2,6 +2,7 @@ import json
 import math
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -414,7 +415,15 @@ def test_cli_relaxed_stage_out_of_iterations_exits_4(tmp_path, monkeypatch, caps
 
 def test_validate_all_pass_on_desk_config():
     cfg = config_from_dict({**DESK, "methods": list(ScenarioConfig().methods)})
-    checks = validate(cfg)
+    # the Monte Carlo checks stream their draws through fixed-size buffers:
+    # materialized in full, the clamping draws alone take 10 MB
+    tracemalloc.start()
+    try:
+        checks = validate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
     assert {c.name for c in checks} == {
         "quantile_accuracy", "gradient_finite_difference", "eta_clamp_frequency",
         "confidence_calibration", "oracle_gap", "solution_feasibility",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -168,8 +170,8 @@ def test_chance_check_deterministic(rng):
 
 
 def test_chance_check_blocks_match_one_draw(rng):
-    # 10001 trials span two full blocks and a partial one; drawn at once from
-    # the same substream, the coefficients and the hit count are the same
+    # drawn at once from the same substream, the coefficients and the hit
+    # count are the same (at 6 rates one block holds all 10001 trials)
     obj, x, y = _binary_instance(rng)
     fbar = objective_value(obj, x)
     trials = 10_001
@@ -178,6 +180,31 @@ def test_chance_check_blocks_match_one_draw(rng):
     hits = int((etas @ y >= fbar).sum())
     assert 0 < hits < trials
     assert chance_check(y, fbar, 0.5, 0.3, trials, seed=5) == hits / trials
+
+
+@pytest.mark.parametrize("width", [100, 0])
+def test_chance_check_matches_one_draw_at_any_width(width):
+    # at 100 rates a block holds 655 trials, so 10001 trials take 16 blocks,
+    # the last one partial; with no rates every F is 0
+    y = np.random.default_rng(6).uniform(0.0, 10.0, size=width)
+    fbar = objective_value(DeterministicObjective.for_confidence(0.5, 0.3, 0.9, y[:, None]),
+                           np.ones((width, 1)))
+    trials = 10_001
+    etas = substream(5, "chance").normal(0.5, 0.3, size=(trials, width))
+    np.clip(etas, ETA_CLAMP_EPS, 1.0 - ETA_CLAMP_EPS, out=etas)
+    hits = int((etas @ y >= fbar).sum())
+    assert chance_check(y, fbar, 0.5, 0.3, trials, seed=5) == hits / trials
+
+
+def test_chance_check_memory_does_not_grow_with_rates():
+    # 4000 trials of 3000 rates drawn at once would take 96 MB
+    tracemalloc.start()
+    try:
+        chance_check(np.ones(3000), 0.0, 0.5, 0.1, trials=4000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_chance_check_requires_trials():

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from semhetnet.errors import ConfigError
-from semhetnet.semantics import (DEFAULT_MSG_PER_BIT, FeasibleSets, assign_knowledge,
-                                 feasible_bs_sets, sample_eta)
+from semhetnet.seeding import substream
+from semhetnet.semantics import (DEFAULT_MSG_PER_BIT, ETA_BLOCK, ETA_CLAMP_EPS, FeasibleSets,
+                                 assign_knowledge, eta_blocks, feasible_bs_sets, fill_eta,
+                                 sample_eta)
 from semhetnet.solver import make_instance
 from semhetnet.topology import generate_topology
 
@@ -124,6 +126,33 @@ def test_eta_sampling_statistics():
     clamped = np.mean((draws <= 1e-9) | (draws >= 1.0 - 1e-9))
     assert clamped < 1e-6  # Gaussian 5-sigma tails
     assert np.all(draws > 0.0) and np.all(draws < 1.0)
+
+
+@pytest.mark.parametrize("tau, sigma", [(0.5, 0.1), (0.3, 0.4), (0.5, 0.0)])
+def test_fill_eta_matches_normal_and_clip(tau, sigma):
+    # in-place scaling of standard normals gives rng.normal's values, and
+    # blocks of a stream, the last one partial, the draws of one call
+    total = 2 * ETA_BLOCK + 1234
+    want = substream(8, "eta").normal(tau, sigma, size=total)
+    np.clip(want, ETA_CLAMP_EPS, 1.0 - ETA_CLAMP_EPS, out=want)
+    got = fill_eta(substream(8, "eta"), tau, sigma, np.empty(total))
+    assert got.tobytes() == want.tobytes()
+    blocks = [b.copy() for b in eta_blocks(substream(8, "eta"), tau, sigma, total)]
+    assert [len(b) for b in blocks] == [ETA_BLOCK, ETA_BLOCK, 1234]
+    assert np.concatenate(blocks).ravel().tobytes() == want.tobytes()
+    assert sample_eta(tau, sigma, total, seed=8).tobytes() == want.tobytes()
+
+
+def test_eta_sampling_rejects_negative_sigma():
+    with pytest.raises(ValueError):
+        sample_eta(0.5, -0.1, 3)
+
+
+def test_eta_blocks_reuse_one_buffer_of_fixed_size():
+    blocks = list(eta_blocks(substream(1, "chance"), 0.5, 0.1, 1000, width=3000))
+    assert len(blocks) == -(-1000 // (ETA_BLOCK // 3000))
+    assert all(b.base is blocks[0].base for b in blocks)
+    assert blocks[0].base.size <= ETA_BLOCK
 
 
 def test_eta_sampling_deterministic():
