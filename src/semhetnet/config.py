@@ -2,13 +2,11 @@
 
 import dataclasses
 import json
-import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .semantics import DEFAULT_MSG_PER_BIT
-from .topology import DEFAULT_BANDWIDTH_BUDGET_HZ, DEFAULT_NOISE_POWER_DBM
 
 METHOD_NAMES = ("two-stage", "max-sinr-wf", "max-sinr-even")
 SWEEP_VARIABLES = ("num_mus", "alpha", "tau", "num_bss")
@@ -18,6 +16,17 @@ SWEEP_VARIABLES = ("num_mus", "alpha", "tau", "num_bss")
 MAX_USERS = 10**6
 MAX_STATIONS = 10**4  # macro, pico and femto together
 MAX_DOMAINS = 10**4
+
+# What each field annotation admits, as JSON spells it: a bool is no number.
+# A finite number also fits a float, so an integer such as 10**400 fails.
+TYPE_RULES = {
+    str: ("a string", lambda v: isinstance(v, str)),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    int: ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+    float: ("a finite number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max),
+    tuple: ("a list", lambda v: isinstance(v, (list, tuple))),
+}
 
 
 @dataclass
@@ -30,8 +39,10 @@ class SweepSpec:
             raise ConfigError(f"sweep.variable must be one of {SWEEP_VARIABLES}")
         if not self.values:
             raise ConfigError("sweep.values must be non-empty")
-        if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in self.values):
+        if not all(TYPE_RULES[float][1](v) for v in self.values):
             raise ConfigError("sweep.values must be finite numbers")
+        if len(set(self.values)) != len(self.values):
+            raise ConfigError("sweep.values lists a value twice")
         if self.variable in ("num_mus", "num_bss") and not all(float(v).is_integer()
                                                                for v in self.values):
             raise ConfigError(f"sweep.values for {self.variable} must be whole numbers")
@@ -49,12 +60,13 @@ class ScenarioConfig:
     macro_power_dbm: float = 43.0
     pico_power_dbm: float = 35.0
     femto_power_dbm: float = 20.0
-    bandwidth_budget_hz: float = DEFAULT_BANDWIDTH_BUDGET_HZ
-    noise_power_dbm: float = DEFAULT_NOISE_POWER_DBM
+    bandwidth_budget_hz: float = 2e6
+    noise_power_dbm: float = -111.45
     num_domains: int = 4
     kb_per_bs: int = 3
     needs_per_mu: int = 1
-    msg_per_bit: float = DEFAULT_MSG_PER_BIT
+    # roughly a 20-word sentence at 10 bits/word plus coding overhead
+    msg_per_bit: float = 1.0 / 1600.0
     tau: float = 0.5
     sigma: float = 0.1
     alpha: float = 0.95
@@ -73,18 +85,15 @@ class ScenarioConfig:
         self.seeds = tuple(int(s) for s in self.seeds)
 
     def validate(self):
-        if not all(isinstance(v, (list, tuple)) for v in (self.methods, self.seeds)):
-            raise ConfigError("config fields 'methods' and 'seeds' must be lists")
-        if not self.seeds or not all(isinstance(s, numbers.Integral) and not isinstance(s, bool)
-                                     and s >= 0 for s in self.seeds):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            kind, ok = TYPE_RULES.get(f.type, (f"a {f.type.__name__} or null",
+                                               lambda v: v is None or isinstance(v, f.type)))
+            if not ok(value):
+                raise ConfigError(f"config field {f.name!r} must be {kind}, not {value!r}")
+        if not self.seeds or not all(TYPE_RULES[int][1](s) and s >= 0 for s in self.seeds):
             raise ConfigError("config field 'seeds' must list one or more integers >= 0")
-        counts = (self.num_macro, self.num_pico, self.num_femto, self.num_users,
-                  self.num_domains, self.kb_per_bs, self.needs_per_mu)
-        if not all(isinstance(v, numbers.Integral) for v in counts):
-            raise ConfigError("user, station and domain counts must be integers")
         checks = (
-            *((f.name, math.isfinite(getattr(self, f.name)))
-              for f in dataclasses.fields(self) if f.type is float),
             ("region_radius_m", self.region_radius_m > 0),
             ("num_users", 0 <= self.num_users <= MAX_USERS),
             ("tier counts", min(self.num_macro, self.num_pico, self.num_femto) >= 0

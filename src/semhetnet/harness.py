@@ -15,8 +15,9 @@ from .errors import ConfigError
 from .objective import (DeterministicObjective, chance_check, objective_gradient,
                         objective_value, std_normal_cdf, std_normal_quantile)
 from .seeding import substream
-from .semantics import FeasibleSets, assign_knowledge, eta_blocks, feasible_bs_sets
-from .topology import Tier, compute_sinr, generate_topology
+from .semantics import (ETA_CLAMP_EPS, FeasibleSets, assign_knowledge, eta_blocks,
+                        feasible_bs_sets)
+from .topology import compute_sinr, generate_topology
 
 RESULTS_FIELDS = ("scenario", "seed", "method", "alpha", "tau", "sigma", "num_users",
                   "expected_stm", "fbar", "bit_throughput", "unserved")
@@ -45,25 +46,9 @@ class MethodOutcome:
 
 
 def build_scenario(config, seed):
-    topology = generate_topology(
-        config.num_users,
-        region_radius_m=config.region_radius_m,
-        num_macro=config.num_macro,
-        num_pico=config.num_pico,
-        num_femto=config.num_femto,
-        tier_powers_dbm={
-            Tier.MACRO: config.macro_power_dbm,
-            Tier.PICO: config.pico_power_dbm,
-            Tier.FEMTO: config.femto_power_dbm,
-        },
-        bandwidth_budget_hz=config.bandwidth_budget_hz,
-        noise_power_dbm=config.noise_power_dbm,
-        seed=seed,
-    )
+    topology = generate_topology(config, seed)
     gamma = compute_sinr(topology)
-    kb, needs = assign_knowledge(
-        config.num_domains, config.kb_per_bs, config.needs_per_mu, topology, seed=seed
-    )
+    kb, needs = assign_knowledge(config, topology, seed)
     instance = solver.make_instance(
         gamma, feasible_bs_sets(kb, needs), config.msg_per_bit, topology.budgets,
         config.bit_rate_threshold_bps, config.tau, config.sigma, config.alpha,
@@ -264,12 +249,11 @@ def oracle_gap_distribution(tau, sigma, alpha):
         inst = _tiny_random_instance(rng, tau, sigma, alpha)
         residual_scale = float(np.median(inst.budgets) / 6.0)
         quantum = max(float(inst.n_t[inst.mask()].min()), residual_scale)
-        sol = solver.two_stage(inst)
         oracle = metrics.oracle_enumerate(inst, quantum=quantum)
-        fbar_two_stage = metrics.instance_fbar(sol.association, sol.allocation, inst)
         if oracle.fbar <= 0:
             continue
-        ratios.append(fbar_two_stage / oracle.fbar)
+        sol = solver.two_stage(inst)
+        ratios.append(metrics.instance_fbar(sol.association, sol.allocation, inst) / oracle.fbar)
     return ratios
 
 
@@ -340,7 +324,8 @@ def validate(config):
     if config.sigma > 0:
         draws = 1_000_000
         blocks = eta_blocks(substream(11, "eta"), config.tau, config.sigma, draws)
-        clamped = sum(int(np.count_nonzero((e <= 1e-9) | (e >= 1 - 1e-9))) for e in blocks) / draws
+        clamped = sum(int(np.count_nonzero((e <= ETA_CLAMP_EPS) | (e >= 1 - ETA_CLAMP_EPS)))
+                      for e in blocks) / draws
         expected = std_normal_cdf(-config.tau / config.sigma) + 1.0 - std_normal_cdf(
             (1.0 - config.tau) / config.sigma
         )

@@ -104,7 +104,7 @@ def chance_check(rates, fbar, tau, sigma, trials, seed=0):
     """Empirical Pr{F >= fbar} over `trials` draws of the matching coefficients.
 
     F = sum_i eta_i * rates_i with eta_i ~ N(tau, sigma^2), clamped into
-    (0, 1) like `sample_eta`. With fbar the confidence bound of the rates,
+    (0, 1) by `fill_eta`. With fbar the confidence bound of the rates,
     the exact Gaussian quantile property makes this converge to alpha. The
     draws stream through `eta_blocks`: memory depends on neither M nor trials.
     """

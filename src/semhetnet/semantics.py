@@ -12,9 +12,6 @@ from .seeding import substream
 ETA_CLAMP_EPS = 1e-9
 ETA_BLOCK = 2**16  # draws per reused Monte Carlo buffer (512 KB)
 
-# Roughly a 20-word sentence at 10 bits/word plus coding overhead.
-DEFAULT_MSG_PER_BIT = 1.0 / 1600.0
-
 
 def fill_eta(rng, tau, sigma, out):
     """Fill `out` in place with eta ~ N(tau, sigma^2) from rng, clamped into
@@ -56,23 +53,21 @@ class FeasibleSets:
         return self.links
 
 
-def assign_knowledge(num_domains, kb_per_bs, needs_per_mu, topology, seed=0):
-    """Draw uniform random domain subsets for every BS and every user.
+def assign_knowledge(config, topology, seed):
+    """Draw uniform random subsets of a `ScenarioConfig`'s domains for every
+    BS (kb_per_bs each) and every user (needs_per_mu each).
 
     Returns boolean membership matrices (kb: BSs x K, needs: users x K);
     kb[j, k] is True when BS j hosts domain k.
     """
-    if not 1 <= kb_per_bs <= num_domains:
-        raise ConfigError("kb_per_bs must lie in [1, num_domains]")
-    if not 1 <= needs_per_mu <= num_domains:
-        raise ConfigError("needs_per_mu must lie in [1, num_domains]")
-    kb = np.zeros((topology.num_bs, num_domains), dtype=bool)
-    needs = np.zeros((topology.num_users, num_domains), dtype=bool)
-    for rows, size, name in ((kb, kb_per_bs, "bs-knowledge"),
-                             (needs, needs_per_mu, "mu-knowledge")):
+    k = config.num_domains
+    kb = np.zeros((topology.num_bs, k), dtype=bool)
+    needs = np.zeros((topology.num_users, k), dtype=bool)
+    for rows, size, name in ((kb, config.kb_per_bs, "bs-knowledge"),
+                             (needs, config.needs_per_mu, "mu-knowledge")):
         rng = substream(seed, name)
         for row in rows:
-            row[rng.choice(num_domains, size=size, replace=False)] = True
+            row[rng.choice(k, size=size, replace=False)] = True
     return kb, needs
 
 
@@ -84,8 +79,3 @@ def feasible_bs_sets(kb, needs):
     # Overlaps are never negative, so initial=0 only matters when kb has no rows.
     return FeasibleSets(overlap == overlap.max(axis=1, keepdims=True, initial=0.0))
 
-
-def sample_eta(tau, sigma, num_users, seed=0):
-    """Draw i.i.d. matching coefficients eta ~ N(tau, sigma^2) into one array
-    of `num_users` with `fill_eta`, from the seed's "eta" substream."""
-    return fill_eta(substream(seed, "eta"), tau, sigma, np.empty(num_users))

@@ -18,17 +18,11 @@ from .seeding import substream
 # Path-loss models are undefined at d -> 0; distances are clamped here.
 MIN_DISTANCE_M = 1.0
 
-DEFAULT_NOISE_POWER_DBM = -111.45
-DEFAULT_BANDWIDTH_BUDGET_HZ = 2e6
-
 
 class Tier(str, Enum):
     MACRO = "macro"
     PICO = "pico"
     FEMTO = "femto"
-
-
-DEFAULT_TIER_POWER_DBM = {Tier.MACRO: 43.0, Tier.PICO: 35.0, Tier.FEMTO: 20.0}
 
 
 def dbm_to_watts(power_dbm):
@@ -105,57 +99,35 @@ def _uniform_disc(rng, n, radius):
     return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
 
 
-def generate_topology(
-    num_users,
-    *,
-    region_radius_m=500.0,
-    num_macro=1,
-    num_pico=5,
-    num_femto=10,
-    tier_powers_dbm=None,
-    bandwidth_budget_hz=DEFAULT_BANDWIDTH_BUDGET_HZ,
-    noise_power_dbm=DEFAULT_NOISE_POWER_DBM,
-    seed=0,
-):
-    """Place one macro BS at the center and everything else uniformly in the disc.
+def generate_topology(config, seed):
+    """Place the stations and users of a `ScenarioConfig`: the first macro BS
+    at the center, every other node uniformly in the disc.
 
     Deterministic for a fixed seed: BS placement and user placement come
     from separate substreams, so changing ``num_users`` does not move the
     base stations.
     """
-    if num_users < 0 or num_macro < 0 or num_pico < 0 or num_femto < 0:
-        raise ConfigError("counts must be nonnegative")
-    if num_macro + num_pico + num_femto == 0:
-        raise ConfigError("at least one base station is required")
-    powers = dict(DEFAULT_TIER_POWER_DBM)
-    if tier_powers_dbm:
-        powers.update({Tier(k): float(v) for k, v in tier_powers_dbm.items()})
-
+    counts = {Tier.MACRO: config.num_macro, Tier.PICO: config.num_pico,
+              Tier.FEMTO: config.num_femto}
+    powers = {Tier.MACRO: config.macro_power_dbm, Tier.PICO: config.pico_power_dbm,
+              Tier.FEMTO: config.femto_power_dbm}
+    center = min(counts[Tier.MACRO], 1)
     bs_rng = substream(seed, "bs-placement")
-    mu_rng = substream(seed, "mu-placement")
-
-    positions = []
-    tiers = []
-    if num_macro:
-        positions.append(np.zeros((1, 2)))
-        tiers.extend([Tier.MACRO])
-        if num_macro > 1:
-            positions.append(_uniform_disc(bs_rng, num_macro - 1, region_radius_m))
-            tiers.extend([Tier.MACRO] * (num_macro - 1))
-    if num_pico:
-        positions.append(_uniform_disc(bs_rng, num_pico, region_radius_m))
-        tiers.extend([Tier.PICO] * num_pico)
-    if num_femto:
-        positions.append(_uniform_disc(bs_rng, num_femto, region_radius_m))
-        tiers.extend([Tier.FEMTO] * num_femto)
+    # an empty tier draws nothing: rng.random(0) leaves the stream as it was
+    positions = [np.zeros((center, 2))] + [
+        _uniform_disc(bs_rng, counts[t] - (center if t is Tier.MACRO else 0),
+                      config.region_radius_m)
+        for t in Tier]
+    tiers = [t for t in Tier for _ in range(counts[t])]
     return Topology(
-        region_radius_m=float(region_radius_m),
-        noise_power_dbm=float(noise_power_dbm),
+        region_radius_m=float(config.region_radius_m),
+        noise_power_dbm=float(config.noise_power_dbm),
         tiers=tuple(tiers),
         bs_xy=np.concatenate(positions, axis=0),
         tx_power_dbm=[powers[t] for t in tiers],
-        budgets=np.full(len(tiers), float(bandwidth_budget_hz)),
-        user_xy=_uniform_disc(mu_rng, num_users, region_radius_m),
+        budgets=np.full(len(tiers), float(config.bandwidth_budget_hz)),
+        user_xy=_uniform_disc(substream(seed, "mu-placement"), config.num_users,
+                              config.region_radius_m),
     )
 
 

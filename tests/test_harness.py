@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -45,8 +46,18 @@ def test_config_rejects_bad_ranges():
         ScenarioConfig(num_macro=1, num_pico=0, num_femto=MAX_STATIONS)
     with pytest.raises(ConfigError, match="num_domains"):
         ScenarioConfig(num_domains=MAX_DOMAINS + 1)
+    with pytest.raises(ConfigError, match="region_radius_m"):
+        ScenarioConfig(region_radius_m=10**400)  # beyond every float
     ScenarioConfig(num_users=MAX_USERS, num_macro=0, num_pico=0, num_femto=MAX_STATIONS,
                    num_domains=MAX_DOMAINS)
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ScenarioConfig)])
+def test_config_checks_every_field_against_its_annotation(name):
+    # a bool is no number, list or string, and a string is no bool
+    wrong = "true" if name == "baseline_respects_kb" else True
+    with pytest.raises(ConfigError, match=f"config field '{name}' must be"):
+        ScenarioConfig(**{name: wrong})
 
 
 def test_config_rejects_unknown_fields():
@@ -284,6 +295,19 @@ def test_cli_bad_config_exit_code(tmp_path):
     # integer counts are bounded (config.MAX_USERS, MAX_STATIONS, MAX_DOMAINS)
     ({"num_users": 10**25}, []),
     ({"num_domains": 10**20}, []),
+    # every field has its declared JSON type: a bool is no number, and a
+    # string or number no bool
+    ({"baseline_respects_kb": "false"}, []),
+    ({"baseline_respects_kb": 1}, []),
+    ({"num_users": True}, []),
+    ({"num_macro": True}, []),
+    ({"kb_per_bs": True}, []),
+    ({"sigma": True}, []),
+    ({"scenario_id": None}, []),
+    ({"scenario_id": 5}, []),
+    # sweep values are numbers, each listed once, as seeds and methods are
+    ({"sweep": {"variable": "num_mus", "values": [True, 2]}}, ["sweep"]),
+    ({"sweep": {"variable": "num_mus", "values": [20, 20]}}, ["sweep"]),
 ], ids=["mu-1", "r_min-negative", "mu-below-1", "mu-string", "tol-nan", "max_inner-float",
         "seed-string", "seed-negative", "seed-flag-negative", "seed-float", "seed-digit-string",
         "seed-bool", "seeds-not-list", "methods-string", "seeds-repeated", "users-not-integer",
@@ -291,7 +315,9 @@ def test_cli_bad_config_exit_code(tmp_path):
         "radius-inf", "radius-huge-int", "macro-power-inf", "femto-power-nan", "msg_per_bit-inf",
         "threshold-inf", "sigma-inf", "budget-inf", "noise-minus-inf", "num_mus-inf",
         "num_mus-nan", "num_bss-inf", "num_bss-nan", "num_mus-fractional", "num_bss-fractional",
-        "users-huge", "domains-huge"])
+        "users-huge", "domains-huge", "baseline_respects_kb-string", "baseline_respects_kb-int",
+        "num_users-bool", "num_macro-bool", "kb_per_bs-bool", "sigma-bool", "scenario_id-null",
+        "scenario_id-number", "sweep-value-bool", "sweep-value-repeated"])
 def test_cli_malformed_input_exits_2(tmp_path, monkeypatch, config, extra):
     def no_solve(*args, **kwargs):
         raise AssertionError("malformed input must be rejected before any solve")

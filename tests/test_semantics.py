@@ -2,44 +2,54 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from semhetnet.config import ScenarioConfig
 from semhetnet.errors import ConfigError
 from semhetnet.seeding import substream
-from semhetnet.semantics import (DEFAULT_MSG_PER_BIT, ETA_BLOCK, ETA_CLAMP_EPS, FeasibleSets,
-                                 assign_knowledge, eta_blocks, feasible_bs_sets, fill_eta,
-                                 sample_eta)
+from semhetnet.semantics import (ETA_BLOCK, ETA_CLAMP_EPS, FeasibleSets, assign_knowledge,
+                                 eta_blocks, feasible_bs_sets, fill_eta)
 from semhetnet.solver import make_instance
 from semhetnet.topology import generate_topology
 
 
 @pytest.fixture(scope="module")
 def small_topology():
-    return generate_topology(20, num_pico=2, num_femto=3, seed=4)
+    return generate_topology(ScenarioConfig(num_users=20, num_pico=2, num_femto=3), 4)
+
+
+def domains(num_domains, kb_per_bs, needs_per_mu):
+    return ScenarioConfig(num_domains=num_domains, kb_per_bs=kb_per_bs,
+                          needs_per_mu=needs_per_mu)
+
+
+def draw_eta(tau, sigma, n, seed=0):
+    return fill_eta(substream(seed, "eta"), tau, sigma, np.empty(n))
 
 
 def test_single_domain_everyone_matches(small_topology):
-    kb, needs = assign_knowledge(1, 1, 1, small_topology, seed=1)
+    kb, needs = assign_knowledge(domains(1, 1, 1), small_topology, 1)
     assert kb.shape == (small_topology.num_bs, 1) and kb.all()
     assert needs.shape == (small_topology.num_users, 1) and needs.all()
     assert feasible_bs_sets(kb, needs).mask().all()
 
 
 def test_full_coverage_all_bs_feasible(small_topology):
-    kb, needs = assign_knowledge(10, 10, 3, small_topology, seed=2)
+    kb, needs = assign_knowledge(domains(10, 10, 3), small_topology, 2)
     assert kb.all() and (needs.sum(axis=1) == 3).all()
     assert feasible_bs_sets(kb, needs).mask().all()
 
 
 def test_assignment_deterministic(small_topology):
-    a = assign_knowledge(4, 2, 1, small_topology, seed=11)
-    b = assign_knowledge(4, 2, 1, small_topology, seed=11)
+    a = assign_knowledge(domains(4, 2, 1), small_topology, 11)
+    b = assign_knowledge(domains(4, 2, 1), small_topology, 11)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
-def test_parameter_range_validation(small_topology):
-    with pytest.raises(ConfigError):
-        assign_knowledge(4, 0, 1, small_topology, seed=1)
-    with pytest.raises(ConfigError):
-        assign_knowledge(4, 2, 5, small_topology, seed=1)
+def test_parameter_range_validation():
+    # the config rejects subset sizes outside [1, num_domains]
+    with pytest.raises(ConfigError, match="kb_per_bs"):
+        domains(4, 0, 1)
+    with pytest.raises(ConfigError, match="needs_per_mu"):
+        domains(4, 2, 5)
 
 
 def test_strict_dominance_single_winner():
@@ -59,7 +69,7 @@ def test_user_without_needs_rejected():
 
 
 def test_feasible_mask_shape(small_topology):
-    fs = feasible_bs_sets(*assign_knowledge(3, 2, 1, small_topology, seed=5))
+    fs = feasible_bs_sets(*assign_knowledge(domains(3, 2, 1), small_topology, 5))
     mask = fs.mask()
     assert mask.dtype == bool
     assert mask.shape == (small_topology.num_users, small_topology.num_bs)
@@ -120,7 +130,7 @@ def test_profile_rejects_nonpositive_coefficients():
 
 
 def test_eta_sampling_statistics():
-    draws = sample_eta(0.5, 0.1, 1_000_000, seed=3)
+    draws = draw_eta(0.5, 0.1, 1_000_000, seed=3)
     # Monte Carlo standard error is about 1e-4
     assert abs(draws.mean() - 0.5) < 1e-3
     clamped = np.mean((draws <= 1e-9) | (draws >= 1.0 - 1e-9))
@@ -140,12 +150,11 @@ def test_fill_eta_matches_normal_and_clip(tau, sigma):
     blocks = [b.copy() for b in eta_blocks(substream(8, "eta"), tau, sigma, total)]
     assert [len(b) for b in blocks] == [ETA_BLOCK, ETA_BLOCK, 1234]
     assert np.concatenate(blocks).ravel().tobytes() == want.tobytes()
-    assert sample_eta(tau, sigma, total, seed=8).tobytes() == want.tobytes()
 
 
 def test_eta_sampling_rejects_negative_sigma():
     with pytest.raises(ValueError):
-        sample_eta(0.5, -0.1, 3)
+        draw_eta(0.5, -0.1, 3)
 
 
 def test_eta_blocks_reuse_one_buffer_of_fixed_size():
@@ -156,14 +165,14 @@ def test_eta_blocks_reuse_one_buffer_of_fixed_size():
 
 
 def test_eta_sampling_deterministic():
-    assert np.array_equal(sample_eta(0.4, 0.2, 100, seed=9), sample_eta(0.4, 0.2, 100, seed=9))
+    assert np.array_equal(draw_eta(0.4, 0.2, 100, seed=9), draw_eta(0.4, 0.2, 100, seed=9))
 
 
 def test_matching_scales_perfect_curve():
-    etas = sample_eta(0.5, 0.1, 5, seed=2)
+    etas = draw_eta(0.5, 0.1, 5, seed=2)
     for b in (0.0, 1e3, 5e6):
         for i in range(5):
-            perfect = DEFAULT_MSG_PER_BIT * b
+            perfect = ScenarioConfig().msg_per_bit * b
             matched = etas[i] * perfect
             assert matched == pytest.approx(etas[i] * perfect)
             if b > 0:

@@ -131,10 +131,10 @@ def test_projection_path_is_monotone(seed):
 # ------------------------------------------------------------- make_instance
 
 def test_make_instance_bandwidth_floor_hits_threshold(rng):
-    from semhetnet.semantics import DEFAULT_MSG_PER_BIT, FeasibleSets
+    from semhetnet.semantics import FeasibleSets
     gamma = rng.uniform(0.2, 50.0, size=(4, 3))
     fs = FeasibleSets(np.ones((4, 3), dtype=bool))
-    inst = build_instance(gamma, fs, DEFAULT_MSG_PER_BIT, np.full(3, 2e6), 1e4, 0.5, 0.1, 0.95)
+    inst = build_instance(gamma, fs, 1.0 / 1600.0, np.full(3, 2e6), 1e4, 0.5, 0.1, 0.95)
     rates = inst.n_t * np.log2(1.0 + gamma)
     assert np.allclose(rates, 1e4, rtol=1e-12)
     assert np.allclose(inst.objective.xi_t, 1e4 / 1600.0, rtol=1e-12)
@@ -162,9 +162,9 @@ def test_xi_is_constant_along_rows_so_the_relaxed_stage_ignores_the_objective():
     # polytope is as good a relaxed solution as any. If xi^T comes to vary
     # along a row, the relaxed stage must look at Fbar again.
     from semhetnet.harness import _tiny_random_instance
-    from semhetnet.semantics import DEFAULT_MSG_PER_BIT
     eps = np.finfo(float).eps
-    cases = [(build_scenario(ScenarioConfig(num_users=m), seed).instance, DEFAULT_MSG_PER_BIT * 1e4)
+    cases = [(build_scenario(ScenarioConfig(num_users=m), seed).instance,
+              ScenarioConfig().msg_per_bit * 1e4)
              for m, seed in ((200, 1), (200, 2), (1000, 1))]
     rng = np.random.default_rng(2024)
     cases += [(_tiny_random_instance(rng, 0.5, 0.1, 0.95), 1e4 / 1600.0) for _ in range(50)]

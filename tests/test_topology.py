@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from semhetnet.config import ScenarioConfig
 from semhetnet.errors import ConfigError
 from semhetnet.topology import (Tier, Topology, bit_rate, compute_sinr, generate_topology,
                                 path_loss_db)
 
 
 def test_default_generation_counts():
-    top = generate_topology(200, seed=1)
+    top = generate_topology(ScenarioConfig(num_users=200), 1)
     assert top.num_bs == 16
     assert top.num_users == 200
     tiers = list(top.tiers)
@@ -20,33 +21,35 @@ def test_default_generation_counts():
 
 
 def test_macro_at_center_and_nodes_inside_region():
-    top = generate_topology(50, seed=3)
+    top = generate_topology(ScenarioConfig(num_users=50), 3)
     assert top.bs_xy[0].tolist() == [0.0, 0.0]
     for xy in (top.bs_xy, top.user_xy):
         assert np.all(np.hypot(xy[:, 0], xy[:, 1]) <= top.region_radius_m + 1e-9)
 
 
 def test_empty_user_list_is_valid():
-    top = generate_topology(0, seed=1)
+    top = generate_topology(ScenarioConfig(num_users=0), 1)
     assert top.num_users == 0
     assert compute_sinr(top).shape == (0, 16)
 
 
 def test_generation_deterministic():
-    a = generate_topology(30, seed=7)
-    b = generate_topology(30, seed=7)
+    a = generate_topology(ScenarioConfig(num_users=30), 7)
+    b = generate_topology(ScenarioConfig(num_users=30), 7)
     assert a.to_json() == b.to_json()
 
 
 def test_user_count_does_not_move_base_stations():
-    a = generate_topology(10, seed=7)
-    b = generate_topology(200, seed=7)
+    a = generate_topology(ScenarioConfig(num_users=10), 7)
+    b = generate_topology(ScenarioConfig(num_users=200), 7)
     assert np.array_equal(a.bs_xy, b.bs_xy)
 
 
 def test_zero_base_stations_rejected():
-    with pytest.raises(ConfigError):
-        generate_topology(10, num_macro=0, num_pico=0, num_femto=0, seed=1)
+    # the config accepts zero stations of every tier; the topology rejects them
+    config = ScenarioConfig(num_users=10, num_macro=0, num_pico=0, num_femto=0)
+    with pytest.raises(ConfigError, match="at least one base station"):
+        generate_topology(config, 1)
 
 
 def test_path_loss_values():
@@ -83,7 +86,7 @@ def test_sinr_colocated_interferers_below_unity():
 
 
 def test_removing_interferer_never_decreases_sinr():
-    top = generate_topology(40, seed=5)
+    top = generate_topology(ScenarioConfig(num_users=40), 5)
     gamma = compute_sinr(top)
     reduced = _topology(top.tiers[:-1], top.bs_xy[:-1], top.tx_power_dbm[:-1], top.user_xy,
                         noise=top.noise_power_dbm)
@@ -142,7 +145,7 @@ def test_topology_array_checks(change, match):
 
 
 def test_topology_json_round_trip():
-    top = generate_topology(25, seed=9)
+    top = generate_topology(ScenarioConfig(num_users=25), 9)
     doc = json.loads(top.to_json())
     bss = doc["base_stations"]
     again = Topology(
