@@ -424,16 +424,18 @@ def solve_relaxed_ua(mask, n_t, budgets, start):
     "no_step" when no step is accepted. `stage` records the iterations,
     backtracks, exit and Newton steps; pg_norm is the exact norm at the end.
 
-    The support {x > 0} is checked at iteration 25 and from then on every 5
-    iterations. Once it is the one of the previous check (or, at iteration
-    25, of the start), the solve finishes on that face by projected Newton
-    steps (see `_newton_direction`, whose face counts entries up to 1e-12
-    as zero): P(x + t d) for the first t in t0, t0/2, ... whose phi is at
-    least the current phi plus 1e-4 times its positive gain, t0 being the
-    largest power of 1/2 with t0 max|d| <= 1. Each accepted step is an
-    iteration; a rejected one (9 trials inside the budgets fail, or t would
-    fall below the step floor) hands back to the gradient steps until a
-    later check finds the support settled again.
+    The support {x > 0} is first checked at iteration 25, against the
+    start's, and from then on at every iteration, against the previous
+    iteration's. Once it matches, the solve finishes on that face by
+    projected Newton steps (see `_newton_direction`, whose face counts
+    entries up to 1e-12 as zero): P(x + t d) for the first t in t0, t0/2,
+    ... whose phi is at least the current phi plus 1e-4 times its positive
+    gain, t0 being the largest power of 1/2 with t0 max|d| <= 1. Each
+    accepted step is an iteration; a rejected one (9 trials inside the
+    budgets fail, or t would fall below the step floor) hands back to the
+    gradient steps until the support holds for an iteration again. The
+    first check stays at iteration 25: small solves mostly end before it,
+    and on them a Newton step costs more than a gradient step.
 
     pg is computed only when it may be at most _TOL. For x feasible,
     ||P(x + t g) - x|| is nondecreasing in t and ||P(x + t g) - x|| / t is
@@ -518,7 +520,6 @@ def solve_relaxed_ua(mask, n_t, budgets, start):
     backtracks = newton_steps = 0
     reason = None
     window = 25
-    support_every = 5  # iterations between support checks after the first window
     for it in range(_MAX_INNER):
         # At the first iteration, in Newton steps and at the last allowed
         # iteration, pg comes before the trial, which a tol exit skips: a
@@ -540,8 +541,8 @@ def solve_relaxed_ua(mask, n_t, budgets, start):
                 reason = "stall"  # ascent has flattened out
                 break
             w_window = w_cur
-        if it >= window and it % support_every == 0:
-            # the support held since the last check: finish on its face
+        if it >= window:
+            # the support held since the last iteration: finish on its face
             newton = newton or np.array_equal(x > 0.0, support)
             support = x > 0.0
         if newton:

@@ -9,7 +9,7 @@ from conftest import make_instance
 from semhetnet import solver as solver_module
 from semhetnet.config import ScenarioConfig
 from semhetnet.errors import ConfigError, SolverError
-from semhetnet.harness import build_scenario
+from semhetnet.harness import build_scenario, oracle_gap_distribution
 from semhetnet.metrics import feasibility_violations, instance_fbar
 from semhetnet.objective import DeterministicObjective, objective_gradient, objective_value
 from semhetnet.solver import (Allocation, Association, RelaxedAssociation, _admit,
@@ -316,13 +316,13 @@ def reference_relaxed_loop(mask, n_t, budgets, start):
     tol, iteration cap and stall test read from the solver module. A trial
     is accepted by the same nonmonotone (GLL) test: its phi is at least the
     smallest of the last 10 accepted phi plus 1e-4 times the gain. Once the
-    support is the same at two window checks, it takes Newton steps along
+    support is the same at two checks, it takes Newton steps along
     solver._newton_direction, each accepted at the first of t = t0, t0/2,
     ... (t0 the largest power of 1/2 with t0 max|d| <= 1, and t at least
     1e-18; at most 9 trials with a finite phi) whose gain is positive and
     whose phi is at least the current phi plus 1e-4 times the gain, until
     one is rejected. The support is compared at iteration 25 with the start,
-    and from then on every 5 iterations with the previous check. Returns the
+    and from then on at every iteration with the previous one's. Returns the
     result and the trace: (iteration, phi, pg, Newton steps so far) at every
     pg test."""
     tol, max_inner = solver_module._TOL, solver_module._MAX_INNER
@@ -378,7 +378,7 @@ def reference_relaxed_loop(mask, n_t, budgets, start):
                 exit = "stall"
                 break
             w_window = w_cur
-        if it >= 25 and it % 5 == 0:
+        if it >= 25:
             if np.array_equal(x > 0.0, support):
                 newton = True
             support = x > 0.0
@@ -721,6 +721,51 @@ def test_newton_finish_halves_the_projections_on_the_slow_m200_cells(monkeypatch
         two_stage(build_scenario(ScenarioConfig(num_users=200), seed).instance)
     assert all(got < want for got, want in zip(calls, before))
     assert 2 * sum(calls) <= sum(before)
+
+
+@pytest.mark.parametrize("seed, most", [(3, 50), (4, 60), (7, 85)])
+def test_newton_finish_takes_over_once_the_support_holds(seed, most):
+    # From iteration 25 on the support is compared with the previous
+    # iteration's, so the Newton finish starts one iteration after the
+    # support settles. Compared every 5 iterations instead, these cells took
+    # 76, 121 and 107 iterations.
+    relaxed = two_stage(build_scenario(ScenarioConfig(num_users=200), seed).instance).relaxed
+    assert relaxed.stage[2] == "tol"
+    assert relaxed.stage[0] <= most
+
+
+def test_a_rejected_newton_step_is_not_retried_on_every_other_iteration(monkeypatch):
+    # A rejected Newton step hands back to a gradient step, and Newton runs
+    # again once the support holds for an iteration, so a direction that
+    # keeps failing could cost up to 9 trials every other iteration. On
+    # M = 200 seeds 1-8 and on the oracle-gap draws validate runs, no solve
+    # is refused a Newton step more than once, and the draws that reach
+    # iteration 25 keep their records. The first is a 4-user draw whose one
+    # Newton step, at iteration 26, is rejected after 9 trials; compared
+    # every 5 iterations, it made 5 backtracks.
+    tried, records = [], []
+    direction, solve = solver_module._newton_direction, solver_module.solve_relaxed_ua
+
+    def counted(*args):
+        tried[-1] += 1
+        return direction(*args)
+
+    def recorded(*args):
+        tried.append(0)
+        relaxed = solve(*args)
+        records.append((relaxed.stage, tried[-1] - relaxed.stage[3]))
+        return relaxed
+
+    monkeypatch.setattr(solver_module, "_newton_direction", counted)
+    monkeypatch.setattr(solver_module, "solve_relaxed_ua", recorded)
+    for seed in range(1, 9):
+        two_stage(build_scenario(ScenarioConfig(num_users=200), seed).instance)
+    assert len(records) == 8
+    config = ScenarioConfig()
+    oracle_gap_distribution(config.tau, config.sigma, config.alpha)
+    assert max(refused for _, refused in records) <= 1
+    assert sorted(stage for stage, _ in records[8:] if stage[0] >= 25) == [
+        (27, 14, "tol", 0), (29, 10, "tol", 3), (31, 20, "tol", 5)]
 
 
 def test_newton_face_treats_rounding_dust_as_zero():
@@ -1304,7 +1349,7 @@ def test_two_stage_deterministic(rng):
     assert a.association.unserved == b.association.unserved
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3, 6, 7])
+@pytest.mark.parametrize("seed", range(1, 9))
 def test_two_stage_association_survives_a_tighter_relaxed_solve(monkeypatch, seed):
     # The rounded association does not hang on the relaxed solve's last
     # digits: a tighter tol with no stall exit rounds to the same one
