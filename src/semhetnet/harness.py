@@ -247,9 +247,7 @@ def oracle_gap_distribution(tau, sigma, alpha):
         if len(ratios) == ORACLE_INSTANCES:
             break
         inst = _tiny_random_instance(rng, tau, sigma, alpha)
-        residual_scale = float(np.median(inst.budgets) / 6.0)
-        quantum = max(float(inst.n_t[inst.mask()].min()), residual_scale)
-        oracle = metrics.oracle_enumerate(inst, quantum=quantum)
+        oracle = metrics.oracle_enumerate(inst)
         if oracle.fbar <= 0:
             continue
         sol = solver.two_stage(inst)

@@ -2,6 +2,7 @@
 instances."""
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,14 +101,16 @@ def _compositions(units, parts):
             yield (head,) + rest
 
 
-def oracle_enumerate(inst, quantum=None):
+def oracle_enumerate(inst):
     """Exhaustive search over associations and quantized residual splits.
 
     Enumerates every all-served binary association over the feasible sets;
-    each BS's leftover bandwidth is split on a grid of roughly `quantum`
-    Hz. When budgets admit no all-served association at all, the search is
-    repeated with a per-user unserved option so a best blocking solution
-    is still returned. Refuses instances beyond 8 users x 4 BSs.
+    each BS's leftover bandwidth is split on a grid of roughly
+    max(min n^T on the feasible links, median budget / 6) Hz. When budgets
+    admit no all-served association at all, the search is repeated with a
+    per-user unserved option so a best blocking solution is still returned.
+    Refuses instances beyond 8 users x 4 BSs, and grids beyond
+    _ORACLE_MAX_COMBOS points.
     """
     m, l = inst.n_t.shape
     if m > _ORACLE_MAX_USERS or l > _ORACLE_MAX_BS:
@@ -115,10 +118,7 @@ def oracle_enumerate(inst, quantum=None):
             f"oracle refuses instances beyond {_ORACLE_MAX_USERS} users x {_ORACLE_MAX_BS} BSs"
         )
     mask = inst.mask()
-    if quantum is None:
-        quantum = float(inst.n_t[mask].min())
-    if quantum <= 0:
-        raise ValueError("quantum must be positive")
+    quantum = max(float(inst.n_t[mask].min()), float(np.median(inst.budgets) / 6.0))
     options = [tuple(np.flatnonzero(row).tolist()) for row in mask]
     result = _oracle_search(inst, options, quantum)
     if result is None:
@@ -133,11 +133,10 @@ def _oracle_search(inst, options, quantum):
     sq = obj.sigma * obj.q
     budgets = inst.budgets
 
-    fits, grids = {}, {}  # per (BS, its users): budget verdict; sum s, sum s^2 on its grid
+    # per (BS, its users): budget verdict; bandwidth rows, sum s and sum s^2 on its grid
+    fits, grids = {}, {}
     best_f = -np.inf
     best_combo = None
-    best_pick = None
-    best_dims = None
     for combo in itertools.product(*options):
         users_of = [[] for _ in range(l)]
         for i, j in enumerate(combo):
@@ -151,44 +150,33 @@ def _oracle_search(inst, options, quantum):
             continue
         s1 = np.zeros(1)
         s2 = np.zeros(1)
-        dims = []
         for j, users in keys:
             if (j, users) not in grids:
-                s_opts = _bs_rate_options(inst, c, list(users), j, quantum)
-                grids[j, users] = (s_opts.sum(axis=1), (s_opts**2).sum(axis=1))
-            g1, g2 = grids[j, users]
-            dims.append((j, g1.size))
+                n_opts = _bs_bandwidth_options(inst, list(users), j, quantum)
+                s_opts = n_opts * c[list(users), j]
+                grids[j, users] = (n_opts, s_opts.sum(axis=1), (s_opts**2).sum(axis=1))
+            _, g1, g2 = grids[j, users]
             if s1.size * g1.size > _ORACLE_MAX_COMBOS:
-                raise ValueError("oracle grid too fine; raise the quantum")
+                raise ValueError("oracle grid too fine")
             s1 = (s1[:, None] + g1[None, :]).ravel()
             s2 = (s2[:, None] + g2[None, :]).ravel()
         f = obj.tau * s1 - sq * np.sqrt(s2)
         idx = int(np.argmax(f))
         if f[idx] > best_f:
-            best_f = float(f[idx])
-            best_combo = combo
-            best_dims = dims
-            best_pick = np.unravel_index(idx, [d[1] for d in dims]) if dims else ()
+            best_f, best_combo, best_keys, best_idx = float(f[idx]), combo, keys, idx
 
     if best_combo is None:
         return None
     x = np.zeros((m, l), dtype=np.int8)
     n = np.zeros((m, l))
-    unserved = []
-    users_of = [[] for _ in range(l)]
     for i, j in enumerate(best_combo):
-        if j is None:
-            unserved.append(i)
-        else:
+        if j is not None:
             x[i, j] = 1
-            users_of[j].append(i)
-    for (j, _), pick in zip(best_dims, best_pick):
-        users = users_of[j]
-        n_opts = _bs_bandwidth_options(inst, users, j, quantum)
-        n[users, j] = n_opts[pick]
-    assoc = Association(x=x, unserved=tuple(unserved))
-    alloc = Allocation(n=n)
-    return OracleSolution(association=assoc, allocation=alloc, fbar=best_f)
+    picks = np.unravel_index(best_idx, [grids[key][0].shape[0] for key in best_keys])
+    for (j, users), pick in zip(best_keys, picks):
+        n[list(users), j] = grids[j, users][0][pick]
+    assoc = Association(x=x, unserved=tuple(i for i, j in enumerate(best_combo) if j is None))
+    return OracleSolution(association=assoc, allocation=Allocation(n=n), fbar=best_f)
 
 
 def _bs_bandwidth_options(inst, users, j, quantum):
@@ -197,9 +185,7 @@ def _bs_bandwidth_options(inst, users, j, quantum):
     if residual <= 1e-12 * inst.budgets[j]:
         return floors[None, :].copy()
     units = max(1, int(round(residual / quantum)))
+    if math.comb(units + len(users) - 1, len(users) - 1) > _ORACLE_MAX_COMBOS:
+        raise ValueError("oracle grid too fine")
     comps = np.array(list(_compositions(units, len(users))), dtype=float)
     return floors[None, :] + residual * comps / units
-
-
-def _bs_rate_options(inst, c, users, j, quantum):
-    return _bs_bandwidth_options(inst, users, j, quantum) * c[users, j][None, :]

@@ -8,7 +8,12 @@ its alpha-quantile lower bound
 
 where q is the standard normal quantile at alpha and
 y_i = sum_j x_ij * xi_ij. Pr{F >= Fbar} = alpha holds exactly, which
-`chance_check` verifies empirically in fixed memory.
+`chance_check` verifies empirically in fixed memory. Its gradient in the
+rates, `rate_gradient`, is
+
+    dFbar/dy_i = tau - sigma * q * y_i / ||y||    (tau at y = 0),
+
+and dFbar/dx_ij = xi_ij * dFbar/dy_i by the chain rule.
 """
 
 import math
@@ -83,6 +88,16 @@ def confidence_bound(rates, tau, sigma, q):
     return float(tau * s.sum() - sigma * q * np.sqrt((s * s).sum()))
 
 
+def rate_gradient(rates, tau, sigma, q):
+    """Gradient of `confidence_bound` in the rates s: tau - sigma * q * s / ||s||,
+    or tau at s = 0, where the norm is not differentiable."""
+    s = np.asarray(rates, dtype=float)
+    norm = float(np.sqrt((s * s).sum()))
+    if norm == 0.0:
+        return np.full(s.shape, float(tau))
+    return tau - sigma * q * s / norm
+
+
 def objective_value(obj, x):
     """Fbar(x): the confidence bound of y_i = sum_j x_ij xi_ij."""
     x = _check_shape(obj, x)
@@ -90,14 +105,10 @@ def objective_value(obj, x):
 
 
 def objective_gradient(obj, x):
-    """Analytic gradient: tau * xi - sigma * q * y_i * xi / ||y||, or tau * xi
-    at y = 0, where the norm is not differentiable."""
+    """Gradient of Fbar(x): xi_ij times the `rate_gradient` of y_i."""
     x = _check_shape(obj, x)
     y = np.einsum("ml,ml->m", x, obj.xi_t)
-    norm = float(np.sqrt((y * y).sum()))
-    if norm == 0.0:
-        return obj.tau * obj.xi_t
-    return obj.xi_t * (obj.tau - obj.sigma * obj.q * (y / norm)[:, None])
+    return obj.xi_t * rate_gradient(y, obj.tau, obj.sigma, obj.q)[:, None]
 
 
 def chance_check(rates, fbar, tau, sigma, trials, seed=0):

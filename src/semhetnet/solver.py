@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, SolverError
-from .objective import DeterministicObjective, confidence_bound
+from .objective import DeterministicObjective, confidence_bound, rate_gradient
 from .semantics import FeasibleSets
 from .topology import bit_rate
 
@@ -792,13 +792,12 @@ def allocate_residual(assoc, inst):
 
     kkt_residual is the global KKT residual: on each BS, the largest move of
     the projected step m -> P(m + (r_j / gmax_j) * g) of the residual split
-    m, with the global-norm gradient g_i = c_i * (tau - sigma * q * s_i /
-    ||s||), relative to N_j; the worst BS is reported. Raises ValueError if
+    m, with g_i = c_i times the `rate_gradient` of the rates s, relative to
+    N_j; the worst BS is reported. Raises ValueError if
     sigma * q > 0 and a served link has no positive rate.
     """
-    n_t, budgets = inst.n_t, inst.budgets
-    tau = inst.objective.tau
-    sq = inst.objective.sigma * inst.objective.q
+    n_t, budgets, obj = inst.n_t, inst.budgets, inst.objective
+    tau, sq = obj.tau, obj.sigma * obj.q
     users, bs = np.nonzero(assoc.x)
     c = inst.rate_per_hz()[users, bs]
     floors = n_t[users, bs]
@@ -813,13 +812,11 @@ def allocate_residual(assoc, inst):
         order = np.lexsort((-c, bs))  # each BS's best rate per Hz first, ties in user order
         pick = order[free[order] & (np.diff(bs[order], prepend=-1) != 0)]
         if sq < 0:
-            pick = _best_response_vertices(bs, c, floors, room, pick, inst.objective)
+            pick = _best_response_vertices(bs, c, floors, room, pick, obj)
         n[pick] += room[bs[pick]]
     n = _fill_budgets(n, floors, bs, budgets)
 
-    s = c * n
-    norm = float(np.sqrt((s * s).sum()))
-    g = (c * (tau - sq * s / norm) if norm > 0 else tau * c)[free]
+    g = (c * rate_gradient(c * n, tau, obj.sigma, obj.q))[free]
     seg, m = bs[free], (n - floors)[free]
     gmax = np.zeros(budgets.size)
     np.maximum.at(gmax, seg, np.abs(g))

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -87,7 +89,7 @@ def test_oracle_picks_better_link():
     # BS 0 carries twice the message rate per Hz
     inst = make_instance(xi=np.array([[2.0, 1.0]]), n_t=np.array([[100.0, 100.0]]),
                          budgets=[1e3, 1e3], sets=[(0, 1)])
-    best = oracle_enumerate(inst, quantum=100.0)
+    best = oracle_enumerate(inst)
     assert list(best.association.x[0]) == [1, 0]
     assert best.allocation.n[0, 0] == pytest.approx(1e3)
 
@@ -96,7 +98,7 @@ def test_oracle_symmetric_instance():
     inst = make_instance(xi=np.array([[2.0, 2.0], [2.0, 2.0]]),
                          n_t=np.full((2, 2), 100.0), budgets=[500.0, 500.0],
                          sets=[(0, 1)] * 2)
-    best = oracle_enumerate(inst, quantum=100.0)
+    best = oracle_enumerate(inst)
     # a symmetric optimum: both users served, one per BS or both on one
     assert best.association.x.sum() == 2
     assert best.fbar > 0
@@ -106,19 +108,25 @@ def test_oracle_serves_everyone_when_feasible():
     inst = make_instance(xi=np.array([[5.0, 0.1], [0.1, 5.0], [1.0, 1.0]]),
                          n_t=np.full((3, 2), 100.0), budgets=[400.0, 400.0],
                          sets=[(0, 1)] * 3)
-    best = oracle_enumerate(inst, quantum=100.0)
+    best = oracle_enumerate(inst)
     assert best.association.unserved == ()
 
 
 def test_oracle_blocking_fallback_when_infeasible():
     inst = make_instance(xi=np.ones((2, 1)), n_t=np.array([[800.0], [900.0]]),
                          budgets=[1000.0], sets=[(0,), (0,)])
-    best = oracle_enumerate(inst, quantum=200.0)
+    best = oracle_enumerate(inst)
     assert len(best.association.unserved) == 1
 
 
-def _quantize_to_oracle_grid(inst, assoc, alloc, quantum):
+def _oracle_quantum(inst):
+    """The residual grid step that oracle_enumerate derives from the instance."""
+    return max(float(inst.n_t[inst.mask()].min()), float(np.median(inst.budgets) / 6.0))
+
+
+def _quantize_to_oracle_grid(inst, assoc, alloc):
     """Snap a two-stage allocation onto the oracle's residual grid."""
+    quantum = _oracle_quantum(inst)
     n = np.zeros_like(alloc.n)
     for j in range(inst.num_bs):
         users = np.flatnonzero(assoc.x[:, j])
@@ -147,12 +155,38 @@ def test_oracle_dominates_quantized_two_stage(rng):
                                         replace=False).tolist())) for _ in range(m)]
         budgets = np.full(l, float(n_t.mean() * max(1.0, m / l) * 2.5))
         inst = make_instance(xi=xi, n_t=n_t, budgets=budgets, sets=sets)
-        quantum = float(np.median(budgets) / 5.0)
         sol = two_stage(inst)
-        oracle = oracle_enumerate(inst, quantum=quantum)
-        snapped = _quantize_to_oracle_grid(inst, sol.association, sol.allocation, quantum)
+        oracle = oracle_enumerate(inst)
+        snapped = _quantize_to_oracle_grid(inst, sol.association, sol.allocation)
         f_snapped = instance_fbar(sol.association, snapped, inst)
         assert oracle.fbar >= f_snapped - 1e-9
+
+
+@pytest.mark.parametrize("sigma, alpha", [(0.1, 0.55), (0.1, 0.95), (0.1, 0.3), (0.0, 0.95)])
+def test_oracle_solution_reproduces_its_fbar_and_is_feasible(sigma, alpha):
+    # validate's oracle_gap generator, blocking fallbacks included
+    rng = np.random.default_rng(2024)
+    for _ in range(100):
+        inst = harness._tiny_random_instance(rng, 0.5, sigma, alpha)
+        oracle = oracle_enumerate(inst)
+        assoc, alloc = oracle.association, oracle.allocation
+        assert instance_fbar(assoc, alloc, inst) == pytest.approx(oracle.fbar, rel=1e-12,
+                                                                  abs=1e-9)
+        viol = feasibility_violations(assoc, alloc, inst)
+        assert viol["association_defects"] == 0
+        assert viol["budget_overshoot_rel"] <= 1e-9
+        assert viol["full_allocation_gap_rel"] <= 1e-9
+
+
+def test_oracle_refuses_a_grid_too_fine_before_building_it():
+    # BS 0's budget is 1e4 times the median: its residual of ~1e4 Hz on a
+    # 0.5 Hz grid is ~2e4 units for five users, C(units + 4, 4) ~ 7e15 splits
+    inst = make_instance(xi=np.ones((5, 3)), n_t=np.full((5, 3), 0.5),
+                         budgets=[1e4, 1.0, 1.0], sets=[(0,)] * 5)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="oracle grid too fine"):
+        oracle_enumerate(inst)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_feasibility_violations_clean_solution(rng):

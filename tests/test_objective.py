@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semhetnet.objective import (DeterministicObjective, chance_check, objective_gradient,
-                                 objective_value, std_normal_cdf, std_normal_quantile)
+from semhetnet.objective import (DeterministicObjective, chance_check, confidence_bound,
+                                 objective_gradient, objective_value, rate_gradient,
+                                 std_normal_cdf, std_normal_quantile)
 from semhetnet.seeding import substream
 from semhetnet.semantics import ETA_CLAMP_EPS
 
@@ -109,6 +110,15 @@ def test_gradient_matches_finite_differences(rng):
     g = objective_gradient(obj, x)
     fd = finite_difference_gradient(obj, x)
     assert np.allclose(g, fd, rtol=1e-6, atol=1e-9)
+    # the rate-space gradient against central differences of confidence_bound
+    # at sigma * q > 0, = 0 (alpha 0.5 or sigma 0) and < 0
+    s = rng.uniform(1.0, 20.0, size=5)
+    for sigma, alpha in ((0.1, 0.95), (0.1, 0.5), (0.1, 0.3), (0.0, 0.95)):
+        q = std_normal_quantile(alpha)
+        fd = [(confidence_bound(s + e, 0.5, sigma, q) - confidence_bound(s - e, 0.5, sigma, q))
+              / 2e-6 for e in 1e-6 * np.eye(s.size)]
+        assert np.allclose(rate_gradient(s, 0.5, sigma, q), fd, rtol=1e-6, atol=1e-9)
+        assert np.array_equal(rate_gradient(np.zeros(3), 0.5, sigma, q), np.full(3, 0.5))
 
 
 @settings(max_examples=60, deadline=None)
