@@ -2,17 +2,15 @@
 instances."""
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .objective import confidence_bound
-from .solver import Allocation, Association
+from .solver import Allocation, Association, allocate_residual
 
 _ORACLE_MAX_USERS = 8
 _ORACLE_MAX_BS = 4
-_ORACLE_MAX_COMBOS = 3_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,101 +89,95 @@ class OracleSolution:
     fbar: float
 
 
-def _compositions(units, parts):
-    """All tuples of `parts` nonnegative ints summing to `units` (lexicographic)."""
-    if parts == 1:
-        yield (units,)
-        return
-    for head in range(units, -1, -1):
-        for rest in _compositions(units - head, parts - 1):
-            yield (head,) + rest
-
-
 def oracle_enumerate(inst):
-    """Exhaustive search over associations and quantized residual splits.
+    """Exhaustive search over associations, each with its exact residual split.
 
-    Enumerates every all-served binary association over the feasible sets;
-    each BS's leftover bandwidth is split on a grid of roughly
-    max(min n^T on the feasible links, median budget / 6) Hz. When budgets
-    admit no all-served association at all, the search is repeated with a
-    per-user unserved option so a best blocking solution is still returned.
-    Refuses instances beyond 8 users x 4 BSs, and grids beyond
-    _ORACLE_MAX_COMBOS points.
+    Enumerates every all-served association over the feasible sets that fits
+    the budgets; if none does, every one with a per-user unserved option, so
+    a best blocking solution is still returned. Each BS's leftover bandwidth
+    is split exactly: by `allocate_residual` where Fbar is concave in the
+    split (sigma * q > 0), else at the best vertex (each BS's whole room on
+    one user). An upper bound per association skips the splits that cannot
+    win. Refuses instances beyond 8 users x 4 BSs.
     """
     m, l = inst.n_t.shape
     if m > _ORACLE_MAX_USERS or l > _ORACLE_MAX_BS:
         raise ValueError(
             f"oracle refuses instances beyond {_ORACLE_MAX_USERS} users x {_ORACLE_MAX_BS} BSs"
         )
-    mask = inst.mask()
-    quantum = max(float(inst.n_t[mask].min()), float(np.median(inst.budgets) / 6.0))
-    options = [tuple(np.flatnonzero(row).tolist()) for row in mask]
-    result = _oracle_search(inst, options, quantum)
-    if result is None:
-        result = _oracle_search(inst, [opt + (None,) for opt in options], quantum)
+    options = [np.flatnonzero(row) for row in inst.mask()]
+    result = _oracle_search(inst, options)
+    if result is None:  # BS index l stands for "unserved"
+        result = _oracle_search(inst, [np.append(opt, l) for opt in options])
     return result
 
 
-def _oracle_search(inst, options, quantum):
+def _oracle_search(inst, options):
     m, l = inst.n_t.shape
-    c = inst.rate_per_hz()
     obj = inst.objective
-    sq = obj.sigma * obj.q
-    budgets = inst.budgets
-
-    # per (BS, its users): budget verdict; bandwidth rows, sum s and sum s^2 on its grid
-    fits, grids = {}, {}
-    best_f = -np.inf
-    best_combo = None
-    for combo in itertools.product(*options):
-        users_of = [[] for _ in range(l)]
-        for i, j in enumerate(combo):
-            if j is not None:
-                users_of[j].append(i)
-        keys = [(j, tuple(users)) for j, users in enumerate(users_of) if users]
-        for j, users in keys:
-            if (j, users) not in fits:
-                fits[j, users] = inst.n_t[list(users), j].sum() <= budgets[j] * (1 + 1e-12)
-        if not all(fits[key] for key in keys):
-            continue
-        s1 = np.zeros(1)
-        s2 = np.zeros(1)
-        for j, users in keys:
-            if (j, users) not in grids:
-                n_opts = _bs_bandwidth_options(inst, list(users), j, quantum)
-                s_opts = n_opts * c[list(users), j]
-                grids[j, users] = (n_opts, s_opts.sum(axis=1), (s_opts**2).sum(axis=1))
-            _, g1, g2 = grids[j, users]
-            if s1.size * g1.size > _ORACLE_MAX_COMBOS:
-                raise ValueError("oracle grid too fine")
-            s1 = (s1[:, None] + g1[None, :]).ravel()
-            s2 = (s2[:, None] + g2[None, :]).ravel()
-        f = obj.tau * s1 - sq * np.sqrt(s2)
-        idx = int(np.argmax(f))
-        if f[idx] > best_f:
-            best_f, best_combo, best_keys, best_idx = float(f[idx]), combo, keys, idx
-
-    if best_combo is None:
+    tau, sq = obj.tau, obj.sigma * obj.q
+    # every association as each user's BS, in itertools.product order
+    picks = np.indices([opt.size for opt in options], dtype=np.int8).reshape(m, -1)
+    bs = np.array([opt[k] for opt, k in zip(options, picks)], dtype=np.int8).reshape(picks.shape).T
+    users = np.arange(m)
+    floors = np.hstack([inst.n_t, np.zeros((m, 1))])[users, bs]
+    on = bs[:, :, None] == np.arange(l)
+    load = np.einsum("kij,ki->kj", on, floors)
+    fits = np.all(load <= inst.budgets * (1 + 1e-12), axis=1)
+    if not fits.any():
         return None
-    x = np.zeros((m, l), dtype=np.int8)
-    n = np.zeros((m, l))
-    for i, j in enumerate(best_combo):
-        if j is not None:
-            x[i, j] = 1
-    picks = np.unravel_index(best_idx, [grids[key][0].shape[0] for key in best_keys])
-    for (j, users), pick in zip(best_keys, picks):
-        n[list(users), j] = grids[j, users][0][pick]
-    assoc = Association(x=x, unserved=tuple(i for i, j in enumerate(best_combo) if j is None))
-    return OracleSolution(association=assoc, allocation=Allocation(n=n), fbar=best_f)
+    bs, floors, on = bs[fits], floors[fits], on[fits]
+    has = on.any(axis=1)  # the BSs that carry a user
+    room = np.where(has, np.maximum(inst.budgets - load[fits], 0.0), 0.0)
+    rate = np.hstack([inst.rate_per_hz(), np.zeros((m, 1))])[users, bs]
+    # the best-rate split: each BS's room to its first user with the best rate per Hz
+    first = np.where(on, rate[..., None], -1.0).argmax(axis=1)
+    n0 = floors + np.einsum("kij,kj->ki", users[:, None] == first[:, None, :], room)
+    s_floor, s0 = rate * floors, rate * n0
 
+    def linear_max(u):  # max over the split of tau*sum(s) - sq*u.s/||u||, >= Fbar if sq > 0
+        norm = np.sqrt((u * u).sum(axis=-1, keepdims=True))
+        w = tau - sq * u / np.maximum(norm, np.finfo(float).tiny)  # a zero u stays zero
+        wr = w * rate
+        gain = np.stack([np.where(on[..., j], wr, -np.inf).max(axis=-1) for j in range(l)], -1)
+        return (w * s_floor).sum(axis=-1) + (room * np.where(has, gain, 0.0)).sum(axis=-1)
 
-def _bs_bandwidth_options(inst, users, j, quantum):
-    floors = inst.n_t[users, j]
-    residual = inst.budgets[j] - floors.sum()
-    if residual <= 1e-12 * inst.budgets[j]:
-        return floors[None, :].copy()
-    units = max(1, int(round(residual / quantum)))
-    if math.comb(units + len(users) - 1, len(users) - 1) > _ORACLE_MAX_COMBOS:
-        raise ValueError("oracle grid too fine")
-    comps = np.array(list(_compositions(units, len(users))), dtype=float)
-    return floors[None, :] + residual * comps / units
+    f0 = confidence_bound(s0, tau, obj.sigma, obj.q)
+    k = int(np.argmax(f0))
+    best_f, winner = f0[k], (bs[k], n0[k])
+    if sq > 0:
+        # sum(s) <= sum(s0) and ||s|| >= ||s at the floors|| rule out most
+        # associations; the rest take the least bound along s0, the floors and
+        # the even split
+        keep = tau * s0.sum(axis=1) - sq * np.sqrt((s_floor * s_floor).sum(axis=1)) > best_f
+        if not keep.all():
+            bs, floors, on, has, room, rate, s_floor, s0 = (
+                a[keep] for a in (bs, floors, on, has, room, rate, s_floor, s0))
+        even = rate * (floors + np.einsum("kij,kj->ki", on, room / np.maximum(on.sum(axis=1), 1)))
+        bound = linear_max(np.stack([s0, s_floor, even])).min(axis=0)
+    else:  # ||s|| <= ||s at the floors|| + sum_j room_j * (best rate per Hz on j)
+        extra = s0.sum(axis=1) - s_floor.sum(axis=1)
+        bound = tau * s0.sum(axis=1) - sq * (np.sqrt((s_floor * s_floor).sum(axis=1)) + extra)
+    while bound.size:
+        k = int(np.argmax(bound))
+        if bound[k] <= best_f:
+            break
+        bound[k] = -np.inf
+        if sq > 0:  # Fbar is concave in the split: the exact split
+            n = allocate_residual(Association(x=on[k].astype(np.int8)), inst).n.sum(axis=1)
+        else:  # Fbar is convex in the split: its best vertex
+            groups = [np.flatnonzero(on[k, :, j]) for j in range(l) if room[k, j] > 0]
+            picked = np.array([np.isin(users, v) for v in itertools.product(*groups)])
+            vertices = floors[k] + picked * (on[k] * room[k]).sum(axis=1)
+            values = confidence_bound(rate[k] * vertices, tau, obj.sigma, obj.q)
+            n = vertices[int(np.argmax(values))]
+        f = confidence_bound(rate[k] * n, tau, obj.sigma, obj.q)
+        if f > best_f:
+            best_f, winner = f, (bs[k], n)
+        if sq > 0 and bound.max() > best_f:  # the split's direction bounds the rest too
+            bound = np.minimum(bound, linear_max(rate[k] * n))
+    row, n = winner
+    x = row[:, None] == np.arange(l)
+    assoc = Association(x=x.astype(np.int8), unserved=tuple(np.flatnonzero(row == l).tolist()))
+    alloc = Allocation(n=np.where(x, n[:, None], 0.0))
+    return OracleSolution(assoc, alloc, instance_fbar(assoc, alloc, inst))

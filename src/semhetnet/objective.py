@@ -83,9 +83,11 @@ def _check_shape(obj, x):
 
 def confidence_bound(rates, tau, sigma, q):
     """Alpha-confidence lower bound tau * sum(s) - sigma * q * ||s||_2 on the
-    realized throughput of per-user message rates s."""
+    realized throughput of per-user message rates s: a float for one vector
+    of rates, an array of bounds for a stack of them (the last axis)."""
     s = np.asarray(rates, dtype=float)
-    return float(tau * s.sum() - sigma * q * np.sqrt((s * s).sum()))
+    bound = tau * s.sum(axis=-1) - sigma * q * np.sqrt((s * s).sum(axis=-1))
+    return float(bound) if bound.ndim == 0 else bound
 
 
 def rate_gradient(rates, tau, sigma, q):

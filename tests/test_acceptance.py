@@ -188,10 +188,11 @@ def test_criterion_9_oracle_gap():
     elapsed = time.perf_counter() - t0
     gap = checks["oracle_gap"]
     ratios = gap.data["ratios"]
-    ok = gap.passed and len(ratios) == 50 and elapsed < 60.0
+    # the oracle is exact, so two-stage can match it but never beat it
+    ok = gap.passed and len(ratios) == 50 and max(ratios) <= 1 + 1e-12 and elapsed < 60.0
     assert _report(9, "oracle gap", ok,
                    f"{gap.detail}; {len(ratios)} ratios recorded in the validate report, "
-                   f"whole validate run {elapsed:.1f}s")
+                   f"largest {max(ratios, default=0.0):.12f}, whole validate run {elapsed:.1f}s")
 
 
 def test_criterion_10_determinism():

@@ -1,4 +1,6 @@
+import itertools
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from semhetnet.metrics import (bit_throughput, build_report, confidence_bound,
                                oracle_enumerate)
 from semhetnet.objective import std_normal_quantile
 from semhetnet.semantics import FeasibleSets
-from semhetnet.solver import Allocation, Association, make_instance as build_instance, two_stage
+from semhetnet.solver import (Allocation, Association, allocate_residual,
+                              make_instance as build_instance, two_stage, usable_links)
 
 
 def _instance(gamma, kappa):
@@ -119,34 +122,7 @@ def test_oracle_blocking_fallback_when_infeasible():
     assert len(best.association.unserved) == 1
 
 
-def _oracle_quantum(inst):
-    """The residual grid step that oracle_enumerate derives from the instance."""
-    return max(float(inst.n_t[inst.mask()].min()), float(np.median(inst.budgets) / 6.0))
-
-
-def _quantize_to_oracle_grid(inst, assoc, alloc):
-    """Snap a two-stage allocation onto the oracle's residual grid."""
-    quantum = _oracle_quantum(inst)
-    n = np.zeros_like(alloc.n)
-    for j in range(inst.num_bs):
-        users = np.flatnonzero(assoc.x[:, j])
-        if users.size == 0:
-            continue
-        floors = inst.n_t[users, j]
-        residual = inst.budgets[j] - floors.sum()
-        if residual <= 1e-12 * inst.budgets[j]:
-            n[users, j] = floors
-            continue
-        units = max(1, int(round(residual / quantum)))
-        extra = alloc.n[users, j] - floors
-        k = np.floor(extra / residual * units).astype(int)
-        while k.sum() < units:
-            k[int(np.argmax(extra / residual * units - k))] += 1
-        n[users, j] = floors + residual * k / units
-    return Allocation(n=n)
-
-
-def test_oracle_dominates_quantized_two_stage(rng):
+def test_oracle_dominates_two_stage(rng):
     for trial in range(8):
         m, l = int(rng.integers(2, 6)), int(rng.integers(2, 4))
         xi = rng.uniform(0.5, 5.0, size=(m, l))
@@ -156,10 +132,8 @@ def test_oracle_dominates_quantized_two_stage(rng):
         budgets = np.full(l, float(n_t.mean() * max(1.0, m / l) * 2.5))
         inst = make_instance(xi=xi, n_t=n_t, budgets=budgets, sets=sets)
         sol = two_stage(inst)
-        oracle = oracle_enumerate(inst)
-        snapped = _quantize_to_oracle_grid(inst, sol.association, sol.allocation)
-        f_snapped = instance_fbar(sol.association, snapped, inst)
-        assert oracle.fbar >= f_snapped - 1e-9
+        f_two = instance_fbar(sol.association, sol.allocation, inst)
+        assert oracle_enumerate(inst).fbar >= f_two - 1e-9 * max(1.0, abs(f_two))
 
 
 @pytest.mark.parametrize("sigma, alpha", [(0.1, 0.55), (0.1, 0.95), (0.1, 0.3), (0.0, 0.95)])
@@ -178,15 +152,79 @@ def test_oracle_solution_reproduces_its_fbar_and_is_feasible(sigma, alpha):
         assert viol["full_allocation_gap_rel"] <= 1e-9
 
 
-def test_oracle_refuses_a_grid_too_fine_before_building_it():
-    # BS 0's budget is 1e4 times the median: its residual of ~1e4 Hz on a
-    # 0.5 Hz grid is ~2e4 units for five users, C(units + 4, 4) ~ 7e15 splits
-    inst = make_instance(xi=np.ones((5, 3)), n_t=np.full((5, 3), 0.5),
-                         budgets=[1e4, 1.0, 1.0], sets=[(0,)] * 5)
+def _brute_force_oracle(inst):
+    """Best Fbar over every feasible association, unpruned: split by
+    allocate_residual for sigma * q > 0 and at every vertex (each BS's whole
+    room on one of its users) otherwise; with a per-user unserved option when
+    no all-served association fits."""
+    m, l = inst.n_t.shape
+    sq = inst.objective.sigma * inst.objective.q
+    options = [list(np.flatnonzero(row)) for row in inst.mask()]
+    best = -np.inf
+    for opts in (options, [opt + [l] for opt in options]):
+        for combo in itertools.product(*opts):
+            x = (np.array(combo)[:, None] == np.arange(l)).astype(np.int8)
+            floors = x * inst.n_t
+            if np.any(floors.sum(axis=0) > inst.budgets * (1 + 1e-12)):
+                continue
+            assoc = Association(x=x)
+            if sq > 0:
+                best = max(best, instance_fbar(assoc, allocate_residual(assoc, inst), inst))
+                continue
+            room = inst.budgets - floors.sum(axis=0)
+            groups = [np.flatnonzero(x[:, j]) for j in range(l) if x[:, j].any() and room[j] > 0]
+            for vertex in itertools.product(*groups):
+                n = floors.copy()
+                for i in vertex:
+                    n[i] += x[i] * room
+                best = max(best, instance_fbar(assoc, Allocation(n=n), inst))
+        if best > -np.inf:
+            return best
+
+
+@pytest.mark.parametrize("sigma, alpha", [(0.1, 0.3), (0.1, 0.55), (0.1, 0.95), (0.0, 0.95),
+                                          (0.5, 0.9999)])
+def test_oracle_matches_an_unpruned_brute_force(sigma, alpha):
+    # validate's oracle_gap generator, blocking fallbacks included
+    rng = np.random.default_rng(2024)
+    for _ in range(30):
+        inst = harness._tiny_random_instance(rng, 0.5, sigma, alpha)
+        assert oracle_enumerate(inst).fbar == pytest.approx(_brute_force_oracle(inst), rel=1e-12)
+
+
+def test_oracle_takes_the_best_vertex_where_fbar_is_convex():
+    # alpha < 0.5 makes Fbar = tau * sum(s) + |sigma * q| * ||s|| convex in the
+    # split. User 0 has the better rate per Hz (1.1 against 1), but the 10 Hz of
+    # room raise ||s|| more on user 1, whose floor rate is 100 against 1
+    inst = make_instance(xi=np.array([[1.0], [100.0]]), n_t=np.array([[1 / 1.1], [100.0]]),
+                         budgets=[1 / 1.1 + 110.0], sets=[(0,), (0,)], sigma=0.5, alpha=0.05)
+    best = oracle_enumerate(inst)
+    assert best.allocation.n[:, 0] == pytest.approx([1 / 1.1, 110.0])
+    q = std_normal_quantile(0.05)
+    assert best.fbar == pytest.approx(confidence_bound(np.array([1.0, 110.0]), 0.5, 0.5, q))
+
+
+@pytest.mark.parametrize("alpha", [0.95, 0.3])
+def test_oracle_solves_the_largest_instance_it_accepts(alpha):
+    # 8 users x 4 BSs with every link usable: 4^8 associations
+    gamma = 10 ** np.random.default_rng(5).uniform(-0.3, 0.9, size=(8, 4))
+    inst = build_instance(gamma, FeasibleSets(np.ones((8, 4), dtype=bool)), 1 / 1600,
+                          np.ones(4), 1e4, 0.5, 0.1, alpha)
+    inst = replace(inst, budgets=np.full(4, 3.6 * inst.n_t.mean()))
+    assert usable_links(inst).all()
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="oracle grid too fine"):
-        oracle_enumerate(inst)
-    assert time.perf_counter() - start < 1.0
+    oracle = oracle_enumerate(inst)
+    assert time.perf_counter() - start < 2.0
+    assoc, alloc = oracle.association, oracle.allocation
+    assert assoc.unserved == ()
+    assert instance_fbar(assoc, alloc, inst) == pytest.approx(oracle.fbar, rel=1e-12)
+    viol = feasibility_violations(assoc, alloc, inst)
+    assert viol["association_defects"] == 0
+    assert viol["budget_overshoot_rel"] <= 1e-9
+    assert viol["full_allocation_gap_rel"] <= 1e-9
+    sol = two_stage(inst)
+    f_two = instance_fbar(sol.association, sol.allocation, inst)
+    assert oracle.fbar >= f_two - 1e-9 * abs(f_two)
 
 
 def test_feasibility_violations_clean_solution(rng):
