@@ -234,13 +234,22 @@ ORACLE_INSTANCES = 50  # ratios the oracle_gap check needs
 ORACLE_DRAWS = 1000  # random instances it may draw to find them
 
 
+def _no_positive_fbar(inst):
+    """True when sigma * q > tau * sqrt(M) for the instance's M users: as
+    ||s|| >= sum(s) / sqrt(M), every split then has
+    Fbar <= (tau - sigma * q / sqrt(M)) * sum(s) <= 0."""
+    obj = inst.objective
+    return obj.sigma * obj.q > obj.tau * np.sqrt(inst.n_t.shape[0])
+
+
 def oracle_gap_distribution(tau, sigma, alpha):
     """Two-stage Fbar relative to the exact oracle optimum on ORACLE_INSTANCES
     tiny random instances with a positive oracle Fbar, drawn in a fixed order.
 
     The oracle splits each association exactly, so every ratio is at most 1
     up to rounding. Stops after ORACLE_DRAWS draws, so fewer ratios come back
-    when the oracle Fbar is rarely positive (a large sigma * q).
+    when the oracle Fbar is rarely positive (a large sigma * q). Draws where
+    no split can be positive (`_no_positive_fbar`) skip the oracle.
     """
     rng = np.random.default_rng(2024)
     ratios = []
@@ -248,6 +257,8 @@ def oracle_gap_distribution(tau, sigma, alpha):
         if len(ratios) == ORACLE_INSTANCES:
             break
         inst = _tiny_random_instance(rng, tau, sigma, alpha)
+        if _no_positive_fbar(inst):
+            continue
         oracle = metrics.oracle_enumerate(inst)
         if oracle.fbar <= 0:
             continue

@@ -98,7 +98,9 @@ def oracle_enumerate(inst):
     is split exactly: by `allocate_residual` where Fbar is concave in the
     split (sigma * q > 0), else at the best vertex (each BS's whole room on
     one user). An upper bound per association skips the splits that cannot
-    win. Refuses instances beyond 8 users x 4 BSs.
+    win. Refuses instances beyond 8 users x 4 BSs. Where sigma * q > 0 it
+    needs a positive rate per Hz on every feasible link, as `two_stage` does:
+    `allocate_residual` raises ValueError on a split that serves a zero rate.
     """
     m, l = inst.n_t.shape
     if m > _ORACLE_MAX_USERS or l > _ORACLE_MAX_BS:

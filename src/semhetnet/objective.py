@@ -8,8 +8,13 @@ its alpha-quantile lower bound
 
 where q is the standard normal quantile at alpha and
 y_i = sum_j x_ij * xi_ij. Pr{F >= Fbar} = alpha holds exactly, which
-`chance_check` verifies empirically in fixed memory. Its gradient in the
-rates, `rate_gradient`, is
+`chance_check` verifies empirically in fixed memory (512 KB of draws) from
+antithetic pairs eta = clip(tau +- sigma z): validate's 1e5 trials take 5e4
+standard-normal rows, and as F is monotone in z, the two hit indicators of a
+pair are nonpositively correlated, so the estimate's variance stays at most
+alpha * (1 - alpha) / trials.
+
+The gradient of Fbar in the rates, `rate_gradient`, is
 
     dFbar/dy_i = tau - sigma * q * y_i / ||y||    (tau at y = 0),
 
@@ -117,13 +122,22 @@ def chance_check(rates, fbar, tau, sigma, trials, seed=0):
     """Empirical Pr{F >= fbar} over `trials` draws of the matching coefficients.
 
     F = sum_i eta_i * rates_i with eta_i ~ N(tau, sigma^2), clamped into
-    (0, 1) by `fill_eta`. With fbar the confidence bound of the rates,
-    the exact Gaussian quantile property makes this converge to alpha. The
-    draws stream through `eta_blocks`: memory depends on neither M nor trials.
+    (0, 1). With fbar the confidence bound of the rates, the exact Gaussian
+    quantile property makes this converge to alpha.
+
+    The trials come in antithetic pairs: ceil(trials / 2) standard-normal
+    rows z give eta = clip(tau + sigma z) and clip(tau - sigma z), the last
+    pair's second trial dropped when `trials` is odd. As -z ~ z, each trial
+    is an exact draw of F. F, and so 1{F >= fbar}, is monotone in every z_i
+    (with the sign of rates_i), so the two indicators of a pair are
+    nonpositively correlated and the estimate's variance is at most
+    alpha * (1 - alpha) / trials, with half the normal draws. The draws
+    stream through `eta_blocks`' two buffers of 2^15 draws (512 KB in all):
+    memory depends on neither M nor trials.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     y = np.asarray(rates, dtype=float)
-    hits = sum(int(np.count_nonzero(etas @ y >= fbar))
-               for etas in eta_blocks(substream(seed, "chance"), tau, sigma, trials, y.size))
+    blocks = eta_blocks(substream(seed, "chance"), tau, sigma, trials, y.size, antithetic=True)
+    hits = sum(int(np.count_nonzero(etas @ y >= fbar)) for etas in blocks)
     return hits / trials

@@ -10,7 +10,7 @@ from .seeding import substream
 
 # Knowledge-matching draws must stay inside the open interval (0, 1).
 ETA_CLAMP_EPS = 1e-9
-ETA_BLOCK = 2**16  # draws per reused Monte Carlo buffer (512 KB)
+ETA_BLOCK = 2**16  # draws held at once in eta_blocks' reused buffers (512 KB)
 
 
 def fill_eta(rng, tau, sigma, out):
@@ -24,12 +24,34 @@ def fill_eta(rng, tau, sigma, out):
     return np.clip(out, ETA_CLAMP_EPS, 1.0 - ETA_CLAMP_EPS, out=out)
 
 
-def eta_blocks(rng, tau, sigma, rows, width=1):
-    """Yield `rows` rows of `width` draws of `fill_eta` as views of one buffer
-    of about ETA_BLOCK draws, each overwritten by the next: fixed memory."""
-    block = np.empty((max(1, ETA_BLOCK // max(1, width)), width))
-    for done in range(0, rows, len(block)):
-        yield fill_eta(rng, tau, sigma, block[:rows - done])
+def eta_blocks(rng, tau, sigma, rows, width=1, antithetic=False):
+    """Yield `rows` rows of `width` clamped eta ~ N(tau, sigma^2) as views of
+    buffers of about ETA_BLOCK draws in all, each overwritten by the next:
+    fixed memory.
+
+    Independent rows are `fill_eta`'s. Antithetic rows come from ceil(rows / 2)
+    standard-normal rows z, in buffers of ETA_BLOCK / 2 draws for z and for
+    eta: each block of z yields clip(tau + sigma z), then clip(tau - sigma z);
+    for an odd `rows` the last z's second row is dropped.
+    """
+    if not antithetic:
+        block = np.empty((max(1, ETA_BLOCK // max(1, width)), width))
+        for done in range(0, rows, len(block)):
+            yield fill_eta(rng, tau, sigma, block[:rows - done])
+        return
+    if sigma < 0:
+        raise ValueError("sigma must be nonnegative")
+    z = np.empty((max(1, ETA_BLOCK // 2 // max(1, width)), width))
+    eta = np.empty_like(z)
+    pairs = -(-rows // 2)
+    for done in range(0, pairs, len(z)):
+        sz = z[:pairs - done]
+        rng.standard_normal(out=sz)
+        sz *= sigma
+        minus = min(len(sz), rows - 2 * done - len(sz))
+        for op, count in ((np.add, len(sz)), (np.subtract, minus)):
+            out = op(tau, sz[:count], out=eta[:count])
+            yield np.clip(out, ETA_CLAMP_EPS, 1.0 - ETA_CLAMP_EPS, out=out)
 
 
 @dataclass(frozen=True, eq=False)

@@ -152,6 +152,32 @@ def test_oracle_solution_reproduces_its_fbar_and_is_feasible(sigma, alpha):
         assert viol["full_allocation_gap_rel"] <= 1e-9
 
 
+@pytest.mark.parametrize("sigma, skips", [(0.5, 100), (0.3, 49)])
+def test_oracle_finds_no_positive_fbar_where_oracle_gap_skips_it(sigma, skips):
+    # validate's oracle_gap generator at alpha 0.9999: where sigma * q > tau * sqrt(M),
+    # oracle_gap_distribution skips the oracle, as no split's Fbar is positive
+    rng = np.random.default_rng(2024)
+    skipped = 0
+    for _ in range(100):
+        inst = harness._tiny_random_instance(rng, 0.5, sigma, 0.9999)
+        if harness._no_positive_fbar(inst):
+            skipped += 1
+            assert oracle_enumerate(inst).fbar <= 0
+    assert skipped == skips
+
+
+def test_oracle_and_two_stage_refuse_a_zero_rate_on_a_feasible_link():
+    # user 0 can only use BS 0, where its rate per Hz is 0; sigma * q > 0
+    inst = make_instance(xi=[[0.0, 1.0], [2.0, 1.0]], n_t=np.full((2, 2), 10.0),
+                         budgets=[100.0, 100.0], sets=[(0,), (0, 1)])
+    with pytest.raises(ValueError) as oracle_error:
+        oracle_enumerate(inst)
+    with pytest.raises(ValueError) as two_stage_error:
+        two_stage(inst)
+    assert str(oracle_error.value) == str(two_stage_error.value)
+    assert "positive rates" in str(oracle_error.value)
+
+
 def _brute_force_oracle(inst):
     """Best Fbar over every feasible association, unpruned: split by
     allocate_residual for sigma * q > 0 and at every vertex (each BS's whole
@@ -189,6 +215,29 @@ def test_oracle_matches_an_unpruned_brute_force(sigma, alpha):
     rng = np.random.default_rng(2024)
     for _ in range(30):
         inst = harness._tiny_random_instance(rng, 0.5, sigma, alpha)
+        assert oracle_enumerate(inst).fbar == pytest.approx(_brute_force_oracle(inst), rel=1e-12)
+
+
+def _varied_instance(rng, sigma, alpha):
+    """A tiny instance whose floor rates xi^T and floors n^T vary per link,
+    unlike validate's generator, where xi^T is the same on every link. Rates
+    per Hz xi^T / n^T stay within a factor 2, so a user with a big floor rate
+    can beat a better rate per Hz to a BS's room where Fbar is convex."""
+    m, l = int(rng.integers(2, 7)), int(rng.integers(2, 4))
+    xi = 10 ** rng.uniform(0.0, 2.0, size=(m, l))
+    n_t = xi / rng.uniform(1.0, 2.0, size=(m, l))
+    sets = [tuple(rng.choice(l, size=int(rng.integers(1, l + 1)), replace=False).tolist())
+            for _ in range(m)]
+    budgets = np.full(l, float(n_t.mean() * max(1.0, m / l) * rng.uniform(1.2, 2.5)))
+    return make_instance(xi=xi, n_t=n_t, budgets=budgets, sets=sets, sigma=sigma, alpha=alpha)
+
+
+@pytest.mark.parametrize("sigma, alpha", [(0.1, 0.3), (0.5, 0.3), (0.5, 0.05)])
+def test_oracle_matches_a_brute_force_with_varied_floor_rates(sigma, alpha):
+    # sigma * q < 0: the best vertex is often not the best-rate one here
+    rng = np.random.default_rng(99)
+    for _ in range(30):
+        inst = _varied_instance(rng, sigma, alpha)
         assert oracle_enumerate(inst).fbar == pytest.approx(_brute_force_oracle(inst), rel=1e-12)
 
 

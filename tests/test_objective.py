@@ -179,31 +179,56 @@ def test_chance_check_deterministic(rng):
     assert a == b
 
 
+def _antithetic_hits(y, fbar, tau, sigma, trials, seed):
+    """Hits of chance_check's trials drawn at once from the same substream:
+    ceil(trials / 2) standard-normal rows z give clip(tau + sigma z) and,
+    but for the last row when trials is odd, clip(tau - sigma z)."""
+    pairs = -(-trials // 2)
+    z = substream(seed, "chance").standard_normal(size=(pairs, y.size))
+    etas = np.concatenate([tau + sigma * z, (tau - sigma * z)[:trials - pairs]])
+    np.clip(etas, ETA_CLAMP_EPS, 1.0 - ETA_CLAMP_EPS, out=etas)
+    return int((etas @ y >= fbar).sum())
+
+
 def test_chance_check_blocks_match_one_draw(rng):
     # drawn at once from the same substream, the coefficients and the hit
-    # count are the same (at 6 rates one block holds all 10001 trials)
+    # count are the same (at 6 rates one block holds all 5001 pairs)
     obj, x, y = _binary_instance(rng)
     fbar = objective_value(obj, x)
     trials = 10_001
-    etas = substream(5, "chance").normal(0.5, 0.3, size=(trials, y.size))
-    np.clip(etas, ETA_CLAMP_EPS, 1.0 - ETA_CLAMP_EPS, out=etas)
-    hits = int((etas @ y >= fbar).sum())
+    hits = _antithetic_hits(y, fbar, 0.5, 0.3, trials, seed=5)
     assert 0 < hits < trials
     assert chance_check(y, fbar, 0.5, 0.3, trials, seed=5) == hits / trials
 
 
 @pytest.mark.parametrize("width", [100, 0])
 def test_chance_check_matches_one_draw_at_any_width(width):
-    # at 100 rates a block holds 655 trials, so 10001 trials take 16 blocks,
-    # the last one partial; with no rates every F is 0
+    # at 100 rates a block holds 327 pairs, so 10001 trials take 16 blocks,
+    # the last one partial and one trial short; with no rates every F is 0
     y = np.random.default_rng(6).uniform(0.0, 10.0, size=width)
     fbar = objective_value(DeterministicObjective.for_confidence(0.5, 0.3, 0.9, y[:, None]),
                            np.ones((width, 1)))
     trials = 10_001
-    etas = substream(5, "chance").normal(0.5, 0.3, size=(trials, width))
-    np.clip(etas, ETA_CLAMP_EPS, 1.0 - ETA_CLAMP_EPS, out=etas)
-    hits = int((etas @ y >= fbar).sum())
+    hits = _antithetic_hits(y, fbar, 0.5, 0.3, trials, seed=5)
     assert chance_check(y, fbar, 0.5, 0.3, trials, seed=5) == hits / trials
+
+
+@pytest.mark.parametrize("sigma", [0.1, 0.6])
+def test_chance_check_pairs_are_complementary_at_the_mean(rng, sigma):
+    # at tau = 0.5 the clamp is symmetric, so F(z) + F(-z) = 2 tau sum(y) and
+    # exactly one trial of each pair reaches the mean, clamped (sigma 0.6) or not
+    _, _, y = _binary_instance(rng)
+    assert chance_check(y, 0.5 * y.sum(), 0.5, sigma, trials=10_000, seed=2) == 0.5
+
+
+def test_chance_check_spread_is_below_independent_sampling():
+    # antithetic pairs make the estimate's variance at most
+    # alpha * (1 - alpha) / trials, that of independent trials
+    y = np.random.default_rng(7).uniform(1.0, 10.0, size=6)
+    alpha, trials = 0.55, 10_000
+    fbar = confidence_bound(y, 0.5, 0.1, std_normal_quantile(alpha))
+    probs = [chance_check(y, fbar, 0.5, 0.1, trials, seed=seed) for seed in range(20)]
+    assert np.std(probs, ddof=1) < np.sqrt(alpha * (1 - alpha) / trials)
 
 
 def test_chance_check_memory_does_not_grow_with_rates():

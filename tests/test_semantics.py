@@ -164,6 +164,31 @@ def test_eta_blocks_reuse_one_buffer_of_fixed_size():
     assert blocks[0].base.size <= ETA_BLOCK
 
 
+def test_antithetic_eta_blocks_pair_each_normal_row_in_half_buffers():
+    # 1001 rows at width 3000 are 501 pairs, 10 per block: 51 blocks of z,
+    # each giving tau + sigma z and tau - sigma z, the very last row dropped
+    tau, sigma, rows = 0.5, 0.3, 1001
+    blocks = list(eta_blocks(substream(1, "chance"), tau, sigma, rows, width=3000,
+                             antithetic=True))
+    per_block = ETA_BLOCK // 2 // 3000
+    assert len(blocks) == 2 * -(-501 // per_block)
+    assert all(b.base is blocks[0].base for b in blocks)
+    assert blocks[0].base.size <= ETA_BLOCK // 2
+    assert sum(len(b) for b in blocks) == rows and len(blocks[-1]) == len(blocks[-2]) - 1
+    z = substream(1, "chance").standard_normal(size=(501, 3000))
+    plus, minus = (np.clip(tau + sign * sigma * z, ETA_CLAMP_EPS, 1.0 - ETA_CLAMP_EPS)
+                   for sign in (1, -1))
+    blocks = [b.copy() for b in eta_blocks(substream(1, "chance"), tau, sigma, rows,
+                                           width=3000, antithetic=True)]
+    assert np.concatenate(blocks[::2]).tobytes() == plus.tobytes()
+    assert np.concatenate(blocks[1::2]).tobytes() == minus[:-1].tobytes()
+
+
+def test_antithetic_eta_blocks_reject_negative_sigma():
+    with pytest.raises(ValueError):
+        next(eta_blocks(substream(1, "chance"), 0.5, -0.1, 4, antithetic=True))
+
+
 def test_eta_sampling_deterministic():
     assert np.array_equal(draw_eta(0.4, 0.2, 100, seed=9), draw_eta(0.4, 0.2, 100, seed=9))
 
