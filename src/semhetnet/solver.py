@@ -9,6 +9,7 @@ the repair step.
 
 import math
 from collections import deque
+from copy import copy
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +29,16 @@ _MAX_INNER = 20000  # iterations after which the relaxed stage raises SolverErro
 # The stage also ends once a 25-iteration window improves phi by less than
 # _STALL_RTOL * (1 + |phi|); the final pg norm is reported either way.
 _STALL_RTOL = 1e-10
+
+# Admission decides runs of failing passes in lockstep batches
+# (`_SubsetStarts.proven_victims`, `_admit`) only while at least
+# _BATCH_MIN_ROWS rows are live: below it a batch sweep costs more than the
+# scalar passes it replaces (measured crossover between M = 1500 and 1750).
+_BATCH_MIN_ROWS = 1536
+_BATCH_AFTER = 2  # passes in a row that must stop early before a batch
+_BATCH_FIRST = 16  # passes in a run's first batch; whole proven batches double it
+_BATCH_MAX = 128  # passes in a batch at most
+_BATCH_CHECK = 8  # rows a batch sweep packs between two tests of its passes
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,22 +188,27 @@ def _link_lists(mask, n_t):
     return [pairs[start:end] for start, end in zip([0] + ends[:-1], ends)]
 
 
+def _proven_overload(budgets, count):
+    """Running loads at which a packing of `count` rows proves each BS ends
+    overloaded: N_j * (1 + margin), where the margin exceeds the gap between
+    running sums and `_loads`, each within about m * eps of the exact sum.
+    `count` may be a column of counts, one row of thresholds per pass."""
+    return budgets * (1.0 + (1e-9 + 2.0 * count * np.finfo(float).eps))
+
+
 def _greedy_pack(order, links, budgets, proof):
     """Greedy packing: each row in `order` goes to the BS with the most room
     left (first maximum on ties). Returns (cols, None), each row's BS in
     `order`, or (None, the BSs proven overloaded so far) once the pass stops.
 
     proof = (dry, watched) are two boolean lists over the BSs. Loads only
-    grow, so a running load of at least N_j * (1 + margin) proves that BS j
-    ends the pass overloaded: the margin exceeds the gap between these
-    running sums and `_loads`, each within about m * eps of the exact sum.
-    The pass stops once a proven BS is `dry` and a proven BS is `watched`;
-    otherwise it packs every row.
+    grow, so a running load at `_proven_overload` proves that BS j ends the
+    pass overloaded. The pass stops once a proven BS is `dry` and a proven
+    BS is `watched`; otherwise it packs every row.
     """
     num_bs = len(budgets)
     dry, watched = proof
-    margin = 1e-9 + 2.0 * len(order) * np.finfo(float).eps
-    full = (budgets * (1.0 + margin)).tolist()
+    full = _proven_overload(budgets, len(order)).tolist()
     b = budgets.tolist()
     loads = [0.0] * num_bs
     room = b[:]  # b[j] - loads[j], kept for each BS
@@ -221,7 +237,9 @@ class _SubsetStarts:
     The uniform rows and their per-BS loads are built once; removing a row
     subtracts its uniform loads. The packing constants (each row's links and
     minimum n^T, and the live rows in descending-demand order, ties to the
-    lower row) are built when a uniform start first fails.
+    lower row) are built when a uniform start first fails. `start` packs one
+    pass; `proven_victims` packs a run of passes in lockstep and returns the
+    victims of those it proves stop early.
     """
 
     def __init__(self, mask, n_t, budgets):
@@ -231,6 +249,7 @@ class _SubsetStarts:
         self.loads = _loads(self.x_unif, n_t)
         self.load_err = None  # exact loads until a row is removed
         self.links = self.demand = self.live = None
+        self.stopped_early = False  # whether the last `start` pass stopped early
 
     def rows(self):
         return np.flatnonzero(self.inside)
@@ -290,6 +309,74 @@ class _SubsetStarts:
         rows = self.rows()
         return (b - _loads(self.x_unif.take(rows, axis=0), self.n_t.take(rows, axis=0))) / b
 
+    def upcoming(self, size):
+        """The proof inputs of the next `size` passes, each as `start` would
+        build it if every pass before it stopped early: replays
+        `uniform_slack`, `hungriest` and `remove` on a copy of this state.
+        Returns each pass's victim (its hungriest row), dry BSs and live-row
+        count, and ends before a pass whose uniform start succeeds.
+        """
+        replay = copy(self)
+        replay.inside, replay.live = self.inside.copy(), self.live[:]
+        victims, dry, counts = [], [], []
+        while len(victims) < size:
+            slack = replay.uniform_slack()
+            if slack.min() > 1e-9:
+                break
+            dry.append(slack <= 0)
+            counts.append(len(replay.live))
+            victims.append(replay.hungriest())
+            replay.remove(victims[-1])
+        return victims, dry, counts
+
+    def proven_victims(self, size):
+        """Victims of the next passes that a lockstep packing proves stop early.
+
+        Pass k of the `upcoming` ones packs the live rows less the k victims
+        before it. One sweep over the live rows in demand order packs each
+        row in every pass that holds it, as `_greedy_pack` would: onto the
+        BS with the most room left, ties to the lower index. Loads only
+        grow, so a pass stops early exactly when its loads reach
+        `_proven_overload` on a dry BS and on a BS its victim can use; passes
+        retire once they are proven. Returns the victims of the leading
+        proven passes, in eviction order. The first pass not proven is left
+        to `start`.
+        """
+        victims, dry, counts = self.upcoming(size)
+        if not victims:
+            return victims
+        b, rows = self.budgets, self.live
+        cost = np.where(self.mask, self.n_t, np.inf)  # a row's n^T, +inf off its links
+        full = _proven_overload(b, np.array(counts)[:, None])
+        # a pass is proven once its loads reach full_dry and full_watched
+        full_dry = np.where(dry, full, np.inf)
+        full_watched = np.where(self.mask[victims], full, np.inf)
+        passes = np.arange(len(victims))  # the unproven passes, in order
+        loads = np.zeros(full.shape)
+        buf = np.empty_like(loads)
+        base = passes * b.size  # each unproven pass's offset in loads.ravel()
+        last = {v: k for k, v in enumerate(victims)}  # row v_k is in passes 0..k only
+        proven = np.zeros(len(victims) + 1, dtype=bool)
+        for t, i in enumerate(rows, 1):
+            n = cost[i]
+            k = last.get(i)
+            c = passes.size if k is None else int(np.searchsorted(passes, k, side="right"))
+            spare = np.subtract(b, loads[:c], out=buf[:c])
+            spare -= n
+            best = spare.argmax(axis=1)
+            loads.ravel()[base[:c] + best] += n[best]
+            if t % _BATCH_CHECK == 0 or t == len(rows):
+                done = (loads >= full_dry).any(axis=1) & (loads >= full_watched).any(axis=1)
+                if done.any():
+                    proven[passes[done]] = True
+                    keep = ~done
+                    passes, loads = passes[keep], loads[keep]
+                    full_dry, full_watched = full_dry[keep], full_watched[keep]
+                    buf, base = buf[:passes.size], base[:passes.size]
+                    if not passes.size:
+                        break
+        return victims[:int(proven.argmin())]
+
     def start(self):
         """Strictly interior start for the live rows: uniform rows, else a
         blend with a greedy packing that puts the hungriest rows first.
@@ -315,6 +402,7 @@ class _SubsetStarts:
             self.live = order[self.inside[order]].tolist()
         proof = ((slack_unif <= 0).tolist(), self.mask[self.hungriest()].tolist())
         cols, overloaded = _greedy_pack(self.live, self.links, budgets, proof)
+        self.stopped_early = cols is None
         if cols is None:
             return None, overloaded
 
@@ -848,19 +936,41 @@ def _admit(usable, n_t, budgets):
     fails and that the hungriest admitted user touches a BS the full pass
     would name overloaded (see `_SubsetStarts.start`): the rule then blocks
     that user, as it would after the full pass.
+
+    Such a pass blocks the hungriest user whatever else it packs. So once
+    _BATCH_AFTER passes in a row have stopped early, and while at least
+    _BATCH_MIN_ROWS users are live, the next passes go to
+    `_SubsetStarts.proven_victims` in batches: the users it proves are
+    blocked without a pass of their own, and the first pass it cannot prove
+    runs through `start`. A batch whose passes are all proven doubles the
+    next one, from _BATCH_FIRST up to _BATCH_MAX. A lone early stop among
+    full passes does not start a batch: the batch's first pass would be a
+    full one, and its sweep would pack every live user for nothing. The
+    evictions and the start are those of one `start` pass per eviction.
     """
     admitted = usable.any(axis=1)
     users = np.flatnonzero(admitted)
     starts = _SubsetStarts(usable[users], n_t[users], budgets)
     evicted = []
     start = None
+    batch = streak = 0  # next batch size (0: a scalar pass); early stops in a row
     while len(evicted) < users.size:
+        if batch and len(starts.live) >= _BATCH_MIN_ROWS:
+            proven = starts.proven_victims(batch)
+            for victim in proven:
+                starts.remove(victim)
+                evicted.append(int(users[victim]))
+            if len(proven) == batch:
+                batch = min(2 * batch, _BATCH_MAX)
+                continue
         start, overloaded = starts.start()
         if start is not None:
             break
         victim = starts.victim(overloaded)
         starts.remove(victim)
         evicted.append(int(users[victim]))
+        streak = streak + 1 if starts.stopped_early else 0
+        batch = _BATCH_FIRST if streak >= _BATCH_AFTER else 0
     admitted[evicted] = False
     return admitted, tuple(evicted), start
 

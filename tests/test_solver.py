@@ -1,4 +1,7 @@
+import copy
+import hashlib
 import itertools
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -1490,12 +1493,34 @@ def assert_matches_restart_loop(inst):
     return sol
 
 
-@pytest.mark.parametrize("num_users", [120, 240])
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_admission_matches_restart_loop_on_tight_budgets(num_users, seed):
+@contextmanager
+def admission_batches(batched=True):
+    """Within it, admission decides in batches every pass it can: at any
+    number of live users and from the first pass that stops early on."""
+    with pytest.MonkeyPatch.context() as mp:
+        if batched:
+            mp.setattr(solver_module, "_BATCH_MIN_ROWS", 0)
+            mp.setattr(solver_module, "_BATCH_AFTER", 1)
+        yield
+
+
+def and_batched(argnames, cases, ids):
+    """Parametrize over `cases` as given, then again with a last argument
+    `batched` set: the same ids, and these ids with "-batched"."""
+    return pytest.mark.parametrize(
+        argnames + ", batched", [(*case, False) for case in cases] + [(*case, True) for case in cases],
+        ids=ids + [f"{i}-batched" for i in ids])
+
+
+TIGHT_BUDGET_CELLS = [(seed, num_users) for seed in (1, 2, 3) for num_users in (120, 240)]
+
+
+@and_batched("seed, num_users", TIGHT_BUDGET_CELLS, [f"{s}-{m}" for s, m in TIGHT_BUDGET_CELLS])
+def test_admission_matches_restart_loop_on_tight_budgets(num_users, seed, batched):
     inst = build_scenario(ScenarioConfig(bandwidth_budget_hz=5e4, num_users=num_users),
                           seed).instance
-    sol = assert_matches_restart_loop(inst)
+    with admission_batches(batched):
+        sol = assert_matches_restart_loop(inst)
     assert sol.evicted  # the budgets are tight enough to need admission
 
 
@@ -1547,7 +1572,7 @@ def test_admission_stops_failing_passes_early(monkeypatch, seed):
     assert passes["full"] < passes["packed"] <= len(evicted) + 1
 
 
-@pytest.mark.parametrize("n_t, sets, budgets, evicted", [
+@and_batched("n_t, sets, budgets, evicted", [
     # Packed in demand order (users 1, 3, 0), BS 0's running load reaches
     # 1.1 exactly; its row-order sum, 1.0999999999999999, stays below. The
     # full pass names BS 1 alone, so user 2 goes first: a certificate
@@ -1566,13 +1591,14 @@ def test_admission_stops_failing_passes_early(monkeypatch, seed):
     # succeeds: the victim alone does not prove that a pass fails.
     ([[3.0, 2.0], [3.0, 3.0], [1.0, 2.0], [1.0, 3.0]], [(0, 1), (0, 1), (1,), (1,)],
      [3.0, 6.0], (3,)),
-], ids=["rounding-margin", "tie-to-largest-index", "blend-succeeds"])
-def test_admission_early_stop_edge_cases(n_t, sets, budgets, evicted):
+], ["rounding-margin", "tie-to-largest-index", "blend-succeeds"])
+def test_admission_early_stop_edge_cases(n_t, sets, budgets, evicted, batched):
     inst = make_instance(xi=np.ones(np.shape(n_t)), n_t=n_t, budgets=budgets, sets=sets)
-    assert assert_matches_restart_loop(inst).evicted == evicted
+    with admission_batches(batched):
+        assert assert_matches_restart_loop(inst).evicted == evicted
 
 
-@pytest.mark.parametrize("n_t, sets, budgets, evicted", [
+@and_batched("n_t, sets, budgets, evicted", [
     # Once user 1 is blocked, the live users' uniform load on BS 0 sums to
     # 0.35, while the maintained load, 0.65 - 0.3, is one ulp lower. The
     # budget puts the relative slack of the sum at 1e-9, which fails the
@@ -1593,22 +1619,110 @@ def test_admission_early_stop_edge_cases(n_t, sets, budgets, evicted):
     # The same users with a budget 3 ulps larger: the sum leaves BS 0 a
     # little slack, less than the loads' error bound, so BS 0 is not dry.
     ([[0.1], [0.2], [0.2]], [(0,), (0,), (0,)], [0.3000000000000002], (2, 1)),
-], ids=["at-1e-9", "above-1e-9", "at-0", "above-0"])
-def test_admission_uniform_loads_near_thresholds(monkeypatch, n_t, sets, budgets, evicted):
+], ["at-1e-9", "above-1e-9", "at-0", "above-0"])
+def test_admission_uniform_loads_near_thresholds(monkeypatch, n_t, sets, budgets, evicted,
+                                                 batched):
     inst = make_instance(xi=np.ones(np.shape(n_t)), n_t=n_t, budgets=budgets, sets=sets)
     usable = usable_links(inst)
     pack = solver_module._greedy_pack
+    upcoming = _SubsetStarts.upcoming
+
+    def summed_dry(rows):
+        # the dry BSs of an early-stop proof are those of the summed loads
+        x_unif = usable[rows] / usable[rows].sum(axis=1)[:, None]
+        slack = (inst.budgets - np.einsum("ml,ml->l", x_unif, inst.n_t[rows])) / inst.budgets
+        return (slack <= 0).tolist()
 
     def spy(order, links, budgets, proof):
-        # the dry BSs of an early-stop proof are those of the summed loads
-        rows = np.sort(order)
-        x_unif = usable[rows] / usable[rows].sum(axis=1)[:, None]
-        slack = (budgets - np.einsum("ml,ml->l", x_unif, inst.n_t[rows])) / budgets
-        assert proof[0] == (slack <= 0).tolist()
+        assert proof[0] == summed_dry(np.sort(order))
         return pack(order, links, budgets, proof)
 
+    batch_passes = []
+
+    def upcoming_spy(self, size):
+        # so are those of each pass a batch names, on its own live users
+        victims, dry, counts = upcoming(self, size)
+        for k, (pass_dry, count) in enumerate(zip(dry, counts)):
+            rows = np.setdiff1d(self.rows(), victims[:k])
+            assert pass_dry.tolist() == summed_dry(rows) and count == rows.size
+        batch_passes.append(len(victims))
+        return victims, dry, counts
+
     monkeypatch.setattr(solver_module, "_greedy_pack", spy)
-    assert assert_matches_restart_loop(inst).evicted == evicted
+    monkeypatch.setattr(_SubsetStarts, "upcoming", upcoming_spy)
+    with admission_batches(batched):
+        assert assert_matches_restart_loop(inst).evicted == evicted
+    # batched, a batch names the second pass in every case but above-1e-9
+    assert (sum(batch_passes) > 0) == (batched and budgets != [0.3500000003500004, 0.4])
+
+
+def early_stop_run(starts, size):
+    """The victims of the next passes, up to `size` of them, for as long as
+    each `start` pass stops early: what `proven_victims` must return."""
+    starts = copy.deepcopy(starts)
+    victims = []
+    while len(victims) < size:
+        start, overloaded = starts.start()
+        if start is not None or not starts.stopped_early:
+            break
+        victims.append(starts.victim(overloaded))
+        starts.remove(victims[-1])
+    return victims
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_batch_proves_exactly_the_passes_that_stop_early(seed):
+    inst = random_admission_case(np.random.default_rng(seed))
+    usable = usable_links(inst)
+    users = np.flatnonzero(usable.any(axis=1))
+    starts = _SubsetStarts(usable[users], inst.n_t[users], inst.budgets)
+    start, overloaded = starts.start()
+    while start is None:
+        starts.remove(starts.victim(overloaded))
+        rows, loads = starts.rows(), starts.loads
+        for size in (1, 3, 64):
+            assert starts.proven_victims(size) == early_stop_run(starts, size)
+        assert np.array_equal(starts.rows(), rows) and starts.loads is loads
+        start, overloaded = starts.start()
+
+
+def test_batch_proves_each_pass_with_its_own_margin():
+    # Once user 0 is blocked, a batch's second pass packs users 2 and 3 alone.
+    # Their running load, 0.6 + 0.400000001000001, lands exactly on
+    # N * (1 + delta) for 2 live users, so that pass stops early at its last
+    # row. The margin for the first pass's 3 live users is 2 ulps higher.
+    starts = _SubsetStarts(np.ones((4, 1), bool), np.array([[0.9], [0.8], [0.6], [0.400000001000001]]),
+                           np.array([1.0]))
+    _, overloaded = starts.start()
+    starts.remove(starts.victim(overloaded))
+    assert starts.proven_victims(4) == early_stop_run(starts, 4) == [1, 2]
+
+
+@pytest.mark.parametrize("num_users, evictions, evicted_sha256, start_sha256", [
+    (2000, 366, "7872fb3ca0200ff4a7aada558752a5391257f40ba76363c94f8da25bba83e251",
+     "3f4f7528cab91dcc8ed3cb0389c1dff16fa5417e6a247cbb7be062c890e158ab"),
+    (3000, 876, "b4466c269355fd766937c9c1e3cf683efd2d65e17086839f22a4284a7048a260",
+     "fd932bd821c1ebf012f91b2b8ce3f5b5745c86b4bc0f127cdd8fd3b075753b0d"),
+], ids=["m2000", "m3000"])
+def test_admission_where_it_batches_by_default(monkeypatch, num_users, evictions, evicted_sha256,
+                                               start_sha256):
+    # Seed 1 at the default config, where batches decide most passes. The
+    # digests are those of one scalar pass per eviction.
+    proven = []
+    batch = _SubsetStarts.proven_victims
+
+    def spy(self, size):
+        victims = batch(self, size)
+        proven.extend(victims)
+        return victims
+
+    monkeypatch.setattr(_SubsetStarts, "proven_victims", spy)
+    inst = build_scenario(ScenarioConfig(num_users=num_users), 1).instance
+    _, evicted, start = _admit(usable_links(inst), inst.n_t, inst.budgets)
+    assert len(evicted) == evictions and len(proven) > evictions // 2
+    assert hashlib.sha256(np.asarray(evicted, dtype=np.int64).tobytes()).hexdigest() == evicted_sha256
+    assert hashlib.sha256(start.tobytes()).hexdigest() == start_sha256
 
 
 @settings(max_examples=50, deadline=None)
@@ -1621,3 +1735,5 @@ def test_admission_fuzz_matches_restart_loop_and_stays_feasible(seed):
     assert viol["budget_overshoot_rel"] <= 1e-9
     assert viol["full_allocation_gap_rel"] <= 1e-9
     assert set(sol.evicted) <= set(sol.association.unserved)
+    with admission_batches():
+        assert assert_matches_restart_loop(inst).evicted == sol.evicted
