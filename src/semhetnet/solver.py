@@ -148,15 +148,21 @@ def _simplex_projector(mask):
     last, at -1e300: their cumulative sums stay hugely negative, so they
     never count among the rho entries above the threshold, and the sums over
     the real entries come first, in the same order as an unpadded row.
+
+    The padding is one subtraction, pad - v, from a constant that is 0 on
+    the mask and 1e300 off it; off-mask entries up to about 1e284 in
+    magnitude round to 1e300 there. After np.maximum(x, 0.0), which turns
+    -0.0 into +0.0, a product with the mask clears the entries off it.
+    Neither branches on the mask, unlike np.putmask, whose copy under a
+    large random mask costs several times more per row than both together.
     """
     mask = np.asarray(mask, dtype=bool)
-    off = ~mask
+    pad = np.where(mask, 0.0, 1e300)
     k = np.arange(1.0, mask.shape[1] + 1.0)
-    rows = np.arange(mask.shape[0])
+    last = np.arange(mask.shape[0]) * mask.shape[1] - 1  # before each row's first entry, flat
 
     def project(v):
-        u = np.negative(v)
-        np.putmask(u, off, 1e300)
+        u = pad - v
         u.sort(axis=1)
         np.negative(u, out=u)
         cs = np.cumsum(u, axis=1)
@@ -168,9 +174,9 @@ def _simplex_projector(mask):
                 raise SolverError("projection lost a row's support to rounding; "
                                   "message rates are too large for float64")
             raise ValueError("projection row with empty support")
-        x = v - (cs[rows, rho - 1] / rho)[:, None]
+        x = v - (cs.take(last + rho) / rho)[:, None]
         np.maximum(x, 0.0, out=x)
-        np.putmask(x, off, 0.0)
+        x *= mask
         return x
 
     return project
@@ -188,18 +194,21 @@ def _link_lists(mask, n_t):
     return [pairs[start:end] for start, end in zip([0] + ends[:-1], ends)]
 
 
-def _proven_overload(budgets, count):
+def _proven_overload(budgets, count, side=1.0):
     """Running loads at which a packing of `count` rows proves each BS ends
     overloaded: N_j * (1 + margin), where the margin exceeds the gap between
     running sums and `_loads`, each within about m * eps of the exact sum.
-    `count` may be a column of counts, one row of thresholds per pass."""
-    return budgets * (1.0 + (1e-9 + 2.0 * count * np.finfo(float).eps))
+    With side=-1.0, N_j * (1 - margin): a final running load at or below it
+    proves that `_loads` leaves the BS slack. `count` may be a column of
+    counts, one row of thresholds per pass."""
+    return budgets * (1.0 + side * (1e-9 + 2.0 * count * np.finfo(float).eps))
 
 
 def _greedy_pack(order, links, budgets, proof):
     """Greedy packing: each row in `order` goes to the BS with the most room
-    left (first maximum on ties). Returns (cols, None), each row's BS in
-    `order`, or (None, the BSs proven overloaded so far) once the pass stops.
+    left (first maximum on ties). Returns (cols, loads), each row's BS in
+    `order` and the running per-BS loads as a list, or (None, the BSs
+    proven overloaded so far) once the pass stops.
 
     proof = (dry, watched) are two boolean lists over the BSs. Loads only
     grow, so a running load at `_proven_overload` proves that BS j ends the
@@ -228,7 +237,7 @@ def _greedy_pack(order, links, budgets, proof):
             hits = hits or watched[best]
             if fails and hits:
                 return None, [j for j in range(num_bs) if loads[j] >= full[j]]
-    return cols, None
+    return cols, loads
 
 
 class _SubsetStarts:
@@ -390,6 +399,14 @@ class _SubsetStarts:
         (largest minimum n^T, ties to the last row) ends overloaded.
         `overloaded` then lists only the BSs proven so far. A pass the proof
         does not stop packs every row.
+
+        A full pass reads its verdict from the packing's running loads R
+        when every BS has R_j outside N_j * (1 -+ margin) (see
+        `_proven_overload`): `_loads` on the packed rows then leaves the BSs
+        with R_j above the band overloaded and the others slack, so where
+        one of those overloaded BSs also lacks uniform slack, no blend can
+        help and the pass names exactly the BSs above the band. Any other
+        full pass builds the packed rows as arrays and tests the blends.
         """
         budgets = self.budgets
         slack_unif = self.uniform_slack()
@@ -401,10 +418,15 @@ class _SubsetStarts:
             order = np.argsort(-self.demand, kind="stable")
             self.live = order[self.inside[order]].tolist()
         proof = ((slack_unif <= 0).tolist(), self.mask[self.hungriest()].tolist())
-        cols, overloaded = _greedy_pack(self.live, self.links, budgets, proof)
+        cols, out = _greedy_pack(self.live, self.links, budgets, proof)
         self.stopped_early = cols is None
         if cols is None:
-            return None, overloaded
+            return None, out  # the BSs proven overloaded so far
+        running = np.array(out)
+        over = running >= _proven_overload(budgets, len(cols))
+        under = running <= _proven_overload(budgets, len(cols), -1.0)
+        if np.all(over | under) and np.any(over & (slack_unif <= 0)):
+            return None, [int(j) for j in np.flatnonzero(over)]
 
         # take copies the same rows as fancy indexing, a few times faster
         rows = self.rows()

@@ -95,6 +95,17 @@ def test_projection_bits_match_reference(seed):
         v = r.choice([-1.0, 0.0, 0.25, 0.5, 1.0], size=(m, l))
     else:
         v = r.normal(0.0, 10.0 ** r.uniform(-3.0, 3.0), size=(m, l))
+    if r.random() < 0.5:  # -0.0 on and off the mask
+        v[r.random((m, l)) < 0.3] = -0.0
+    if r.random() < 0.5:  # entries off the mask up to 1e250 in magnitude, of either sign
+        huge = r.choice([-1.0, 1.0], size=(m, l)) * 10.0 ** r.uniform(0.0, 250.0, size=(m, l))
+        v = np.where(mask, v, huge)
+    for i in np.flatnonzero(r.random(m) < 0.3):  # top entries that sum to exactly 1: theta = 0
+        on = r.permutation(np.flatnonzero(mask[i]))
+        top = on[:int(r.integers(1, on.size + 1))]
+        cuts = np.sort(r.choice(np.arange(1, 16), size=top.size - 1, replace=False))
+        v[i, on] = r.choice([-0.0, 0.0, -0.5], size=on.size)
+        v[i, top] = np.diff(np.r_[0, cuts, 16]) / 16.0  # dyadic: every partial sum is exact
     assert _simplex_projector(mask)(v).tobytes() == reference_rows_projection(v, mask).tobytes()
 
 
@@ -1377,6 +1388,22 @@ def test_two_stage_full_budget_use_on_active_bs(rng):
 
 # ----------------------------------------------------------------- admission
 
+def array_greedy_pack(mask, n_t, budgets):
+    """The greedy packing on numpy rows, hungriest rows first: the packed
+    rows and their running loads."""
+    demand = np.where(mask, n_t, np.inf).min(axis=1)
+    order = np.argsort(-demand, kind="stable")
+    x_greedy = np.zeros(mask.shape)
+    loads = np.zeros_like(budgets)
+    for i in order:
+        js = np.flatnonzero(mask[i])
+        spare = budgets[js] - loads[js] - n_t[i, js]
+        j = js[int(np.argmax(spare))]
+        x_greedy[i, j] = 1.0
+        loads[j] += n_t[i, j]
+    return x_greedy, loads
+
+
 def array_interior_start(mask, n_t, budgets):
     """Interior start with the greedy packing on numpy rows, the reference
     for the scalar packing loop."""
@@ -1389,16 +1416,7 @@ def array_interior_start(mask, n_t, budgets):
 
     if min_rel_slack(x_unif) > 1e-9:
         return x_unif
-    demand = np.where(mask, n_t, np.inf).min(axis=1)
-    order = np.argsort(-demand, kind="stable")
-    x_greedy = np.zeros_like(x_unif)
-    loads = np.zeros_like(budgets)
-    for i in order:
-        js = np.flatnonzero(mask[i])
-        spare = budgets[js] - loads[js] - n_t[i, js]
-        j = js[int(np.argmax(spare))]
-        x_greedy[i, j] = 1.0
-        loads[j] += n_t[i, j]
+    x_greedy, _ = array_greedy_pack(mask, n_t, budgets)
     for theta in (0.5, 0.25, 0.1, 0.01, 1e-3, 1e-4, 0.0):
         x = theta * x_unif + (1.0 - theta) * x_greedy
         if min_rel_slack(x) > 1e-12:
@@ -1411,6 +1429,7 @@ def array_interior_start(mask, n_t, budgets):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**31 - 1))
+@example(1066)  # a budget between a BS's running load and its row-order sum
 def test_interior_start_packing_matches_array_loop(seed):
     r = np.random.default_rng(seed)
     m, l = int(r.integers(1, 13)), int(r.integers(1, 5))
@@ -1422,6 +1441,14 @@ def test_interior_start_packing_matches_array_loop(seed):
     else:
         n_t = r.uniform(10.0, 100.0, size=(m, l))
         budgets = r.uniform(10.0, 100.0, size=l) * max(1.0, m / l)
+    if r.random() < 0.5:
+        # budgets a few ulps from the packing's loads, running or summed in
+        # row order, which can fall on either side of each other
+        x_greedy, loads = array_greedy_pack(mask, n_t, budgets)
+        if r.random() < 0.5:
+            loads = np.einsum("ml,ml->l", x_greedy, n_t)
+        near = (r.random(l) < 0.7) & (loads > 0)
+        budgets = np.where(near, loads + r.integers(-3, 4, size=l) * np.spacing(loads), budgets)
     want = array_interior_start(mask, n_t, budgets)
     packed = []
     pack = solver_module._greedy_pack
@@ -1579,6 +1606,13 @@ def test_admission_stops_failing_passes_early(monkeypatch, seed):
     # without a rounding margin would block user 1.
     ([[0.1, 1.0], [0.7, 1.0], [0.3, 0.1], [0.3, 1.0]], [(0,), (0,), (0, 1), (0,)],
      [1.1, 0.1], (2, 1)),
+    # The mirror image: packed in demand order (BS 0 takes users 0, 2, 1),
+    # its running load, 0.9999999999999999, stays below its budget, while its
+    # row-order sum reaches 1.0. The full pass names BS 0 with BS 1, so the
+    # hungriest user, user 0, goes first: a verdict read from the running
+    # loads alone would name BS 1 alone and block user 5.
+    ([[0.7, 1.0], [0.1, 1.0], [0.2, 1.0], [1.0, 0.5], [1.0, 0.5], [1.0, 0.5]],
+     [(0,), (0,), (0,), (1,), (1,), (1,)], [1.0, 1.0], (0, 5, 4)),
     # Users 0 and 2 tie on demand. Packing users 0, 2 and 1 proves BS 0
     # overloaded, which user 0 touches and user 2 does not. BS 1 ends exactly
     # full, so the full pass names it too and the rule takes the larger
@@ -1591,11 +1625,44 @@ def test_admission_stops_failing_passes_early(monkeypatch, seed):
     # succeeds: the victim alone does not prove that a pass fails.
     ([[3.0, 2.0], [3.0, 3.0], [1.0, 2.0], [1.0, 3.0]], [(0, 1), (0, 1), (1,), (1,)],
      [3.0, 6.0], (3,)),
-], ["rounding-margin", "tie-to-largest-index", "blend-succeeds"])
+], ["rounding-margin", "rounding-margin-below", "tie-to-largest-index", "blend-succeeds"])
 def test_admission_early_stop_edge_cases(n_t, sets, budgets, evicted, batched):
     inst = make_instance(xi=np.ones(np.shape(n_t)), n_t=n_t, budgets=budgets, sets=sets)
     with admission_batches(batched):
         assert assert_matches_restart_loop(inst).evicted == evicted
+
+
+@pytest.mark.parametrize("n_t, sets, budgets, overloaded, rebuilt", [
+    # the first pass of the rounding-margin case: BS 0's running load is its
+    # budget, inside the margin band, so the pass sums its packed rows
+    ([[0.1, 1.0], [0.7, 1.0], [0.3, 0.1], [0.3, 1.0]], [(0,), (0,), (0, 1), (0,)],
+     [1.1, 0.1], [1], True),
+    # ... and of its mirror image, whose running load is one ulp below
+    ([[0.7, 1.0], [0.1, 1.0], [0.2, 1.0], [1.0, 0.5], [1.0, 0.5], [1.0, 0.5]],
+     [(0,), (0,), (0,), (1,), (1,), (1,)], [1.0, 1.0], [0, 1], True),
+    # Users 1-3 load BS 0 to 3.0 of 2.5 and the hungriest, user 0, loads
+    # BS 1 to 5.0 of 10.0: both clear of the band, and BS 0 has no uniform
+    # slack, so the running loads decide the full pass without any sum
+    ([[1.0, 5.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]], [(1,), (0,), (0,), (0,)],
+     [2.5, 10.0], [0], False),
+], ids=["rounding-margin", "rounding-margin-below", "clear-of-band"])
+def test_full_pass_sums_its_rows_only_inside_the_margin_band(monkeypatch, n_t, sets, budgets,
+                                                             overloaded, rebuilt):
+    inst = make_instance(xi=np.ones(np.shape(n_t)), n_t=n_t, budgets=budgets, sets=sets)
+    usable = usable_links(inst)
+    starts = _SubsetStarts(usable, inst.n_t, inst.budgets)
+    sums = []
+    loads = solver_module._loads
+
+    def spy(x, n_t):
+        sums.append(x.shape)
+        return loads(x, n_t)
+
+    monkeypatch.setattr(solver_module, "_loads", spy)
+    start, got = starts.start()
+    assert start is None and not starts.stopped_early
+    assert got == overloaded == array_interior_start(usable, inst.n_t, inst.budgets)
+    assert bool(sums) == rebuilt
 
 
 @and_batched("n_t, sets, budgets, evicted", [
@@ -1723,6 +1790,19 @@ def test_admission_where_it_batches_by_default(monkeypatch, num_users, evictions
     assert len(evicted) == evictions and len(proven) > evictions // 2
     assert hashlib.sha256(np.asarray(evicted, dtype=np.int64).tobytes()).hexdigest() == evicted_sha256
     assert hashlib.sha256(start.tobytes()).hexdigest() == start_sha256
+
+
+def test_two_stage_bytes_at_m2000():
+    # Seed 1 at the default config: the relaxed stage projects 1606 admitted
+    # users' rows, far more than any randomized projection test draws.
+    sol = two_stage(build_scenario(ScenarioConfig(num_users=2000), 1).instance)
+    assert sol.relaxed.stage == (68, 21, "tol", 6)
+    arrays = (sol.relaxed.x_star, sol.association.x, sol.allocation.n)
+    assert [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays] == [
+        "c5c5981ca2abd73995668aebc3d3849029ef20e14a20478fe098c5b60b360b8d",
+        "93f4b46162114789db5cc282b6916bfa8b4769e18ee360d565c219022b3443e4",
+        "59769cac5dd9906fee57c0cb1ac18bc4a4aee16ebc89cd5a24b356ee9534241a",
+    ]
 
 
 @settings(max_examples=50, deadline=None)
