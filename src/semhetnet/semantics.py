@@ -80,7 +80,10 @@ def assign_knowledge(config, topology, seed):
     BS (kb_per_bs each) and every user (needs_per_mu each).
 
     Returns boolean membership matrices (kb: BSs x K, needs: users x K);
-    kb[j, k] is True when BS j hosts domain k.
+    kb[j, k] is True when BS j hosts domain k. Subsets of one domain are
+    drawn in one `rng.integers(k, size=rows)` call: per row, the same bounded
+    integer `rng.choice(k, size=1, replace=False)` draws, with the same state
+    after. Larger subsets are drawn row by row with `rng.choice`.
     """
     k = config.num_domains
     kb = np.zeros((topology.num_bs, k), dtype=bool)
@@ -88,6 +91,9 @@ def assign_knowledge(config, topology, seed):
     for rows, size, name in ((kb, config.kb_per_bs, "bs-knowledge"),
                              (needs, config.needs_per_mu, "mu-knowledge")):
         rng = substream(seed, name)
+        if size == 1:
+            rows[np.arange(len(rows)), rng.integers(k, size=len(rows))] = True
+            continue
         for row in rows:
             row[rng.choice(k, size=size, replace=False)] = True
     return kb, needs

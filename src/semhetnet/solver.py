@@ -7,6 +7,7 @@ split each base station's residual bandwidth. Two max-SINR baselines share
 the repair step.
 """
 
+import bisect
 import math
 from collections import deque
 from copy import copy
@@ -723,34 +724,43 @@ def _repair_budget(x, weights, inst, cand_mask, unserved=()):
     Always drains the BS with the largest excess first, evicting its most
     bandwidth-hungry user, who lands on the highest-weight candidate with
     room (ties to the lower BS index), or becomes unserved when none exists.
+
+    Loads, budgets and n^T are Python floats here, so an eviction costs
+    O(L) list work and no scan of the users. A drained BS orders its users
+    once, by (n^T, index), and pops the hungriest from the end. A user who
+    later lands on it is inserted in order: rounding in budget + tol can
+    leave it over budget again. An evicted user's candidates are ordered
+    when it is evicted.
     """
-    n_t, budgets = inst.n_t, inst.budgets
+    n_t = inst.n_t
     x = np.asarray(x, dtype=np.int8).copy()
     blocked = set(int(i) for i in unserved)
     loads = _loads(x, n_t)
-    tol = 1e-12 * np.maximum(budgets, 1.0)
+    excess = (loads - inst.budgets).tolist()
+    loads, budgets = loads.tolist(), inst.budgets.tolist()
+    tol = (1e-12 * np.maximum(inst.budgets, 1.0)).tolist()
+    queues = {}  # drained BS -> its users as (n^T, index), ascending
     while True:
-        excess = loads - budgets
-        j = int(np.argmax(excess))
+        j = excess.index(max(excess))  # the first largest, as np.argmax
         if excess[j] <= tol[j]:
             break
-        users = np.flatnonzero(x[:, j])
-        nv = n_t[users, j]
-        i = int(users[nv == nv.max()].max())  # largest demand, ties -> largest index
+        if j not in queues:
+            users = np.flatnonzero(x[:, j])
+            queues[j] = sorted(zip(n_t[users, j].tolist(), users.tolist()))
+        demand, i = queues[j].pop()
         x[i, j] = 0
-        loads[j] -= n_t[i, j]
-        ks = np.flatnonzero(cand_mask[i])
-        ks = ks[ks != j]
-        order = np.lexsort((ks, -weights[i, ks]))
-        placed = False
-        for k in ks[order]:
-            k = int(k)
-            if loads[k] + n_t[i, k] <= budgets[k] + tol[k]:
+        loads[j] -= demand
+        excess[j] = loads[j] - budgets[j]
+        need = n_t[i].tolist()
+        for k in np.argsort(-weights[i], kind="stable").tolist():  # ties -> lower BS
+            if k != j and cand_mask[i, k] and loads[k] + need[k] <= budgets[k] + tol[k]:
                 x[i, k] = 1
-                loads[k] += n_t[i, k]
-                placed = True
+                loads[k] += need[k]
+                excess[k] = loads[k] - budgets[k]
+                if k in queues:
+                    bisect.insort(queues[k], (need[k], i))
                 break
-        if not placed:
+        else:
             blocked.add(i)
     return Association(x=x, unserved=tuple(sorted(blocked)))
 

@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from semhetnet import semantics
 from semhetnet.config import ScenarioConfig
 from semhetnet.errors import ConfigError
 from semhetnet.seeding import substream
@@ -42,6 +45,50 @@ def test_assignment_deterministic(small_topology):
     a = assign_knowledge(domains(4, 2, 1), small_topology, 11)
     b = assign_knowledge(domains(4, 2, 1), small_topology, 11)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def reference_assign_knowledge(config, num_bs, num_users, seed):
+    """The per-row `rng.choice` loop for every subset size, and each
+    substream's generator state after its draws."""
+    k = config.num_domains
+    kb = np.zeros((num_bs, k), dtype=bool)
+    needs = np.zeros((num_users, k), dtype=bool)
+    states = []
+    for rows, size, name in ((kb, config.kb_per_bs, "bs-knowledge"),
+                             (needs, config.needs_per_mu, "mu-knowledge")):
+        rng = substream(seed, name)
+        for row in rows:
+            row[rng.choice(k, size=size, replace=False)] = True
+        states.append(rng.bit_generator.state)
+    return kb, needs, states
+
+
+@pytest.mark.parametrize("num_domains", list(range(1, 13)) + [10**4])
+def test_one_domain_subsets_drawn_at_once_match_the_per_row_choice_loop(monkeypatch,
+                                                                        num_domains):
+    # A numpy whose choice(k, size=1, replace=False) stops drawing one bounded
+    # integer per row fails here, instead of changing every scenario.
+    handed_out = []
+
+    def recording_substream(seed, name):
+        rng = substream(seed, name)
+        handed_out.append(rng)
+        return rng
+
+    monkeypatch.setattr(semantics, "substream", recording_substream)
+    k = num_domains
+    users = (0, 1, 7, 200) if k == 10**4 else (0, 1, 7, 200, 3000)
+    for kb_per_bs in sorted({1, min(3, k)}):  # BS subsets of one domain, and the loop
+        config = domains(k, kb_per_bs, 1)
+        for num_users in users:
+            for seed in (1, 2, 9):
+                handed_out.clear()
+                topology = SimpleNamespace(num_bs=16, num_users=num_users)
+                kb, needs = assign_knowledge(config, topology, seed)
+                want_kb, want_needs, want_states = reference_assign_knowledge(
+                    config, 16, num_users, seed)
+                assert np.array_equal(kb, want_kb) and np.array_equal(needs, want_needs)
+                assert [rng.bit_generator.state for rng in handed_out] == want_states
 
 
 def test_parameter_range_validation():

@@ -928,6 +928,100 @@ def test_repair_blocks_without_alternative():
     assert repaired.x[1, 0] == 0 and repaired.x[0, 0] == 1
 
 
+def reference_repair_budget(x, weights, inst, cand_mask, unserved=()):
+    """The repair rule on numpy arrays, one eviction at a time: the most
+    overloaded BS (first on ties) evicts its largest-n^T user (largest index on
+    ties), who lands on the highest-weight candidate with room (lower BS on
+    ties) or is blocked."""
+    n_t, budgets = inst.n_t, inst.budgets
+    x = np.asarray(x, dtype=np.int8).copy()
+    blocked = set(int(i) for i in unserved)
+    loads = np.einsum("ml,ml->l", x, n_t)
+    tol = 1e-12 * np.maximum(budgets, 1.0)
+    while True:
+        excess = loads - budgets
+        j = int(np.argmax(excess))
+        if excess[j] <= tol[j]:
+            break
+        users = np.flatnonzero(x[:, j])
+        nv = n_t[users, j]
+        i = int(users[nv == nv.max()].max())
+        x[i, j] = 0
+        loads[j] -= n_t[i, j]
+        ks = np.flatnonzero(cand_mask[i])
+        ks = ks[ks != j]
+        placed = False
+        for k in ks[np.lexsort((ks, -weights[i, ks]))]:
+            k = int(k)
+            if loads[k] + n_t[i, k] <= budgets[k] + tol[k]:
+                x[i, k] = 1
+                loads[k] += n_t[i, k]
+                placed = True
+                break
+        if not placed:
+            blocked.add(i)
+    return Association(x=x, unserved=tuple(sorted(blocked)))
+
+
+def assert_same_association(got, want):
+    assert got.x.dtype == want.x.dtype and got.x.tobytes() == want.x.tobytes()
+    assert got.unserved == want.unserved
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_repair_matches_reference_loop_where_budgets_bind(seed):
+    r = np.random.default_rng(seed)
+    m, l = int(r.integers(1, 30)), int(r.integers(1, 6))
+    mask = r.random((m, l)) < 0.5
+    mask[np.arange(m), r.integers(l, size=m)] = True
+    # few distinct n^T and weights, so ties are common; a budget of 0.5 fits
+    # nobody, so some users find every candidate full
+    n_t = r.choice([1.0, 2.0, 3.0], size=(m, l))
+    budgets = r.choice([0.5, 2.0, 5.0, 12.0], size=l)
+    inst = make_instance(xi=np.ones((m, l)), n_t=n_t, budgets=budgets,
+                         sets=[np.flatnonzero(row) for row in mask])
+    gamma = r.choice([0.5, 1.0, 3.0], size=(m, l))
+    for restrict in (False, True):
+        cand = mask if restrict else np.ones((m, l), dtype=bool)
+        assert_same_association(baseline_max_sinr(gamma, inst, restrict_to_feasible=restrict),
+                                reference_repair_budget(loop_max_sinr(gamma, cand), gamma,
+                                                        inst, cand))
+    # two-stage repair, with users blocked before it (all-zero relaxed rows)
+    x_star = r.choice([0.0, 0.25, 0.5], size=(m, l)) * mask
+    x_star[r.random(m) < 0.3] = 0.0
+    xs = RelaxedAssociation(x_star)
+    assoc = round_association(xs, inst)
+    assert_same_association(repair_overload(assoc, xs, inst),
+                            reference_repair_budget(assoc.x, x_star, inst, mask,
+                                                    unserved=assoc.unserved))
+
+
+def test_repair_evicts_again_from_a_drained_bs_a_user_landed_on():
+    # BS 1 is drained first (user 0 is blocked); user 1 then leaves BS 0 and
+    # lands on BS 1 with n^T = fl(1 + 1e-12), which rounds above 1 + tol, so
+    # BS 1 is over budget again and evicts user 1, who is blocked too
+    inst = make_instance(xi=np.ones((2, 2)), n_t=[[9.0, 2.0], [1.5, 1.0 + 1e-12]],
+                         budgets=[1.0, 1.0], sets=[(1,), (0, 1)])
+    xs = RelaxedAssociation(np.array([[0.0, 1.0], [1.0, 0.5]]))
+    assoc = Association(x=np.array([[0, 1], [1, 0]], dtype=np.int8))
+    repaired = repair_overload(assoc, xs, inst)
+    assert_same_association(repaired, reference_repair_budget(assoc.x, xs.x_star, inst,
+                                                              inst.mask()))
+    assert repaired.unserved == (0, 1) and not repaired.x.any()
+
+
+@pytest.mark.parametrize("m", [2000, 3000])
+def test_max_sinr_repair_matches_reference_loop_at_scale(m):
+    scenario = build_scenario(ScenarioConfig(num_users=m), 1)
+    inst, gamma = scenario.instance, scenario.gamma
+    for restrict in (False, True):
+        cand = inst.mask() if restrict else np.ones(gamma.shape, dtype=bool)
+        assert_same_association(baseline_max_sinr(gamma, inst, restrict_to_feasible=restrict),
+                                reference_repair_budget(loop_max_sinr(gamma, cand), gamma,
+                                                        inst, cand))
+
+
 # -------------------------------------------------------------- residual BA
 
 def test_single_user_gets_entire_budget():
