@@ -7,7 +7,6 @@ split each base station's residual bandwidth. Two max-SINR baselines share
 the repair step.
 """
 
-import bisect
 import math
 from collections import deque
 from copy import copy
@@ -30,6 +29,10 @@ _MAX_INNER = 20000  # iterations after which the relaxed stage raises SolverErro
 # The stage also ends once a 25-iteration window improves phi by less than
 # _STALL_RTOL * (1 + |phi|); the final pg norm is reported either way.
 _STALL_RTOL = 1e-10
+# The simplex projector tests each row for a vertex solution only from this
+# many rows on: below it the test costs more than the cumulative sums it
+# saves (measured crossover between 96 and 200 rows, see `_simplex_projector`).
+_VERTEX_MIN_ROWS = 128
 
 # Admission decides runs of failing passes in lockstep batches
 # (`_SubsetStarts.proven_victims`, `_admit`) only while at least
@@ -156,28 +159,72 @@ def _simplex_projector(mask):
     -0.0 into +0.0, a product with the mask clears the entries off it.
     Neither branches on the mask, unlike np.putmask, whose copy under a
     large random mask costs several times more per row than both together.
+    The weights k and the mask are multiplied in as full M x L float arrays,
+    so neither product broadcasts a row or casts a boolean.
+
+    From _VERTEX_MIN_ROWS rows on (and L >= 2), a row whose sorted entries
+    u_1 >= u_2 >= ... pass the vertex test
+        u_1 - u_2 >= 1 + mu (1 + |u_1|),  |u_1| < 2**50,  mu = 4 L^2 eps
+    (eps = 2**-52) takes theta = fl(u_1 - 1) directly, and only the other
+    rows go through the cumulative sums. The sums give such a row rho = 1
+    and that same theta, bit for bit:
+    - k = 1 counts, since fl(u_1 - 1) < u_1 for |u_1| < 2**50;
+    - k >= 2 does not. Exactly, D = (cs_k - 1) - k u_k = sum_{j<k} (u_j -
+      u_k) - 1 >= G - 1 with G = u_1 - u_k >= u_1 - u_2. Every |u_j| (j <=
+      k) is at most max(|u_1|, |u_k|) <= |u_1| + G, so the running sum cs_k
+      is off by at most c (|u_1| + G), with c = k gamma_{k-1}, about
+      L (L - 1) eps / 2 at most (Higham, Accuracy and Stability of Numerical
+      Algorithms, s. 4.2). The test, itself rounded, still proves u_1 - u_2
+      >= 1 + mu/2 (1 + |u_1|), and mu/2 = 2 L^2 eps >= 2c / (1 - c) makes D
+      larger than that error. So fl(cs_k) - 1 >= k u_k exactly, and since
+      rounding is monotone, fl(fl(cs_k) - 1) >= fl(k u_k).
+    The argument needs no sum to overflow, which holds for the padding (L
+    times 1e300 is finite). A NaN top or second entry fails the test, and a
+    NaN further down fails every comparison on both paths. With mu = 0, or
+    without the cap on |u_1|, some rows would get another theta, or no
+    SolverError (the projection tests draw such rows). Below
+    _VERTEX_MIN_ROWS rows the test's fixed cost per call outweighs the sums
+    it saves, and every row goes through them.
     """
     mask = np.asarray(mask, dtype=bool)
+    m, l = mask.shape
     pad = np.where(mask, 0.0, 1e300)
-    k = np.arange(1.0, mask.shape[1] + 1.0)
-    last = np.arange(mask.shape[0]) * mask.shape[1] - 1  # before each row's first entry, flat
+    keep = mask.astype(float)
+    k = np.tile(np.arange(1.0, l + 1.0), (m, 1))
+    last = np.arange(m) * l - 1  # before each row's first entry, flat
+    vertex_test = m >= _VERTEX_MIN_ROWS and l >= 2
+    mu = 4.0 * l * l * np.finfo(float).eps
 
-    def project(v):
-        u = pad - v
-        u.sort(axis=1)
+    def threshold(u):
+        """theta of rows u of pad - v, sorted in ascending order (u is reused)."""
+        n = len(u)
         np.negative(u, out=u)
         cs = np.cumsum(u, axis=1)
         cs -= 1.0
-        u *= k
+        u *= k[:n]
         rho = (u > cs).sum(axis=1)
         if not rho.all():
             if mask.any(axis=1).all():  # entries beyond 2**53 rounded the support away
                 raise SolverError("projection lost a row's support to rounding; "
                                   "message rates are too large for float64")
             raise ValueError("projection row with empty support")
-        x = v - (cs.take(last + rho) / rho)[:, None]
+        return cs.take(last[:n] + rho) / rho
+
+    def project(v):
+        u = pad - v
+        u.sort(axis=1)
+        if vertex_test:
+            theta = -1.0 - u[:, 0]  # fl(u_1 - 1)
+            top = np.abs(u[:, 0])
+            rest = np.flatnonzero(~((u[:, 1] - u[:, 0] >= 1.0 + mu * (1.0 + top))
+                                    & (top < 2.0**50)))
+            if rest.size:
+                theta[rest] = threshold(u[rest])
+        else:
+            theta = threshold(u)
+        x = v - theta[:, None]
         np.maximum(x, 0.0, out=x)
-        x *= mask
+        x *= keep
         return x
 
     return project
@@ -572,7 +619,7 @@ def solve_relaxed_ua(mask, n_t, budgets, start):
     # The gradient is built as 0 off the mask, where x stays 0 and the
     # projector reads nothing, so ||g|| below covers only its inputs; dx is
     # 0 there too, so the steps and iterates are those of the full gradient.
-    n_on = np.where(mask, n_t, 0.0)
+    neg_n = -np.where(mask, n_t, 0.0)  # the gradient's numerator, negated once
     # lb and pg are each computed to within (l + 1) sqrt(l) eps / 2 times
     # ||g|| + sqrt(m): a projected entry is off by at most (l + 1) eps / 2
     # times its row's largest input, and ||x + t g|| / max(1, t) <= ||g|| +
@@ -588,10 +635,11 @@ def solve_relaxed_ua(mask, n_t, budgets, start):
         return float(np.log(slack).sum()), slack
 
     def grad_of(slack):
-        return -n_on / slack[None, :]
+        return neg_n / slack
 
     def pg_of(x, g):
-        return float(np.linalg.norm(project(x + g) - x))
+        d = project(x + g) - x
+        return math.sqrt(np.vdot(d, d))
 
     def newton_trial(x, g, w_cur):
         """P(x + t d) for the Newton direction d and the first t in t0,
@@ -640,8 +688,8 @@ def solve_relaxed_ua(mask, n_t, budgets, start):
         if not exact:
             xn = project(x + step * g)  # the line search's first trial
             dx = xn - x
-            lb = float(np.linalg.norm(dx)) / max(1.0, step)
-            exact = lb <= _TOL + rounding * (float(np.linalg.norm(g)) + root_m)
+            lb = math.sqrt(np.vdot(dx, dx)) / max(1.0, step)
+            exact = lb <= _TOL + rounding * (math.sqrt(np.vdot(g, g)) + root_m)
         if exact:
             pg = pg_of(x, g)
             if pg <= _TOL:
@@ -654,8 +702,9 @@ def solve_relaxed_ua(mask, n_t, budgets, start):
             w_window = w_cur
         if it >= window:
             # the support held since the last iteration: finish on its face
-            newton = newton or np.array_equal(x > 0.0, support)
-            support = x > 0.0
+            now = x > 0.0
+            newton = newton or np.array_equal(now, support)
+            support = now
         if newton:
             accepted, halvings = newton_trial(x, g, w_cur)
             backtracks += halvings
@@ -727,9 +776,10 @@ def _repair_budget(x, weights, inst, cand_mask, unserved=()):
 
     Loads, budgets and n^T are Python floats here, so an eviction costs
     O(L) list work and no scan of the users. A drained BS orders its users
-    once, by (n^T, index), and pops the hungriest from the end. A user who
-    later lands on it is inserted in order: rounding in budget + tol can
-    leave it over budget again. An evicted user's candidates are ordered
+    once, by (n^T, index), and pops the hungriest from the end. A user lands
+    only where the BS's excess (loads + n^T) - budget stays within tol, the
+    test the drain stops at, so a BS a user lands on is never drained again
+    and its order needs no update. An evicted user's candidates are ordered
     when it is evicted.
     """
     n_t = inst.n_t
@@ -753,12 +803,10 @@ def _repair_budget(x, weights, inst, cand_mask, unserved=()):
         excess[j] = loads[j] - budgets[j]
         need = n_t[i].tolist()
         for k in np.argsort(-weights[i], kind="stable").tolist():  # ties -> lower BS
-            if k != j and cand_mask[i, k] and loads[k] + need[k] <= budgets[k] + tol[k]:
+            if k != j and cand_mask[i, k] and (loads[k] + need[k]) - budgets[k] <= tol[k]:
                 x[i, k] = 1
                 loads[k] += need[k]
                 excess[k] = loads[k] - budgets[k]
-                if k in queues:
-                    bisect.insort(queues[k], (need[k], i))
                 break
         else:
             blocked.add(i)

@@ -63,7 +63,8 @@ def test_projection_idempotent_on_feasible_points():
 def reference_rows_projection(v, mask):
     """The row projection with its mask constants rebuilt on every call and
     the padding zeroed before the cumulative sum: the bit-for-bit reference
-    for _simplex_projector."""
+    for _simplex_projector. A row without support raises ValueError where the
+    mask row is empty and SolverError otherwise (lost to rounding)."""
     v = np.asarray(v, dtype=float)
     m, l = v.shape
     if m == 0:
@@ -77,6 +78,8 @@ def reference_rows_projection(v, mask):
     cond = (u * k > cs - 1.0) & finite
     rho = cond.sum(axis=1)
     if np.any(rho == 0):
+        if np.asarray(mask, bool).any(axis=1).all():
+            raise SolverError("projection lost a row's support to rounding")
         raise ValueError("projection row with empty support")
     theta = (cs[np.arange(m), rho - 1] - 1.0) / rho
     x = np.maximum(v - theta[:, None], 0.0)
@@ -84,17 +87,60 @@ def reference_rows_projection(v, mask):
     return x
 
 
-@settings(max_examples=100, deadline=None)
+def projection_bytes_or_error(project, v):
+    try:
+        return project(v).tobytes()
+    except (ValueError, SolverError) as err:
+        return type(err)
+
+
+def put_rows_at_the_vertex_margin(r, v, mask):
+    """Give some rows (half of them with every entry on the mask) a top entry
+    t, up to 1e15.5, near 2**50 or (in some draws) beyond 2**53 in magnitude,
+    and a second one a few ulps either side of the vertex test's margin
+    1 + mu (1 + |t|) below it, or of 1 below it; the rest all tie with the
+    second, or lie lower. Within the margin, rounding in the cumulative sums
+    of such rows can count a second entry."""
+    l = mask.shape[1]
+    mu = 4.0 * l * l * np.finfo(float).eps
+    rows = np.flatnonzero(r.random(len(v)) < 0.5)
+    beyond = rows[:int(r.random() < 0.25)]  # a row whose support rounds away: SolverError
+    for i in rows:
+        if r.random() < 0.5:
+            mask[i] = True
+        on = r.permutation(np.flatnonzero(mask[i]))
+        if i in beyond:
+            mag = 10.0 ** r.uniform(16.0, 17.5)
+        elif r.random() < 0.2:
+            mag = 2.0**50 + 0.25 * float(r.integers(-3, 4))  # 0.25 is an ulp there
+        else:
+            mag = 10.0 ** r.uniform(-3.0, 15.5)
+        t = r.choice([-1.0, 1.0]) * mag
+        second = t - (1.0 + (mu if i in beyond else r.choice([0.0, mu])) * (1.0 + abs(t)))
+        for _ in range(int(r.integers(0, 4))):
+            second = np.nextafter(second, r.choice([-np.inf, np.inf]))
+        v[i, on[0]] = t
+        if on.size > 1:
+            v[i, on[1]] = second
+            below = r.choice([1e-3, 1.0, 10.0 ** r.uniform(-3.0, 17.5)], size=on.size - 2)
+            v[i, on[2:]] = second - below * (r.random() < 0.5)  # all tied in half the rows
+
+
+@settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_projection_bits_match_reference(seed):
     r = np.random.default_rng(seed)
-    m, l = int(r.integers(1, 9)), int(r.integers(1, 7))
+    many = solver_module._VERTEX_MIN_ROWS  # from here on rows take the vertex test
+    m = int(r.integers(1, 9)) if r.random() < 0.4 else int(r.integers(many, 2 * many))
+    l = int(r.integers(1, 7 if m < many else 17))
     mask = r.random((m, l)) < 0.5
     mask[np.arange(m), r.integers(l, size=m)] = True  # some rows keep a single entry
     if r.random() < 0.5:  # few distinct values: ties within and across rows
         v = r.choice([-1.0, 0.0, 0.25, 0.5, 1.0], size=(m, l))
     else:
         v = r.normal(0.0, 10.0 ** r.uniform(-3.0, 3.0), size=(m, l))
+    if m >= many:
+        put_rows_at_the_vertex_margin(r, v, mask)
     if r.random() < 0.5:  # -0.0 on and off the mask
         v[r.random((m, l)) < 0.3] = -0.0
     if r.random() < 0.5:  # entries off the mask up to 1e250 in magnitude, of either sign
@@ -106,7 +152,27 @@ def test_projection_bits_match_reference(seed):
         cuts = np.sort(r.choice(np.arange(1, 16), size=top.size - 1, replace=False))
         v[i, on] = r.choice([-0.0, 0.0, -0.5], size=on.size)
         v[i, top] = np.diff(np.r_[0, cuts, 16]) / 16.0  # dyadic: every partial sum is exact
-    assert _simplex_projector(mask)(v).tobytes() == reference_rows_projection(v, mask).tobytes()
+    assert (projection_bytes_or_error(_simplex_projector(mask), v)
+            == projection_bytes_or_error(lambda v: reference_rows_projection(v, mask), v))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_projection_paths_agree_on_the_same_rows(seed):
+    # the same rows, projected alone (below the vertex test's row count) and
+    # stacked above it (with the test), give the same bytes or the same error
+    r = np.random.default_rng(seed)
+    many = solver_module._VERTEX_MIN_ROWS
+    m, l = int(r.integers(1, 9)), int(r.integers(1, 7))
+    mask = r.random((m, l)) < 0.5
+    mask[np.arange(m), r.integers(l, size=m)] = True
+    v = r.normal(0.0, 10.0 ** r.uniform(-3.0, 3.0), size=(m, l))
+    put_rows_at_the_vertex_margin(r, v, mask)
+    reps = -(-many // m)
+    alone = projection_bytes_or_error(_simplex_projector(mask), v)
+    stacked = projection_bytes_or_error(_simplex_projector(np.tile(mask, (reps, 1))),
+                                        np.tile(v, (reps, 1)))
+    assert stacked == (alone * reps if isinstance(alone, bytes) else alone)
 
 
 def test_projection_rejects_empty_support():
@@ -116,9 +182,13 @@ def test_projection_rejects_empty_support():
 
 
 def test_projection_precision_loss_is_a_solver_error():
-    # beyond 2**53, u_1 - 1 rounds to u_1, so no entry passes the support test
-    with pytest.raises(SolverError, match="rounding"):
-        _simplex_projector(np.ones((1, 2), dtype=bool))(np.array([[1e17, 1e17]]))
+    # beyond 2**53, u_1 - 1 rounds to u_1, so no entry passes the support
+    # test, however far the second entry lies below: with and without the
+    # vertex test
+    for v in ([1e17, 1e17], [1e17, 0.0]):
+        for rows in (1, solver_module._VERTEX_MIN_ROWS):
+            with pytest.raises(SolverError, match="rounding"):
+                _simplex_projector(np.ones((rows, 2), dtype=bool))(np.tile(v, (rows, 1)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -931,8 +1001,8 @@ def test_repair_blocks_without_alternative():
 def reference_repair_budget(x, weights, inst, cand_mask, unserved=()):
     """The repair rule on numpy arrays, one eviction at a time: the most
     overloaded BS (first on ties) evicts its largest-n^T user (largest index on
-    ties), who lands on the highest-weight candidate with room (lower BS on
-    ties) or is blocked."""
+    ties), who lands on the highest-weight candidate whose excess stays within
+    tol (lower BS on ties) or is blocked."""
     n_t, budgets = inst.n_t, inst.budgets
     x = np.asarray(x, dtype=np.int8).copy()
     blocked = set(int(i) for i in unserved)
@@ -953,7 +1023,7 @@ def reference_repair_budget(x, weights, inst, cand_mask, unserved=()):
         placed = False
         for k in ks[np.lexsort((ks, -weights[i, ks]))]:
             k = int(k)
-            if loads[k] + n_t[i, k] <= budgets[k] + tol[k]:
+            if (loads[k] + n_t[i, k]) - budgets[k] <= tol[k]:
                 x[i, k] = 1
                 loads[k] += n_t[i, k]
                 placed = True
@@ -998,9 +1068,9 @@ def test_repair_matches_reference_loop_where_budgets_bind(seed):
 
 
 def test_repair_evicts_again_from_a_drained_bs_a_user_landed_on():
-    # BS 1 is drained first (user 0 is blocked); user 1 then leaves BS 0 and
-    # lands on BS 1 with n^T = fl(1 + 1e-12), which rounds above 1 + tol, so
-    # BS 1 is over budget again and evicts user 1, who is blocked too
+    # BS 1 is drained first (user 0 is blocked); user 1 then leaves BS 0, but
+    # its n^T = fl(1 + 1e-12) on BS 1 would leave an excess above tol there,
+    # though it fits fl(1 + tol): it does not land on BS 1 and is blocked too
     inst = make_instance(xi=np.ones((2, 2)), n_t=[[9.0, 2.0], [1.5, 1.0 + 1e-12]],
                          budgets=[1.0, 1.0], sets=[(1,), (0, 1)])
     xs = RelaxedAssociation(np.array([[0.0, 1.0], [1.0, 0.5]]))
@@ -1009,6 +1079,23 @@ def test_repair_evicts_again_from_a_drained_bs_a_user_landed_on():
     assert_same_association(repaired, reference_repair_budget(assoc.x, xs.x_star, inst,
                                                               inst.mask()))
     assert repaired.unserved == (0, 1) and not repaired.x.any()
+
+
+def test_repair_never_lands_a_user_where_the_drain_evicts_a_hungrier_one():
+    # User 0 leaves BS 0 for BS 1, where 0.75 + n^T is exactly fl(1 + 1e-12):
+    # within budget + tol after rounding, but 1.00009e-12 above the budget,
+    # more than tol. Landing it there would drain BS 1 again and block user
+    # 1, its hungrier user, which has no other station. It goes to BS 2.
+    inst = make_instance(xi=np.ones((2, 3)),
+                         n_t=[[2.0, 0.25 + 1.000088900582341e-12, 1.0], [5.0, 0.75, 5.0]],
+                         budgets=[1.0, 1.0, 10.0], sets=[(0, 1, 2), (1,)])
+    assert 0.75 + inst.n_t[0, 1] == 1.0 + 1e-12
+    xs = RelaxedAssociation(np.array([[0.2, 0.5, 0.3], [0.0, 1.0, 0.0]]))
+    assoc = Association(x=np.array([[1, 0, 0], [0, 1, 0]], dtype=np.int8))
+    repaired = repair_overload(assoc, xs, inst)
+    assert_same_association(repaired, reference_repair_budget(assoc.x, xs.x_star, inst,
+                                                              inst.mask()))
+    assert repaired.unserved == () and repaired.x.tolist() == [[0, 0, 1], [0, 1, 0]]
 
 
 @pytest.mark.parametrize("m", [2000, 3000])
