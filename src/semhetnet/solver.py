@@ -199,7 +199,8 @@ def _simplex_projector(mask):
         """theta of rows u of pad - v, sorted in ascending order (u is reused)."""
         n = len(u)
         np.negative(u, out=u)
-        cs = np.cumsum(u, axis=1)
+        # numpy's own kernel: np.cumsum's Python wrapper costs a few us per call
+        cs = np.add.accumulate(u, axis=1)
         cs -= 1.0
         u *= k[:n]
         rho = (u > cs).sum(axis=1)
@@ -216,8 +217,8 @@ def _simplex_projector(mask):
         if vertex_test:
             theta = -1.0 - u[:, 0]  # fl(u_1 - 1)
             top = np.abs(u[:, 0])
-            rest = np.flatnonzero(~((u[:, 1] - u[:, 0] >= 1.0 + mu * (1.0 + top))
-                                    & (top < 2.0**50)))
+            rest = (~((u[:, 1] - u[:, 0] >= 1.0 + mu * (1.0 + top))
+                      & (top < 2.0**50))).nonzero()[0]
             if rest.size:
                 theta[rest] = threshold(u[rest])
         else:
@@ -236,9 +237,9 @@ def _loads(x, n_t):
 
 def _link_lists(mask, n_t):
     """Each row's (BS, n^T) pairs on the mask, as Python lists for scalar loops."""
-    rows, cols = np.nonzero(mask)
+    rows, cols = mask.nonzero()
     pairs = list(zip(cols.tolist(), n_t[rows, cols].tolist()))
-    ends = np.cumsum(mask.sum(axis=1)).tolist()
+    ends = mask.sum(axis=1).cumsum().tolist()
     return [pairs[start:end] for start, end in zip([0] + ends[:-1], ends)]
 
 
@@ -309,7 +310,7 @@ class _SubsetStarts:
         self.stopped_early = False  # whether the last `start` pass stopped early
 
     def rows(self):
-        return np.flatnonzero(self.inside)
+        return self.inside.nonzero()[0]
 
     def remove(self, row):
         if self.load_err is None:
@@ -361,7 +362,7 @@ class _SubsetStarts:
         if lo.min() > 1e-9:
             return lo
         hi = (b - (self.loads - self.load_err)) / b
-        if hi.min() <= 1e-9 and np.array_equal(lo <= 0, hi <= 0):
+        if hi.min() <= 1e-9 and ((lo <= 0) == (hi <= 0)).all():
             return lo
         rows = self.rows()
         return (b - _loads(self.x_unif.take(rows, axis=0), self.n_t.take(rows, axis=0))) / b
@@ -463,7 +464,7 @@ class _SubsetStarts:
         if self.live is None:
             self.links = _link_lists(self.mask, self.n_t)
             self.demand = np.where(self.mask, self.n_t, np.inf).min(axis=1)
-            order = np.argsort(-self.demand, kind="stable")
+            order = (-self.demand).argsort(kind="stable")
             self.live = order[self.inside[order]].tolist()
         proof = ((slack_unif <= 0).tolist(), self.mask[self.hungriest()].tolist())
         cols, out = _greedy_pack(self.live, self.links, budgets, proof)
@@ -473,8 +474,8 @@ class _SubsetStarts:
         running = np.array(out)
         over = running >= _proven_overload(budgets, len(cols))
         under = running <= _proven_overload(budgets, len(cols), -1.0)
-        if np.all(over | under) and np.any(over & (slack_unif <= 0)):
-            return None, [int(j) for j in np.flatnonzero(over)]
+        if (over | under).all() and (over & (slack_unif <= 0)).any():
+            return None, over.nonzero()[0].tolist()
 
         # take copies the same rows as fancy indexing, a few times faster
         rows = self.rows()
@@ -483,22 +484,22 @@ class _SubsetStarts:
         def rel_slack(x):
             return (budgets - _loads(x, n_t)) / budgets
 
-        x_greedy = np.zeros_like(x_unif)
+        x_greedy = np.zeros(x_unif.shape)
         x_greedy[np.searchsorted(rows, self.live), cols] = 1.0
         slack_greedy = rel_slack(x_greedy)
         # Loads are linear in x: a BS that both ends leave without slack has
         # none in any blend, so skip the blends.
-        if not np.any((slack_greedy <= 0) & (slack_unif <= 0)):
+        if not ((slack_greedy <= 0) & (slack_unif <= 0)).any():
             for theta in (0.5, 0.25, 0.1, 0.01, 1e-3, 1e-4, 0.0):
                 x = theta * x_unif + (1.0 - theta) * x_greedy
                 if rel_slack(x).min() > 1e-12:
                     return x, None
         # the BSs the packing overloads, else those the pure packing fails on
-        tight = 0.0 if np.any(slack_greedy <= 0) else 1e-12
-        return None, [int(j) for j in np.flatnonzero(slack_greedy <= tight)]
+        tight = 0.0 if (slack_greedy <= 0).any() else 1e-12
+        return None, (slack_greedy <= tight).nonzero()[0].tolist()
 
 
-def _newton_direction(n_t, budgets, mask, x, g):
+def _newton_direction(n_t, slack, mask, x, g):
     """Projected Newton direction (Bertsekas 1982) of phi at x, on x's face.
 
     The face frees x's positive entries, and the zero entries on the mask
@@ -515,19 +516,20 @@ def _newton_direction(n_t, budgets, mask, x, g):
     the shift's small size otherwise leaves short of full precision. No
     matrix has more than L columns.
 
-    Returns the direction, zero off the face, or None when the face has no
-    reduced entry or the solve is not finite.
+    `slack` is budgets - `_loads(x, n_t)`, the per-BS slack at x that the
+    caller's phi evaluation already computed. Returns the direction, zero
+    off the face, or None when the face has no reduced entry or the solve
+    is not finite.
     """
     positive = x > _EPS_ACTIVE
     best = np.where(positive, g, -np.inf).max(axis=1)
     free = positive | (mask & (g > best[:, None]))
     pivot = x.argmax(axis=1)
     free[np.arange(x.shape[0]), pivot] = False
-    ri, rj = np.nonzero(free)  # the reduced entries, row by row
+    ri, rj = free.nonzero()  # the reduced entries, row by row
     if not ri.size:
         return None
     pj = pivot[ri]
-    slack = budgets - _loads(x, n_t)
     bz = np.zeros((ri.size, x.shape[1]))  # Bz S^-1
     k = np.arange(ri.size)
     bz[k, rj] = n_t[ri, rj] / slack[rj]
@@ -547,11 +549,11 @@ def _newton_direction(n_t, budgets, mask, x, g):
                 dr += solve(gr - shift * dr - bz @ (bz.T @ dr))
         except np.linalg.LinAlgError:  # an exactly singular L x L system
             return None
-    if not np.all(np.isfinite(dr)):
+    if not np.isfinite(dr).all():
         return None
-    d = np.zeros_like(x)
+    d = np.zeros(x.shape)
     d[ri, rj] = dr
-    firsts = np.flatnonzero(np.r_[True, ri[1:] != ri[:-1]])
+    firsts = np.concatenate(([True], ri[1:] != ri[:-1])).nonzero()[0]
     rows = ri[firsts]
     d[rows, pivot[rows]] = -np.add.reduceat(dr, firsts)
     return d
@@ -610,8 +612,17 @@ def solve_relaxed_ua(mask, n_t, budgets, start):
     some budget, and SolverError if the solve runs out of iterations
     (_MAX_INNER).
     """
+
+    def evaluate(x):
+        """phi(x), and the slack the gradient reuses."""
+        slack = budgets - _loads(x, n_t)
+        if (slack <= 0.0).any():
+            return -math.inf, slack
+        return float(np.log(slack).sum()), slack
+
     x = np.asarray(start, dtype=float)
-    if x.shape != n_t.shape or np.any(budgets - _loads(x, n_t) <= 0.0):
+    w_cur, slack = evaluate(x) if x.shape == n_t.shape else (-math.inf, None)
+    if w_cur == -math.inf:
         raise ValueError(f"start of shape {x.shape} is not strictly interior to an "
                          f"instance of shape {n_t.shape}")
     m, l = n_t.shape
@@ -627,13 +638,6 @@ def solve_relaxed_ua(mask, n_t, budgets, start):
     rounding = 2.0 * (l + 1) * np.sqrt(l) * np.finfo(float).eps
     root_m = np.sqrt(m)
 
-    def evaluate(x):
-        """phi(x), and the slack the gradient reuses."""
-        slack = budgets - _loads(x, n_t)
-        if np.any(slack <= 0.0):
-            return -np.inf, slack
-        return float(np.log(slack).sum()), slack
-
     def grad_of(slack):
         return neg_n / slack
 
@@ -641,17 +645,18 @@ def solve_relaxed_ua(mask, n_t, budgets, start):
         d = project(x + g) - x
         return math.sqrt(np.vdot(d, d))
 
-    def newton_trial(x, g, w_cur):
-        """P(x + t d) for the Newton direction d and the first t in t0,
-        t0/2, ... that passes the monotone Armijo test, with its phi and
-        slack, or None if none does; and the number of rejected trials.
+    def newton_trial(x, g, w_cur, slack):
+        """P(x + t d) for the Newton direction d at x, whose slack is given,
+        and the first t in t0, t0/2, ... that passes the monotone Armijo
+        test, with its phi and slack, or None if none does; and the number
+        of rejected trials.
         t0 is the largest power of 1/2 with t0 max|d| <= 1, so no entry of
         the first trial moves further than a simplex's diameter. The search
         gives up at the step floor, or once 9 trials inside the budgets
         (t0 and 8 halvings) have failed. Trials outside the budgets do not
         count: near a tight budget the projection's clipping can move load
         onto it, and only a much shorter step is a point of phi's domain."""
-        d = _newton_direction(n_t, budgets, mask, x, g)
+        d = _newton_direction(n_t, slack, mask, x, g)
         if d is None or not float(np.vdot(g, d)) > 0.0:
             return None, 0
         frac, exp = math.frexp(float(np.abs(d).max()))
@@ -661,14 +666,13 @@ def solve_relaxed_ua(mask, n_t, budgets, start):
             xn = project(x + t * d)
             w_new, slack = evaluate(xn)
             gain = float(np.vdot(g, xn - x))
-            if gain > 0.0 and np.isfinite(w_new) and w_new >= w_cur + _ARMIJO * gain:
+            if gain > 0.0 and math.isfinite(w_new) and w_new >= w_cur + _ARMIJO * gain:
                 return (xn, t, w_new, slack), halvings
             t *= 0.5
             halvings += 1
-            misses += bool(np.isfinite(w_new))
+            misses += math.isfinite(w_new)
         return None, halvings
 
-    w_cur, slack = evaluate(x)
     g = grad_of(slack)
     w_window = w_cur
     support = x > 0.0
@@ -703,10 +707,10 @@ def solve_relaxed_ua(mask, n_t, budgets, start):
         if it >= window:
             # the support held since the last iteration: finish on its face
             now = x > 0.0
-            newton = newton or np.array_equal(now, support)
+            newton = newton or (now == support).all()
             support = now
         if newton:
-            accepted, halvings = newton_trial(x, g, w_cur)
+            accepted, halvings = newton_trial(x, g, w_cur, slack)
             backtracks += halvings
             newton = accepted is not None
         if newton:
@@ -722,7 +726,7 @@ def solve_relaxed_ua(mask, n_t, budgets, start):
             while True:
                 w_new, slack = evaluate(xn)
                 gain = float(np.vdot(g, dx))
-                if np.isfinite(w_new) and w_new >= w_ref + _ARMIJO * gain:
+                if math.isfinite(w_new) and w_new >= w_ref + _ARMIJO * gain:
                     break
                 backtracks += 1
                 trial *= 0.5
@@ -760,19 +764,22 @@ def round_association(xs, inst):
     """
     mask = inst.mask()
     w = np.where(mask, xs.x_star, -np.inf)
-    best = np.argmax(w, axis=1)
+    best = w.argmax(axis=1)
     served = w.max(axis=1) > 0.0
     x = np.zeros(mask.shape, dtype=np.int8)
     x[served, best[served]] = 1
-    return Association(x=x, unserved=tuple(np.flatnonzero(~served).tolist()))
+    return Association(x=x, unserved=tuple((~served).nonzero()[0].tolist()))
 
 
 def _repair_budget(x, weights, inst, cand_mask, unserved=()):
     """Move users off overloaded BSs until every budget holds.
 
-    Always drains the BS with the largest excess first, evicting its most
+    While some BS's excess loads - budget exceeds its tol, drains the one
+    of those with the largest excess (the first on ties), evicting its most
     bandwidth-hungry user, who lands on the highest-weight candidate with
     room (ties to the lower BS index), or becomes unserved when none exists.
+    A tol scales with its budget, so a BS with a small budget may be over
+    while a larger excess elsewhere is within its own tol.
 
     Loads, budgets and n^T are Python floats here, so an eviction costs
     O(L) list work and no scan of the users. A drained BS orders its users
@@ -791,9 +798,10 @@ def _repair_budget(x, weights, inst, cand_mask, unserved=()):
     tol = (1e-12 * np.maximum(inst.budgets, 1.0)).tolist()
     queues = {}  # drained BS -> its users as (n^T, index), ascending
     while True:
-        j = excess.index(max(excess))  # the first largest, as np.argmax
-        if excess[j] <= tol[j]:
+        over = [j for j, (e, t) in enumerate(zip(excess, tol)) if e > t]
+        if not over:
             break
+        j = max(over, key=excess.__getitem__)  # the first largest
         if j not in queues:
             users = np.flatnonzero(x[:, j])
             queues[j] = sorted(zip(n_t[users, j].tolist(), users.tolist()))
@@ -830,11 +838,11 @@ def _water_fill(seg, floors, bp, q, totals):
     the sums accurate when q is large. Needs q > 0; a segment whose floors
     already reach its total keeps them.
     """
-    order = np.argsort(bp)
-    order = order[np.argsort(seg[order], kind="stable")]  # by segment, then breakpoint
+    order = bp.argsort()
+    order = order[seg[order].argsort(kind="stable")]  # by segment, then breakpoint
     seg, f, q, bp = seg[order], floors[order], q[order], bp[order]
     count = np.bincount(seg, minlength=totals.size)
-    start = np.cumsum(count) - count  # each segment's first entry
+    start = count.cumsum() - count  # each segment's first entry
     b = bp - bp[start[seg]]
     qb = q * b
     # Sums over the earlier entries of the same segment, one padded row per
@@ -842,16 +850,16 @@ def _water_fill(seg, floors, bp, q, totals):
     pos = np.arange(seg.size) - start[seg]
     rows = np.zeros((2, totals.size, int(count.max()) + 1))
     rows[:, seg, pos + 1] = q, qb
-    q_before, qb_before = np.cumsum(rows, axis=2)[:, seg, pos]
+    q_before, qb_before = rows.cumsum(axis=2)[:, seg, pos]
     floor_sum = np.bincount(seg, f, totals.size)
     supply = floor_sum[seg] + b * q_before - qb_before  # at each entry's own breakpoint
     active = np.bincount(seg, supply <= totals[seg], totals.size).astype(int)
-    segs = np.flatnonzero(count)
+    segs = count.nonzero()[0]
     last = start[segs] + np.maximum(active[segs], 1) - 1  # the last entry above its floor
     level = np.zeros(totals.size)
     level[segs] = ((totals[segs] - floor_sum[segs] + qb_before[last] + qb[last])
                    / (q_before[last] + q[last]))
-    n = np.empty_like(f)
+    n = np.empty(f.shape)
     n[order] = f + q * np.maximum(level[seg] - b, 0.0)
     return n
 
@@ -889,11 +897,11 @@ def _global_norm_split(seg, c, floors, totals, tau, sq):
         return n, n > floors
 
     def norm(n):
-        return float(np.sqrt(((c * n) ** 2).sum()))
+        return math.sqrt(((c * n) ** 2).sum())
 
     lo, hi = norm(floors), norm(np.maximum(floors, totals[seg]))
     (n_lo, up_lo), (n_hi, up_hi) = split(lo), split(hi)
-    while not np.array_equal(up_lo, up_hi):
+    while not (up_lo == up_hi).all():
         t = 0.5 * (lo + hi)
         if not lo < t < hi:
             return n_lo
@@ -909,7 +917,7 @@ def _global_norm_split(seg, c, floors, totals, tau, sq):
     a = float(d @ d) - 1.0
     b = 2.0 * (float(s_lo @ d) - lo)
     c0 = float(s_lo @ s_lo) - lo * lo
-    root = np.sqrt(max(b * b - 4.0 * a * c0, 0.0)) - b
+    root = math.sqrt(max(b * b - 4.0 * a * c0, 0.0)) - b
     u = min(max(2.0 * c0 / root, 0.0), hi - lo) if root > 0 else 0.0
     return split(lo + u)[0]
 
@@ -966,14 +974,14 @@ def allocate_residual(assoc, inst):
     """
     n_t, budgets, obj = inst.n_t, inst.budgets, inst.objective
     tau, sq = obj.tau, obj.sigma * obj.q
-    users, bs = np.nonzero(assoc.x)
+    users, bs = assoc.x.nonzero()
     c = inst.rate_per_hz()[users, bs]
     floors = n_t[users, bs]
     room = budgets - np.bincount(bs, floors, budgets.size)
     free = room[bs] > 0
     n = floors.copy()
     if free.any() and sq > np.finfo(float).eps * tau:
-        if np.any(c <= 0):
+        if (c <= 0).any():
             raise ValueError("allocate_residual needs positive rates on served links")
         n = _global_norm_split(bs, c, floors, budgets, tau, sq)
     elif free.any():
@@ -988,9 +996,9 @@ def allocate_residual(assoc, inst):
     seg, m = bs[free], (n - floors)[free]
     gmax = np.zeros(budgets.size)
     np.maximum.at(gmax, seg, np.abs(g))
-    step = np.divide(room, gmax, out=np.zeros_like(room), where=gmax > 0)
+    step = np.divide(room, gmax, out=np.zeros(room.shape), where=gmax > 0)
     v = m + step[seg] * g
-    probe = _water_fill(seg, np.zeros_like(v), -v, np.ones_like(v), room)
+    probe = _water_fill(seg, np.zeros(v.shape), -v, np.ones(v.shape), room)
     kkt = float((np.abs(probe - m) / budgets[seg]).max()) if seg.size else 0.0
     alloc = np.zeros_like(n_t)
     alloc[users, bs] = n
@@ -1029,7 +1037,7 @@ def _admit(usable, n_t, budgets):
     evictions and the start are those of one `start` pass per eviction.
     """
     admitted = usable.any(axis=1)
-    users = np.flatnonzero(admitted)
+    users = admitted.nonzero()[0]
     starts = _SubsetStarts(usable[users], n_t[users], budgets)
     evicted = []
     start = None
@@ -1072,7 +1080,7 @@ def two_stage(inst):
     """
     usable = usable_links(inst)
     admitted, evicted, start = _admit(usable, inst.n_t, inst.budgets)
-    rows = np.flatnonzero(admitted)
+    rows = admitted.nonzero()[0]
     x_star = np.zeros_like(inst.n_t)
     relaxed = RelaxedAssociation(x_star)
     if rows.size:

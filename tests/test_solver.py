@@ -424,7 +424,8 @@ def reference_relaxed_loop(mask, n_t, budgets, start):
         return -n_t / slack[None, :]
 
     def newton_step(x, g, w_cur):
-        d = solver_module._newton_direction(n_t, budgets, mask, x, g)
+        slack = budgets - np.einsum("ml,ml->l", x, n_t)
+        d = solver_module._newton_direction(n_t, slack, mask, x, g)
         if d is None or float(np.vdot(g, d)) <= 0.0:
             return None, 0, 0
         t, halvings, finite = 1.0, 0, 0
@@ -717,6 +718,12 @@ def phi_gradient(inst, x):
     return -inst.n_t / slack
 
 
+def newton_direction(inst, mask, x, g):
+    """solver._newton_direction at x, given x's slack."""
+    slack = inst.budgets - np.einsum("ml,ml->l", x, inst.n_t)
+    return solver_module._newton_direction(inst.n_t, slack, mask, x, g)
+
+
 @pytest.mark.parametrize("sigma, alpha", [(None, 0.95), (0.0, 0.95), (0.3, 0.3)])
 def test_newton_direction_matches_a_dense_reduced_hessian_solve(sigma, alpha):
     # At the start and at the solution of random cases, the structured solve
@@ -741,7 +748,7 @@ def test_newton_direction_matches_a_dense_reduced_hessian_solve(sigma, alpha):
             g_phi = phi_gradient(inst, x)
             for g in (g_phi, g_phi + objective_gradient(inst.objective, x)):
                 want, cond = dense_newton_direction(inst, mask, x, g)
-                got = solver_module._newton_direction(inst.n_t, inst.budgets, mask, x, g)
+                got = newton_direction(inst, mask, x, g)
                 if want is None:
                     assert got is None
                 elif cond < 1e6:
@@ -760,8 +767,8 @@ def test_newton_direction_that_does_not_ascend_hands_back_to_gradient_steps(monk
     direction = solver_module._newton_direction
     gains = []
 
-    def spy(n_t, budgets, mask, x, g):
-        d = direction(n_t, budgets, mask, x, g)
+    def spy(n_t, slack, mask, x, g):
+        d = direction(n_t, slack, mask, x, g)
         gains.append(None if d is None else float(np.vdot(g, d)))
         return d
 
@@ -871,9 +878,8 @@ def test_newton_face_treats_rounding_dust_as_zero():
         dust = mask & (x == 0.0) & (g <= best[:, None])
         if not dust.any():
             continue
-        want = solver_module._newton_direction(inst.n_t, inst.budgets, mask, x, g)
-        got = solver_module._newton_direction(inst.n_t, inst.budgets, mask,
-                                              np.where(dust, 1e-17, x), g)
+        want = newton_direction(inst, mask, x, g)
+        got = newton_direction(inst, mask, np.where(dust, 1e-17, x), g)
         if want is None:
             assert got is None
             continue
@@ -999,10 +1005,11 @@ def test_repair_blocks_without_alternative():
 
 
 def reference_repair_budget(x, weights, inst, cand_mask, unserved=()):
-    """The repair rule on numpy arrays, one eviction at a time: the most
-    overloaded BS (first on ties) evicts its largest-n^T user (largest index on
-    ties), who lands on the highest-weight candidate whose excess stays within
-    tol (lower BS on ties) or is blocked."""
+    """The repair rule on numpy arrays, one eviction at a time: of the BSs
+    whose excess exceeds their tol, the most overloaded (first on ties)
+    evicts its largest-n^T user (largest index on ties), who lands on the
+    highest-weight candidate whose excess stays within tol (lower BS on
+    ties) or is blocked."""
     n_t, budgets = inst.n_t, inst.budgets
     x = np.asarray(x, dtype=np.int8).copy()
     blocked = set(int(i) for i in unserved)
@@ -1010,9 +1017,10 @@ def reference_repair_budget(x, weights, inst, cand_mask, unserved=()):
     tol = 1e-12 * np.maximum(budgets, 1.0)
     while True:
         excess = loads - budgets
-        j = int(np.argmax(excess))
-        if excess[j] <= tol[j]:
+        over = excess > tol
+        if not over.any():
             break
+        j = int(np.argmax(np.where(over, excess, -np.inf)))
         users = np.flatnonzero(x[:, j])
         nv = n_t[users, j]
         i = int(users[nv == nv.max()].max())
@@ -1096,6 +1104,22 @@ def test_repair_never_lands_a_user_where_the_drain_evicts_a_hungrier_one():
     assert_same_association(repaired, reference_repair_budget(assoc.x, xs.x_star, inst,
                                                               inst.mask()))
     assert repaired.unserved == () and repaired.x.tolist() == [[0, 0, 1], [0, 1, 0]]
+
+
+def test_repair_drains_a_small_budget_bs_while_a_larger_excess_is_within_tol():
+    # BS 0 is over by 5e-6, within its tol of 1e-5; BS 1 is over by 1e-6,
+    # above its tol of 1e-12 (a relative 1e-6). BS 1 is drained, and user 1
+    # moves to BS 2, where it fits
+    inst = make_instance(xi=np.ones((2, 3)), n_t=[[1e7 + 5e-6, 5.0, 5.0], [5.0, 1.0 + 1e-6, 1.0]],
+                         budgets=[1e7, 1.0, 10.0], sets=[(0,), (1, 2)])
+    xs = RelaxedAssociation(np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.4]]))
+    assoc = Association(x=np.array([[1, 0, 0], [0, 1, 0]], dtype=np.int8))
+    repaired = repair_overload(assoc, xs, inst)
+    assert_same_association(repaired, reference_repair_budget(assoc.x, xs.x_star, inst,
+                                                              inst.mask()))
+    assert repaired.unserved == () and repaired.x.tolist() == [[1, 0, 0], [0, 0, 1]]
+    excess = np.einsum("ml,ml->l", repaired.x, inst.n_t) - inst.budgets
+    assert (excess <= 1e-12 * np.maximum(inst.budgets, 1.0)).all()
 
 
 @pytest.mark.parametrize("m", [2000, 3000])
@@ -1983,6 +2007,27 @@ def test_two_stage_bytes_at_m2000():
         "c5c5981ca2abd73995668aebc3d3849029ef20e14a20478fe098c5b60b360b8d",
         "93f4b46162114789db5cc282b6916bfa8b4769e18ee360d565c219022b3443e4",
         "59769cac5dd9906fee57c0cb1ac18bc4a4aee16ebc89cd5a24b356ee9534241a",
+    ]
+
+
+def test_two_stage_bytes_at_m200():
+    # Seeds 1-8 at M = 200, the uncongested benchmark cells: one digest per
+    # output over the eight cells. Unlike the M = 2000 pin, these bytes are
+    # the same under one BLAS thread and under two.
+    digests = [hashlib.sha256() for _ in range(3)]
+    stages = []
+    for seed in range(1, 9):
+        sol = two_stage(build_scenario(ScenarioConfig(num_users=200), seed).instance)
+        stages.append(sol.relaxed.stage)
+        for h, a in zip(digests, (sol.relaxed.x_star, sol.association.x, sol.allocation.n)):
+            h.update(a.tobytes())
+    assert stages == [(24, 0, "tol", 0), (64, 18, "tol", 20), (40, 9, "tol", 14),
+                      (42, 19, "tol", 16), (35, 2, "tol", 5), (30, 12, "tol", 2),
+                      (72, 14, "tol", 21), (36, 18, "tol", 5)]
+    assert [h.hexdigest() for h in digests] == [
+        "0bf173bb48298ffdbf93c2047888e607348f7d5a0b71c21250bab8293c6b13b6",
+        "2a7c11daeb70dae7491fdda9e2ca15915d154760c4dcabbc0269849d378616b3",
+        "42812f7192b39de11123902e0789a87d59d64ce4039338a957f0d33980026d03",
     ]
 
 
