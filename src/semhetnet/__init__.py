@@ -4,8 +4,8 @@ semantic-communication heterogeneous networks."""
 from .config import METHOD_NAMES, ScenarioConfig, SweepSpec, load_config
 from .errors import ConfigError, SolverError
 from .metrics import PerformanceReport, bit_throughput, oracle_enumerate
-from .objective import (DeterministicObjective, chance_check, confidence_bound,
-                        objective_gradient, objective_value, std_normal_cdf, std_normal_quantile)
+from .objective import (DeterministicObjective, chance_check, confidence_bound, objective_value,
+                        std_normal_cdf, std_normal_quantile)
 from .semantics import FeasibleSets, assign_knowledge, feasible_bs_sets
 from .solver import (Allocation, Association, RelaxedAssociation, UaInstance,
                      allocate_residual, baseline_ba, baseline_max_sinr, make_instance,

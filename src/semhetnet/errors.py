@@ -8,5 +8,5 @@ class ConfigError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """The relaxed stage ran out of iterations (the message names its pg),
-    or a projection lost a row's support to rounding."""
+    """The relaxed stage reached its cap on Newton steps, or none of its
+    stages certified the analytic centre (the message names the steps)."""

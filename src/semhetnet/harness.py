@@ -12,8 +12,8 @@ import numpy as np
 from . import metrics, solver
 from .config import ScenarioConfig, SweepSpec
 from .errors import ConfigError
-from .objective import (DeterministicObjective, chance_check, objective_gradient,
-                        objective_value, std_normal_cdf, std_normal_quantile)
+from .objective import (DeterministicObjective, chance_check, confidence_bound, rate_gradient,
+                        std_normal_cdf, std_normal_quantile)
 from .seeding import substream
 from .semantics import (ETA_CLAMP_EPS, FeasibleSets, assign_knowledge, eta_blocks,
                         feasible_bs_sets)
@@ -105,10 +105,11 @@ def _method_report(scenario, outcome):
         "admission_evicted": list(outcome.evicted),
         "per_bs_load_hz": [float(v) for v in alloc_loads],
         "iterations": relaxed.iterations if relaxed else 0,
-        "relaxed_stage": (dict(zip(("iterations", "backtracks", "exit", "newton"), relaxed.stage))
+        "relaxed_stage": (dict(zip(("newton_steps", "finish_rounds", "exit", "tied_users"),
+                                   relaxed.stage))
                           if relaxed and relaxed.stage else None),
         "kkt_residuals": {
-            "relaxed_pg_norm": relaxed.pg_norm if relaxed else None,
+            "relaxed_duality_gap": relaxed.gap if relaxed else None,
             "allocation_rel": outcome.allocation.kkt_residual,
         },
     }
@@ -267,19 +268,21 @@ def oracle_gap_distribution(tau, sigma, alpha):
     return ratios
 
 
-def gradient_fd_error(obj, x, rng, probes):
-    """Largest relative gap between `objective_gradient` at x and a central
-    difference (h = 1e-6) over `probes` entries drawn from rng."""
-    g = objective_gradient(obj, x)
+def gradient_fd_error(obj, rates, rng, probes):
+    """Largest relative gap between `rate_gradient` at the rates and a central
+    difference (h = 1e-6) of `confidence_bound` over `probes` entries drawn
+    from rng, at obj's tau, sigma and q."""
+    g = rate_gradient(rates, obj.tau, obj.sigma, obj.q)
     h = 1e-6
     worst = 0.0
     for _ in range(probes):
-        i, j = int(rng.integers(x.shape[0])), int(rng.integers(x.shape[1]))
-        xp, xm = x.copy(), x.copy()
-        xp[i, j] += h
-        xm[i, j] -= h
-        fd = (objective_value(obj, xp) - objective_value(obj, xm)) / (2 * h)
-        worst = max(worst, abs(fd - g[i, j]) / max(abs(fd), abs(g[i, j]), 1e-12))
+        i = int(rng.integers(rates.size))
+        sp, sm = rates.copy(), rates.copy()
+        sp[i] += h
+        sm[i] -= h
+        fd = (confidence_bound(sp, obj.tau, obj.sigma, obj.q)
+              - confidence_bound(sm, obj.tau, obj.sigma, obj.q)) / (2 * h)
+        worst = max(worst, abs(fd - g[i]) / max(abs(fd), abs(g[i]), 1e-12))
     return worst
 
 
@@ -325,7 +328,7 @@ def validate(config):
         obj = DeterministicObjective.for_confidence(config.tau, config.sigma, config.alpha, xi)
         x = rng.random((6, 4))
         x /= x.sum(axis=1, keepdims=True)
-        worst_rel = max(worst_rel, gradient_fd_error(obj, x, rng, 6))
+        worst_rel = max(worst_rel, gradient_fd_error(obj, np.einsum("ml,ml->m", x, xi), rng, 6))
     checks.append(Check(
         "gradient_finite_difference", worst_rel < 1e-6,
         f"max relative error = {worst_rel:.3e}", {"max_rel_error": worst_rel},

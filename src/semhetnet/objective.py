@@ -16,9 +16,7 @@ alpha * (1 - alpha) / trials.
 
 The gradient of Fbar in the rates, `rate_gradient`, is
 
-    dFbar/dy_i = tau - sigma * q * y_i / ||y||    (tau at y = 0),
-
-and dFbar/dx_ij = xi_ij * dFbar/dy_i by the chain rule.
+    dFbar/dy_i = tau - sigma * q * y_i / ||y||    (tau at y = 0).
 """
 
 import math
@@ -109,13 +107,6 @@ def objective_value(obj, x):
     """Fbar(x): the confidence bound of y_i = sum_j x_ij xi_ij."""
     x = _check_shape(obj, x)
     return confidence_bound(np.einsum("ml,ml->m", x, obj.xi_t), obj.tau, obj.sigma, obj.q)
-
-
-def objective_gradient(obj, x):
-    """Gradient of Fbar(x): xi_ij times the `rate_gradient` of y_i."""
-    x = _check_shape(obj, x)
-    y = np.einsum("ml,ml->m", x, obj.xi_t)
-    return obj.xi_t * rate_gradient(y, obj.tau, obj.sigma, obj.q)[:, None]
 
 
 def chance_check(rates, fbar, tau, sigma, trials, seed=0):

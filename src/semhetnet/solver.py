@@ -2,13 +2,12 @@
 
 Stage two of the pipeline: find the analytic centre of the load polytope,
 the maximizer of phi(x) = sum_j log(N_j - sum_i x_ij * n^T_ij) over the
-product of per-user simplices, then round, repair budget overloads, and
-split each base station's residual bandwidth. Two max-SINR baselines share
-the repair step.
+product of per-user simplices, through its dual in one price per base
+station; then round, repair budget overloads, and split each base
+station's residual bandwidth. Two max-SINR baselines share the repair step.
 """
 
 import math
-from collections import deque
 from copy import copy
 from dataclasses import dataclass, replace
 
@@ -19,20 +18,12 @@ from .objective import DeterministicObjective, confidence_bound, rate_gradient
 from .semantics import FeasibleSets
 from .topology import bit_rate
 
-_ARMIJO = 1e-4
-_GLL_MEMORY = 10  # accepted phi values the line search compares against
-_STEP_FLOOR = 1e-18
-_EPS_ACTIVE = 1e-12  # entries this small count as at their bound in a Newton face
-_NEWTON_HALVINGS = 8  # halvings of a Newton step inside the budgets before gradient steps resume
-_TOL = 1e-9  # projected-gradient norm at which the relaxed stage ends
-_MAX_INNER = 20000  # iterations after which the relaxed stage raises SolverError
-# The stage also ends once a 25-iteration window improves phi by less than
-# _STALL_RTOL * (1 + |phi|); the final pg norm is reported either way.
-_STALL_RTOL = 1e-10
-# The simplex projector tests each row for a vertex solution only from this
-# many rows on: below it the test costs more than the cumulative sums it
-# saves (measured crossover between 96 and 200 rows, see `_simplex_projector`).
-_VERTEX_MIN_ROWS = 128
+_MUS = (1e-2, 1e-3, 1e-4)  # power-mean smoothings of the relaxed stage, one Newton stage each
+_STAGE_TOL = 0.1  # a smoothed stage ends at a squared Newton decrement of this times mu
+_TIE_WINDOW = 3.0  # log-cost gaps up to this many mu make a link a finish's tie candidate
+_COST_TOL = 1e-13  # relative cost differences a finish counts as ties
+_MAX_ROUNDS = 30  # add/drop rounds after which a finish leaves its stage uncertified
+_MAX_NEWTON = 500  # Newton steps after which the relaxed stage raises SolverError
 
 # Admission decides runs of failing passes in lockstep batches
 # (`_SubsetStarts.proven_victims`, `_admit`) only while at least
@@ -105,17 +96,20 @@ def make_instance(gamma, feasible, msg_per_bit, budgets, bit_rate_threshold, tau
 
 @dataclass(frozen=True, eq=False)
 class RelaxedAssociation:
-    """Interior solution of the relaxed association problem.
+    """Solution of the relaxed association problem: the analytic centre x_star
+    (untied rows one-hot, exact zeros off each row's support), its prices
+    (one per BS) and the duality gap D(prices) - phi(x_star) that certifies
+    it (see `solve_relaxed_ua`).
 
-    `stage` is the solve's (iterations, backtracks, exit, newton) record, or
-    None where no solve ran; exit is "tol", "stall" or "no_step", and newton
-    counts the Newton steps, which the iterations include (see
-    `solve_relaxed_ua`).
+    iterations counts the Newton steps. `stage` is the solve's
+    (newton_steps, finish_rounds, exit, tied_users) record, or None where no
+    solve ran; a returned solve always has exit "tol".
     """
 
     x_star: np.ndarray
     iterations: int = 0
-    pg_norm: float = 0.0
+    prices: np.ndarray = None
+    gap: float = 0.0
     stage: tuple = None
 
 
@@ -140,95 +134,6 @@ class Allocation:
 
     n: np.ndarray
     kkt_residual: float = None
-
-
-def _simplex_projector(mask):
-    """Row-wise projection onto {x >= 0, sum x = 1} supported on mask, its
-    constants built once. Entries off the mask come back as zero; it raises
-    ValueError for an empty mask row, and SolverError if a row's support is
-    lost to rounding (entries beyond 2**53 in magnitude).
-
-    Each row is sorted in descending order with the entries off the mask
-    last, at -1e300: their cumulative sums stay hugely negative, so they
-    never count among the rho entries above the threshold, and the sums over
-    the real entries come first, in the same order as an unpadded row.
-
-    The padding is one subtraction, pad - v, from a constant that is 0 on
-    the mask and 1e300 off it; off-mask entries up to about 1e284 in
-    magnitude round to 1e300 there. After np.maximum(x, 0.0), which turns
-    -0.0 into +0.0, a product with the mask clears the entries off it.
-    Neither branches on the mask, unlike np.putmask, whose copy under a
-    large random mask costs several times more per row than both together.
-    The weights k and the mask are multiplied in as full M x L float arrays,
-    so neither product broadcasts a row or casts a boolean.
-
-    From _VERTEX_MIN_ROWS rows on (and L >= 2), a row whose sorted entries
-    u_1 >= u_2 >= ... pass the vertex test
-        u_1 - u_2 >= 1 + mu (1 + |u_1|),  |u_1| < 2**50,  mu = 4 L^2 eps
-    (eps = 2**-52) takes theta = fl(u_1 - 1) directly, and only the other
-    rows go through the cumulative sums. The sums give such a row rho = 1
-    and that same theta, bit for bit:
-    - k = 1 counts, since fl(u_1 - 1) < u_1 for |u_1| < 2**50;
-    - k >= 2 does not. Exactly, D = (cs_k - 1) - k u_k = sum_{j<k} (u_j -
-      u_k) - 1 >= G - 1 with G = u_1 - u_k >= u_1 - u_2. Every |u_j| (j <=
-      k) is at most max(|u_1|, |u_k|) <= |u_1| + G, so the running sum cs_k
-      is off by at most c (|u_1| + G), with c = k gamma_{k-1}, about
-      L (L - 1) eps / 2 at most (Higham, Accuracy and Stability of Numerical
-      Algorithms, s. 4.2). The test, itself rounded, still proves u_1 - u_2
-      >= 1 + mu/2 (1 + |u_1|), and mu/2 = 2 L^2 eps >= 2c / (1 - c) makes D
-      larger than that error. So fl(cs_k) - 1 >= k u_k exactly, and since
-      rounding is monotone, fl(fl(cs_k) - 1) >= fl(k u_k).
-    The argument needs no sum to overflow, which holds for the padding (L
-    times 1e300 is finite). A NaN top or second entry fails the test, and a
-    NaN further down fails every comparison on both paths. With mu = 0, or
-    without the cap on |u_1|, some rows would get another theta, or no
-    SolverError (the projection tests draw such rows). Below
-    _VERTEX_MIN_ROWS rows the test's fixed cost per call outweighs the sums
-    it saves, and every row goes through them.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    m, l = mask.shape
-    pad = np.where(mask, 0.0, 1e300)
-    keep = mask.astype(float)
-    k = np.tile(np.arange(1.0, l + 1.0), (m, 1))
-    last = np.arange(m) * l - 1  # before each row's first entry, flat
-    vertex_test = m >= _VERTEX_MIN_ROWS and l >= 2
-    mu = 4.0 * l * l * np.finfo(float).eps
-
-    def threshold(u):
-        """theta of rows u of pad - v, sorted in ascending order (u is reused)."""
-        n = len(u)
-        np.negative(u, out=u)
-        # numpy's own kernel: np.cumsum's Python wrapper costs a few us per call
-        cs = np.add.accumulate(u, axis=1)
-        cs -= 1.0
-        u *= k[:n]
-        rho = (u > cs).sum(axis=1)
-        if not rho.all():
-            if mask.any(axis=1).all():  # entries beyond 2**53 rounded the support away
-                raise SolverError("projection lost a row's support to rounding; "
-                                  "message rates are too large for float64")
-            raise ValueError("projection row with empty support")
-        return cs.take(last[:n] + rho) / rho
-
-    def project(v):
-        u = pad - v
-        u.sort(axis=1)
-        if vertex_test:
-            theta = -1.0 - u[:, 0]  # fl(u_1 - 1)
-            top = np.abs(u[:, 0])
-            rest = (~((u[:, 1] - u[:, 0] >= 1.0 + mu * (1.0 + top))
-                      & (top < 2.0**50))).nonzero()[0]
-            if rest.size:
-                theta[rest] = threshold(u[rest])
-        else:
-            theta = threshold(u)
-        x = v - theta[:, None]
-        np.maximum(x, 0.0, out=x)
-        x *= keep
-        return x
-
-    return project
 
 
 def _loads(x, n_t):
@@ -499,260 +404,352 @@ class _SubsetStarts:
         return None, (slack_greedy <= tight).nonzero()[0].tolist()
 
 
-def _newton_direction(n_t, slack, mask, x, g):
-    """Projected Newton direction (Bertsekas 1982) of phi at x, on x's face.
+def _smoothed_stage(lam, log_n, budgets, mu, steps):
+    """Damped Newton on the smoothed dual D_mu from lam; returns the last
+    iterate and the Newton steps taken so far.
 
-    The face frees x's positive entries, and the zero entries on the mask
-    whose gradient exceeds that of their row's best positive entry. Entries
-    up to 1e-12 count as zero (Bertsekas's epsilon-active set): rounding
-    dust of 1e-17 left in the face would otherwise cut the accepted step to
-    t of about 1e-17 instead of letting the projection clip it. Each row
-    pivots on its largest entry, which absorbs the change of the row's other
-    free entries, so the row sums stay 1. On these reduced entries (i, j) the
-    Hessian of -phi is Bz S^-2 Bz^T, with S = diag(slack) and Bz the change
-    of the loads, whose rows are n_ij e_j - n_ip e_p (p the pivot). Shifted
-    by 1e-12 times its largest diagonal entry, it is solved by Woodbury on
-    its L load columns, then refined twice against the exact product, which
-    the shift's small size otherwise leaves short of full precision. No
-    matrix has more than L columns.
+    D_mu replaces each row's minimum cost min_j a_ij (a_ij = lam_j n^T_ij)
+    in D by its power mean f_i = (sum_j a_ij^(-1/mu))^(-mu), within a factor
+    L^-mu below it. With e_ij = (a_ij / min_j a_ij)^(-1/mu), s_i = sum_j e_ij
+    and w_i = e_i / s_i, the relative Newton step delta solves
+    (I + (1 + 1/mu) sum_i f_i (diag w_i - w_i w_i^T)) delta = lam * grad,
+    where rows with one-hot weights (s_i = 1) add nothing and stay out. The
+    stage moves to lam * exp(-t delta), t halving from 1 until D_mu falls by
+    1e-4 t times the squared decrement, and ends once that decrement is at
+    most _STAGE_TOL * mu or no step descends.
 
-    `slack` is budgets - `_loads(x, n_t)`, the per-BS slack at x that the
-    caller's phi evaluation already computed. Returns the direction, zero
-    off the face, or None when the face has no reduced entry or the solve
-    is not finite.
+    Raises ValueError once an iterate proves that no strictly interior point
+    exists: sum_j lam_j N_j <= sum_i min_j a_ij, whereas an interior x has
+    sum_i min_j a_ij <= sum_j lam_j loads_j(x) < sum_j lam_j N_j.
     """
-    positive = x > _EPS_ACTIVE
-    best = np.where(positive, g, -np.inf).max(axis=1)
-    free = positive | (mask & (g > best[:, None]))
-    pivot = x.argmax(axis=1)
-    free[np.arange(x.shape[0]), pivot] = False
-    ri, rj = free.nonzero()  # the reduced entries, row by row
-    if not ri.size:
+    l = budgets.size
+    scaled = log_n * (1.0 / mu)
+    curv = 1.0 + 1.0 / mu
+
+    def value(lam):
+        log_lam = np.log(lam)
+        la = scaled + log_lam * (1.0 / mu)
+        low = la.min(axis=1)
+        e = np.exp(low[:, None] - la)  # 0 off the mask, where log_n is +inf
+        s = e.sum(axis=1)
+        lowest = mu * low  # the log of each row's minimum cost
+        f = np.exp(lowest - mu * np.log(s))
+        linear = float(np.add.reduce(lam * budgets))
+        if math.isfinite(linear) and linear <= float(np.add.reduce(np.exp(lowest))):
+            raise ValueError("the relaxed problem has no strictly interior point")
+        return linear - float(np.add.reduce(log_lam)) - l - float(np.add.reduce(f)), f, e, s
+
+    d, f, e, s = value(lam)
+    while True:
+        c = f / s
+        grad = lam * budgets - 1.0 - np.einsum("i,ij->j", c, e)
+        rows = (s > 1.0).nonzero()[0]
+        er, cr = e[rows], c[rows]
+        hess = np.einsum("ij,ik->jk", er * (cr / s[rows])[:, None], er)
+        hess *= -curv
+        hess.flat[::l + 1] += curv * np.einsum("i,ij->j", cr, er) + 1.0
+        delta = np.linalg.solve(hess, grad)
+        dec = float(np.add.reduce(grad * delta))
+        if not dec > _STAGE_TOL * mu:
+            return lam, steps
+        if steps >= _MAX_NEWTON:
+            raise SolverError(f"relaxed stage did not converge within {_MAX_NEWTON} Newton steps")
+        t = 1.0
+        while True:
+            # a trial whose prices overflow or vanish has no finite D_mu and
+            # fails the test
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                trial = lam * np.exp(-t * delta)
+                d_new, f_new, e_new, s_new = value(trial)
+            if d_new <= d - 1e-4 * t * dec:
+                break
+            t *= 0.5
+            if t < 1e-10:
+                return lam, steps
+        steps += 1
+        lam, d, f, e, s = trial, d_new, f_new, e_new, s_new
+
+
+def _tree_path(links, skip, start, goals):
+    """The path from BS `start` to a BS in `goals` through the tied users
+    other than `skip`, as (user, from BS, to BS) triples, or None."""
+    users_at = {}
+    for v, bss in links.items():
+        if v != skip:
+            for j in bss:
+                users_at.setdefault(j, []).append(v)
+    prev = {start: None}
+    queue = [start]
+    for j in queue:
+        if j in goals:
+            path = []
+            while prev[j] is not None:
+                v, p = prev[j]
+                path.append((v, p, j))
+                j = p
+            return path[::-1]
+        for v in users_at.get(j, ()):
+            for k in links[v]:
+                if k not in prev:
+                    prev[k] = (v, j)
+                    queue.append(k)
+    return None
+
+
+def _initial_ties(gaps, prim, window):
+    """The tied users' BSs for a finish's first round, each user's cheapest
+    first: candidate links (log-cost gap to the row's cheapest at most
+    `window`) by increasing gap, each kept while the tied links stay a
+    forest, as a union-find over the BSs checks."""
+    ci, cj = (gaps <= window).nonzero()
+    order = np.argsort(gaps[ci, cj], kind="stable")
+    parent = list(range(gaps.shape[1]))
+
+    def find(j):
+        while parent[j] != j:
+            j = parent[j]
+        return j
+
+    links = {}
+    for i, j in zip(ci[order].tolist(), cj[order].tolist()):
+        a, b = find(j), find(prim[i])
+        if a != b:
+            parent[a] = b
+            links.setdefault(i, [prim[i]]).append(j)
+    return links
+
+
+def _forest_prices(links, log_n, room, u):
+    """Log-prices that solve a finish's square system on each component of
+    the tied forest, and the components where none exists.
+
+    `room` is N minus the untied users' loads; a BS no tied user touches has
+    lam_j = 1 / room_j. On a component C the ties fix the price ratios r_j,
+    and weighting its load equations by the prices leaves sum_j lam_j room_j
+    - |C| = sum_i c_i (c_i a tied user's cost), linear in their common
+    scale. A component whose scale is not positive by more than _COST_TOL of
+    sum_j r_j room_j keeps its prices u and comes back as its BSs and r.
+    """
+    alone = room > 0.0
+    u = np.where(alone, -np.log(np.where(alone, room, 1.0)), u)
+    room = room.tolist()
+    users_at = {}
+    for v, bss in links.items():
+        for j in bss:
+            users_at.setdefault(j, []).append(v)
+    short = [([j], [1.0]) for j in (~alone).nonzero()[0].tolist() if j not in users_at]
+    done, reached = set(), set()
+    for root in users_at:
+        if root in done:
+            continue
+        ratio, queue, cost = {root: 0.0}, [root], 0.0
+        for j in queue:
+            for v in users_at[j]:
+                if v not in reached:
+                    reached.add(v)
+                    c = ratio[j] + log_n[v, j]
+                    cost += math.exp(c)
+                    for k in links[v]:
+                        if k not in ratio:
+                            ratio[k] = c - log_n[v, k]
+                            queue.append(k)
+        done.update(queue)
+        r = [math.exp(ratio[j]) for j in queue]
+        weighted = sum(rj * room[j] for rj, j in zip(r, queue))
+        scale = weighted - cost
+        if scale > _COST_TOL * weighted:
+            shift = math.log(len(queue) / scale)
+            u[queue] = [ratio[j] + shift for j in queue]
+        else:
+            short.append((queue, r))
+    return u, short
+
+
+def _exact_centre(lam, mask, log_n, n_t, budgets, mu):
+    """The exact finish after a smoothed stage at prices lam.
+
+    Untied users sit on their cheapest links; the tied ones start as
+    `_initial_ties` picks them. Each round solves "loads = N - 1/lam, each
+    tied row sums to 1, a tied user's links cost the same": the prices in
+    closed form (`_forest_prices`), then the tied weights, a linear system,
+    by least squares. A component too full for its users proves that no
+    strictly interior point exists (ValueError), or has its prices raised
+    until one of its users ties with a link off it. Otherwise the round
+    drops every link whose weight went negative, or else lets into each
+    user's support the cheapest link that undercuts it by more than
+    _COST_TOL; one that closes a cycle of tied links enters by a ratio test.
+
+    Then D(lam) - phi(x) = sum_j h(lam_j slack_j) + sum_ij x_ij (a_ij -
+    min_j a_ij), with h(z) = z - 1 - log z and a_ij = lam_j n^T_ij, is a sum
+    of nonnegative terms. Returns (x, prices, gap, rounds, tied users) where
+    every slack is positive and gap <= 1e-9 * max(1, |phi|), else None.
+    """
+    m, l = n_t.shape
+    idx = np.arange(m)
+    la = log_n + np.log(lam)
+    prim = la.argmin(axis=1)
+    gaps = la - la.min(axis=1)[:, None]
+    gaps[idx, prim] = np.inf
+    links = _initial_ties(gaps, prim.tolist(), _TIE_WINDOW * mu)
+    weight = {}  # tied users' weights by (user, BS), as the last round solved them
+    u = np.log(lam)
+
+    def tie(i, k):
+        bss = links.get(i, [int(prim[i])])
+        weight.setdefault((i, bss[0]), 1.0)
+        links[i] = bss + [k]
+        weight[i, k] = 0.0
+
+    def untie(i, j):
+        links[i].remove(j)
+        del weight[i, j]
+        prim[i] = links[i][0]
+        if len(links[i]) == 1:
+            del links[i], weight[i, prim[i]]
+
+    for rounds in range(1, _MAX_ROUNDS + 1):
+        tied = np.zeros(m, dtype=bool)
+        tied[list(links)] = True
+        fixed = np.bincount(prim, np.where(tied, 0.0, n_t[idx, prim]), l)
+        u, short = _forest_prices(links, log_n, budgets - fixed, u)
+        for bss, r in short:
+            # prices r on the component and 0 elsewhere prove it (see
+            # `_smoothed_stage`), up to _COST_TOL
+            d = np.zeros(l)
+            d[bss] = r
+            cost = np.where(mask, n_t * d, np.inf)
+            if (float(np.add.reduce(d * budgets))
+                    <= (1.0 + _COST_TOL) * float(np.add.reduce(cost.min(axis=1)))):
+                raise ValueError("the relaxed problem has no strictly interior point")
+            # else some user on it has a link off it: raise its prices
+            on = (d[prim] > 0.0).nonzero()[0]
+            away = np.where(mask[on] & (d == 0.0), np.exp(u) * n_t[on], np.inf)
+            rise = away.min(axis=1) / cost[on, prim[on]]
+            if not np.isfinite(rise).any():
+                return None
+            tie(int(on[rise.argmin()]), int(away[rise.argmin()].argmin()))
+        if short:
+            continue
+        edges = [(i, j, t) for t, (i, bss) in enumerate(links.items()) for j in bss]
+        ei, ej, eu = np.array(edges, dtype=int).reshape(-1, 3).T
+        system = np.zeros((l + len(links), ej.size))
+        system[ej, np.arange(ej.size)] = n_t[ei, ej] / budgets[ej]
+        system[l + eu, np.arange(ej.size)] = 1.0
+        target = np.concatenate((1.0 - (fixed + np.exp(-u)) / budgets, np.ones(len(links))))
+        x = np.linalg.lstsq(system, target, rcond=None)[0] if ej.size else target[:0]
+        weight.update(zip(zip(ei.tolist(), ej.tolist()), x.tolist()))
+
+        # drop every link whose weight went negative, else let in the
+        # cheapest link of each user whose support it undercuts
+        neg = (x < 0.0).nonzero()[0].tolist()
+        for e in neg:
+            untie(int(ei[e]), int(ej[e]))
+        if neg:
+            continue
+        la = log_n + u
+        lowest = la.min(axis=1)
+        excess = la[idx, prim] - lowest
+        cand = (excess > _COST_TOL).nonzero()[0]
+        if not cand.size:
+            break
+        order = np.argsort(-excess[cand], kind="stable")
+        for i, k in zip(cand[order].tolist(), la[cand[order]].argmin(axis=1).tolist()):
+            path = _tree_path(links, i, k, set(links.get(i, [prim[i]])))
+            tie(i, k)
+            if path is None:
+                continue
+            # a cycle: push weight onto the new link, keeping each row sum and
+            # each load on the cycle but its last BS's (a ratio test)
+            push = {(i, k): 1.0}
+            change = float(n_t[i, k])
+            for v, p, j in path:
+                push[v, p] = -change / n_t[v, p]
+                push[v, j] = change / n_t[v, p]
+                change = n_t[v, j] * push[v, j]
+            push[i, path[-1][2]] = -1.0
+            ratio, leave = min((weight[e] / -d, n) for n, (e, d) in enumerate(push.items())
+                               if d < 0.0)
+            for e, d in push.items():
+                weight[e] += ratio * d
+            untie(*list(push)[leave])
+    else:
         return None
-    pj = pivot[ri]
-    bz = np.zeros((ri.size, x.shape[1]))  # Bz S^-1
-    k = np.arange(ri.size)
-    bz[k, rj] = n_t[ri, rj] / slack[rj]
-    bz[k, pj] = -n_t[ri, pj] / slack[pj]
-    shift = 1e-12 * float((bz * bz).sum(axis=1).max())
-    # (shift I + V V^T)^-1 = (I - V (shift I + V^T V)^-1 V^T) / shift
-    cap = shift * np.eye(bz.shape[1]) + bz.T @ bz
 
-    def solve(b):
-        return (b - bz @ np.linalg.solve(cap, bz.T @ b)) / shift
-
-    gr = g[ri, rj] - g[ri, pj]
-    with np.errstate(all="ignore"):
-        try:
-            dr = solve(gr)
-            for _ in range(2):
-                dr += solve(gr - shift * dr - bz @ (bz.T @ dr))
-        except np.linalg.LinAlgError:  # an exactly singular L x L system
-            return None
-    if not np.isfinite(dr).all():
+    free = (~tied).nonzero()[0]
+    x_star = np.zeros((m, l))
+    x_star[free, prim[free]] = 1.0
+    x_star[ei, ej] = x
+    slack = budgets - _loads(x_star, n_t)
+    if not (slack > 0.0).all():
         return None
-    d = np.zeros(x.shape)
-    d[ri, rj] = dr
-    firsts = np.concatenate(([True], ri[1:] != ri[:-1])).nonzero()[0]
-    rows = ri[firsts]
-    d[rows, pivot[rows]] = -np.add.reduceat(dr, firsts)
-    return d
+    prices = np.exp(u)
+    z = prices * slack
+    cheapest = np.exp(lowest)
+    gap = (float(np.add.reduce(np.maximum(z - 1.0 - np.log(z), 0.0)))
+           + float(np.add.reduce(np.exp(la[free, prim[free]]) - cheapest[free]))
+           + float(np.add.reduce(x * (np.exp(la[ei, ej]) - cheapest[ei]))))
+    if not gap <= 1e-9 * max(1.0, abs(float(np.add.reduce(np.log(slack))))):
+        return None
+    return x_star, prices, gap, rounds, len(links)
 
 
-def solve_relaxed_ua(mask, n_t, budgets, start):
-    """The relaxed association problem of admission's users, solved as the
-    analytic centre of their load polytope.
-
-    mask, n_t and start are admission's users' usable links, n^T and
-    strictly interior start (see `_admit`), and budgets the BSs' N_j.
+def solve_relaxed_ua(mask, n_t, budgets):
+    """The relaxed association problem of admission's users (their usable
+    links `mask` and n^T, and the BSs' budgets N), solved as the analytic
+    centre of their load polytope through its dual in one price per BS.
 
     `make_instance` sizes n^T to the bit-rate threshold, so xi^T_ij is
-    kappa_i times the threshold on every link, and Fbar is constant on the
-    relaxed set. The relaxed stage therefore maximizes the log-load
-    potential phi(x) = sum_j log(N_j - sum_i x_ij n^T_ij) over the product
-    of row simplices on the mask: the analytic centre (Boyd & Vandenberghe,
-    Convex Optimization, s. 8.5), which leaves each BS room in the sense of
-    log-load association (Ye et al., IEEE TWC 2013).
+    kappa_i times the threshold on every link and Fbar is constant on the
+    relaxed set. The stage therefore maximizes phi(x) = sum_j log(N_j -
+    l_j(x)), l_j(x) = sum_i x_ij n^T_ij, over the row simplices on the mask:
+    the analytic centre (Boyd & Vandenberghe, Convex Optimization, s. 8.5),
+    the log-load association of Ye et al. (IEEE TWC 2013). phi depends on x
+    only through the L loads, and its Lagrange dual in prices lam > 0,
+        D(lam) = sum_j (lam_j N_j - log lam_j - 1) - sum_i min_j lam_j n^T_ij,
+    is strictly convex, at least phi(x) for every feasible x, and equal to
+    it exactly at the centre, where lam_j = 1 / slack_j and each user's
+    weight sits on its cheapest links (ch. 5 there).
 
-    Spectral projected gradient ascent maximizes phi. Its backtracking
-    search is the nonmonotone one of Grippo, Lampariello & Lucidi (1986): a
-    trial x_new is accepted once phi(x_new) >= min(recent) + 1e-4 *
-    g.(x_new - x), where `recent` holds the last 10 accepted phi, the
-    starting phi included. The solve ends with exit "tol" once the
-    projected-gradient norm pg = ||P(x + g) - x|| is at most _TOL, "stall"
-    after a 25-iteration window that gains too little (see _STALL_RTOL), or
-    "no_step" when no step is accepted. `stage` records the iterations,
-    backtracks, exit and Newton steps; pg_norm is the exact norm at the end.
+    Damped Newton runs on D with each row minimum smoothed by a power mean
+    (`_smoothed_stage`) at each mu in _MUS, from the last stage's prices or,
+    first, from D's minimizer along the ray through 1/N. After every stage
+    an exact finish (`_exact_centre`) fixes the untied users on their
+    cheapest links and solves for the tied ones; the first stage whose
+    finish certifies the centre ends the solve. `stage` is (Newton steps,
+    finish rounds, "tol", tied users). Every sum over users is numpy's own
+    reduction, never BLAS, so the bytes do not depend on the BLAS thread
+    count.
 
-    The support {x > 0} is first checked at iteration 25, against the
-    start's, and from then on at every iteration, against the previous
-    iteration's. Once it matches, the solve finishes on that face by
-    projected Newton steps (see `_newton_direction`, whose face counts
-    entries up to 1e-12 as zero): P(x + t d) for the first t in t0, t0/2,
-    ... whose phi is at least the current phi plus 1e-4 times its positive
-    gain, t0 being the largest power of 1/2 with t0 max|d| <= 1. Each
-    accepted step is an iteration; a rejected one (9 trials inside the
-    budgets fail, or t would fall below the step floor) hands back to the
-    gradient steps until the support holds for an iteration again. The
-    first check stays at iteration 25: small solves mostly end before it,
-    and on them a Newton step costs more than a gradient step.
-
-    pg is computed only when it may be at most _TOL. For x feasible,
-    ||P(x + t g) - x|| is nondecreasing in t and ||P(x + t g) - x|| / t is
-    nonincreasing (Calamai & More 1987, Lemma 2.2), so the line search's
-    first trial gives lb = ||P(x + step g) - x|| / max(1, step) <= pg. While
-    lb exceeds _TOL by more than a bound on the rounding of both norms,
-    pg > _TOL is certain and its projection is skipped. pg is computed at
-    the first iteration (before the trial, so a solve that starts converged
-    projects once), at every Newton step, at every stall or no-step exit and
-    at the last allowed iteration, so the iterates and pg_norm are those of
-    testing pg <= _TOL at every iteration.
-
-    Raises ValueError for a start of the wrong shape or without slack on
-    some budget, and SolverError if the solve runs out of iterations
-    (_MAX_INNER).
+    Raises ValueError for inputs of mismatched shapes or rows that admit no
+    strictly interior point (a row without a usable link, or prices that
+    prove it), and SolverError at _MAX_NEWTON Newton steps or when no stage
+    certifies.
     """
-
-    def evaluate(x):
-        """phi(x), and the slack the gradient reuses."""
-        slack = budgets - _loads(x, n_t)
-        if (slack <= 0.0).any():
-            return -math.inf, slack
-        return float(np.log(slack).sum()), slack
-
-    x = np.asarray(start, dtype=float)
-    w_cur, slack = evaluate(x) if x.shape == n_t.shape else (-math.inf, None)
-    if w_cur == -math.inf:
-        raise ValueError(f"start of shape {x.shape} is not strictly interior to an "
-                         f"instance of shape {n_t.shape}")
-    m, l = n_t.shape
-    project = _simplex_projector(mask)
-    # The gradient is built as 0 off the mask, where x stays 0 and the
-    # projector reads nothing, so ||g|| below covers only its inputs; dx is
-    # 0 there too, so the steps and iterates are those of the full gradient.
-    neg_n = -np.where(mask, n_t, 0.0)  # the gradient's numerator, negated once
-    # lb and pg are each computed to within (l + 1) sqrt(l) eps / 2 times
-    # ||g|| + sqrt(m): a projected entry is off by at most (l + 1) eps / 2
-    # times its row's largest input, and ||x + t g|| / max(1, t) <= ||g|| +
-    # sqrt(m) on the simplices. The margin over _TOL is twice their sum.
-    rounding = 2.0 * (l + 1) * np.sqrt(l) * np.finfo(float).eps
-    root_m = np.sqrt(m)
-
-    def grad_of(slack):
-        return neg_n / slack
-
-    def pg_of(x, g):
-        d = project(x + g) - x
-        return math.sqrt(np.vdot(d, d))
-
-    def newton_trial(x, g, w_cur, slack):
-        """P(x + t d) for the Newton direction d at x, whose slack is given,
-        and the first t in t0, t0/2, ... that passes the monotone Armijo
-        test, with its phi and slack, or None if none does; and the number
-        of rejected trials.
-        t0 is the largest power of 1/2 with t0 max|d| <= 1, so no entry of
-        the first trial moves further than a simplex's diameter. The search
-        gives up at the step floor, or once 9 trials inside the budgets
-        (t0 and 8 halvings) have failed. Trials outside the budgets do not
-        count: near a tight budget the projection's clipping can move load
-        onto it, and only a much shorter step is a point of phi's domain."""
-        d = _newton_direction(n_t, slack, mask, x, g)
-        if d is None or not float(np.vdot(g, d)) > 0.0:
-            return None, 0
-        frac, exp = math.frexp(float(np.abs(d).max()))
-        t = math.ldexp(1.0, -max(0, exp - (frac == 0.5)))
-        halvings = misses = 0
-        while t >= _STEP_FLOOR and misses <= _NEWTON_HALVINGS:
-            xn = project(x + t * d)
-            w_new, slack = evaluate(xn)
-            gain = float(np.vdot(g, xn - x))
-            if gain > 0.0 and math.isfinite(w_new) and w_new >= w_cur + _ARMIJO * gain:
-                return (xn, t, w_new, slack), halvings
-            t *= 0.5
-            halvings += 1
-            misses += math.isfinite(w_new)
-        return None, halvings
-
-    g = grad_of(slack)
-    w_window = w_cur
-    support = x > 0.0
-    newton = False
-    recent = deque([w_cur], maxlen=_GLL_MEMORY)
-    step = 1.0
-    pg = np.inf
-    backtracks = newton_steps = 0
-    reason = None
-    window = 25
-    for it in range(_MAX_INNER):
-        # At the first iteration, in Newton steps and at the last allowed
-        # iteration, pg comes before the trial, which a tol exit skips: a
-        # solve that starts converged projects once
-        exact = not it or newton or it == _MAX_INNER - 1
-        xn = None
-        if not exact:
-            xn = project(x + step * g)  # the line search's first trial
-            dx = xn - x
-            lb = math.sqrt(np.vdot(dx, dx)) / max(1.0, step)
-            exact = lb <= _TOL + rounding * (math.sqrt(np.vdot(g, g)) + root_m)
-        if exact:
-            pg = pg_of(x, g)
-            if pg <= _TOL:
-                reason = "tol"
-                break
-        if it and it % window == 0:
-            if w_cur - w_window <= _STALL_RTOL * (1.0 + abs(w_cur)):
-                reason = "stall"  # ascent has flattened out
-                break
-            w_window = w_cur
-        if it >= window:
-            # the support held since the last iteration: finish on its face
-            now = x > 0.0
-            newton = newton or (now == support).all()
-            support = now
-        if newton:
-            accepted, halvings = newton_trial(x, g, w_cur, slack)
-            backtracks += halvings
-            newton = accepted is not None
-        if newton:
-            newton_steps += 1
-            xn, trial, w_new, slack = accepted
-            dx = xn - x
-        else:
-            if xn is None:
-                xn = project(x + step * g)
-                dx = xn - x
-            trial = step
-            w_ref = min(recent)  # nonmonotone (GLL) reference value
-            while True:
-                w_new, slack = evaluate(xn)
-                gain = float(np.vdot(g, dx))
-                if math.isfinite(w_new) and w_new >= w_ref + _ARMIJO * gain:
-                    break
-                backtracks += 1
-                trial *= 0.5
-                if trial < _STEP_FLOOR:
-                    reason = "no_step"  # no ascent direction left at machine precision
-                    break
-                xn = project(x + trial * g)
-                dx = xn - x
-            if reason:
-                break
-        g_new = grad_of(slack)
-        dg = g_new - g
-        curv = -float(np.vdot(dx, dg))
-        if curv > 0:  # spectral (Barzilai-Borwein) step for the next iterate
-            step = min(max(float(np.vdot(dx, dx)) / curv, 1e-12), 1e8)
-        else:
-            step = min(trial * 2.0, 1e8)
-        x, w_cur, g = xn, w_new, g_new
-        recent.append(w_cur)
-    if reason is None:
-        raise SolverError(f"relaxed stage did not converge within {_MAX_INNER} iterations "
-                          f"(projected-gradient norm {pg:g})")
-    if not exact:
-        pg = pg_of(x, g)
-    return RelaxedAssociation(x, iterations=it, pg_norm=pg,
-                              stage=(it, backtracks, reason, newton_steps))
+    mask = np.asarray(mask, dtype=bool)
+    n_t = np.asarray(n_t, dtype=float)
+    budgets = np.asarray(budgets, dtype=float)
+    if mask.shape != n_t.shape or budgets.shape != n_t.shape[1:]:
+        raise ValueError(f"mask {mask.shape}, n_t {n_t.shape} and budgets {budgets.shape} "
+                         "do not describe one instance")
+    if not mask.any(axis=1).all():
+        raise ValueError("the relaxed problem has no strictly interior point: "
+                         "a row has no usable link")
+    log_n = np.log(np.where(mask, n_t, np.inf))
+    # D's minimizer along the ray through 1/N, where 1/N itself does not
+    # prove that no interior point exists (see `_smoothed_stage`)
+    used = float(np.add.reduce(np.exp(log_n - np.log(budgets)).min(axis=1)))
+    if not used < budgets.size:
+        raise ValueError("the relaxed problem has no strictly interior point")
+    lam = budgets.size / (budgets.size - used) / budgets
+    steps = 0
+    for mu in _MUS:
+        lam, steps = _smoothed_stage(lam, log_n, budgets, mu, steps)
+        done = _exact_centre(lam, mask, log_n, n_t, budgets, mu)
+        if done is not None:
+            x, prices, gap, rounds, tied = done
+            return RelaxedAssociation(x, iterations=steps, prices=prices, gap=gap,
+                                      stage=(steps, rounds, "tol", tied))
+    raise SolverError(f"relaxed stage certified no stage in {steps} Newton steps")
 
 
 def round_association(xs, inst):
@@ -1073,18 +1070,18 @@ def two_stage(inst):
     blocks, one at a time until one exists, the user with the largest
     minimum usable n^T among those touching a BS the greedy packing
     overloads (repair, after rounding, instead moves the user with the
-    largest n^T off the most overloaded BS). The relaxed problem is then
-    solved once, from admission's start; where admission admits nobody, no
+    largest n^T off the most overloaded BS). The relaxed problem of the
+    admitted users is then solved once; where admission admits nobody, no
     solve runs and every user is unserved. The users blocked at admission
     are returned in `evicted`, in order.
     """
     usable = usable_links(inst)
-    admitted, evicted, start = _admit(usable, inst.n_t, inst.budgets)
+    admitted, evicted, _ = _admit(usable, inst.n_t, inst.budgets)
     rows = admitted.nonzero()[0]
     x_star = np.zeros_like(inst.n_t)
     relaxed = RelaxedAssociation(x_star)
     if rows.size:
-        sub = solve_relaxed_ua(usable[rows], inst.n_t[rows], inst.budgets, start)
+        sub = solve_relaxed_ua(usable[rows], inst.n_t[rows], inst.budgets)
         x_star[rows] = sub.x_star
         relaxed = replace(sub, x_star=x_star)
     assoc = repair_overload(round_association(relaxed, inst), relaxed, inst)

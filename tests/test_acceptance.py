@@ -80,7 +80,7 @@ def test_criterion_3_gradient_correctness():
         obj = DeterministicObjective.for_confidence(0.5, 0.1, 0.95, xi)
         x = rng.random((m, l))
         x /= x.sum(axis=1, keepdims=True)
-        worst = max(worst, gradient_fd_error(obj, x, rng, 3))
+        worst = max(worst, gradient_fd_error(obj, np.einsum("ml,ml->m", x, xi), rng, 3))
     ok = worst < 1e-6
     assert _report(3, "gradient correctness", ok, f"max relative error = {worst:.2e}")
 

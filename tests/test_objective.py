@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semhetnet.objective import (DeterministicObjective, chance_check, confidence_bound,
-                                 objective_gradient, objective_value, rate_gradient,
-                                 std_normal_cdf, std_normal_quantile)
+                                 objective_value, rate_gradient, std_normal_cdf,
+                                 std_normal_quantile)
 from semhetnet.seeding import substream
 from semhetnet.semantics import ETA_CLAMP_EPS
 
@@ -72,44 +72,9 @@ def test_objective_shape_mismatch():
     obj = _scalar_objective()
     with pytest.raises(ValueError):
         objective_value(obj, np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        objective_gradient(obj, np.ones((2, 2)))
-
-
-def test_gradient_sigma_zero():
-    xi = np.array([[1.0, 2.0], [3.0, 4.0]])
-    obj = DeterministicObjective.for_confidence(0.5, 0.0, 0.95, xi)
-    g = objective_gradient(obj, np.full((2, 2), 0.5))
-    assert np.allclose(g, 0.5 * xi)
-
-
-def test_gradient_zero_xi_entry():
-    xi = np.array([[1.0, 0.0], [2.0, 5.0]])
-    obj = DeterministicObjective.for_confidence(0.5, 0.1, 0.95, xi)
-    g = objective_gradient(obj, np.array([[0.4, 0.6], [0.7, 0.3]]))
-    assert g[0, 1] == 0.0
-
-
-def finite_difference_gradient(obj, x, h=None):
-    g = np.zeros_like(x)
-    for i in range(x.shape[0]):
-        for j in range(x.shape[1]):
-            step = 1e-6 * max(1.0, abs(x[i, j])) if h is None else h
-            xp, xm = x.copy(), x.copy()
-            xp[i, j] += step
-            xm[i, j] -= step
-            g[i, j] = (objective_value(obj, xp) - objective_value(obj, xm)) / (2 * step)
-    return g
 
 
 def test_gradient_matches_finite_differences(rng):
-    xi = rng.uniform(0.5, 10.0, size=(3, 2))
-    obj = DeterministicObjective.for_confidence(0.5, 0.1, 0.95, xi)
-    x = rng.random((3, 2))
-    x /= x.sum(axis=1, keepdims=True)
-    g = objective_gradient(obj, x)
-    fd = finite_difference_gradient(obj, x)
-    assert np.allclose(g, fd, rtol=1e-6, atol=1e-9)
     # the rate-space gradient against central differences of confidence_bound
     # at sigma * q > 0, = 0 (alpha 0.5 or sigma 0) and < 0
     s = rng.uniform(1.0, 20.0, size=5)
