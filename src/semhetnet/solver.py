@@ -404,6 +404,24 @@ class _SubsetStarts:
         return None, (slack_greedy <= tight).nonzero()[0].tolist()
 
 
+def _smoothed_dual(lam, scaled, budgets, mu):
+    """D_mu at prices lam, with `scaled` = log n^T / mu (+inf off the mask):
+    returns D_mu and each row's power mean f, weights e and their sum s (see
+    `_smoothed_stage`), or raises the ValueError described there."""
+    log_lam = np.log(lam)
+    la = scaled + log_lam * (1.0 / mu)
+    low = la.min(axis=1)
+    e = np.exp(low[:, None] - la)  # 0 off the mask, where log_n is +inf
+    s = e.sum(axis=1)
+    lowest = mu * low  # the log of each row's minimum cost
+    f = np.exp(lowest - mu * np.log(s))
+    linear = float(np.add.reduce(lam * budgets))
+    if math.isfinite(linear) and linear <= float(np.add.reduce(np.exp(lowest))):
+        raise ValueError("the relaxed problem has no strictly interior point")
+    d = linear - float(np.add.reduce(log_lam)) - budgets.size - float(np.add.reduce(f))
+    return d, f, e, s
+
+
 def _smoothed_stage(lam, log_n, budgets, mu, steps):
     """Damped Newton on the smoothed dual D_mu from lam; returns the last
     iterate and the Newton steps taken so far.
@@ -425,21 +443,7 @@ def _smoothed_stage(lam, log_n, budgets, mu, steps):
     l = budgets.size
     scaled = log_n * (1.0 / mu)
     curv = 1.0 + 1.0 / mu
-
-    def value(lam):
-        log_lam = np.log(lam)
-        la = scaled + log_lam * (1.0 / mu)
-        low = la.min(axis=1)
-        e = np.exp(low[:, None] - la)  # 0 off the mask, where log_n is +inf
-        s = e.sum(axis=1)
-        lowest = mu * low  # the log of each row's minimum cost
-        f = np.exp(lowest - mu * np.log(s))
-        linear = float(np.add.reduce(lam * budgets))
-        if math.isfinite(linear) and linear <= float(np.add.reduce(np.exp(lowest))):
-            raise ValueError("the relaxed problem has no strictly interior point")
-        return linear - float(np.add.reduce(log_lam)) - l - float(np.add.reduce(f)), f, e, s
-
-    d, f, e, s = value(lam)
+    d, f, e, s = _smoothed_dual(lam, scaled, budgets, mu)
     while True:
         c = f / s
         grad = lam * budgets - 1.0 - np.einsum("i,ij->j", c, e)
@@ -460,7 +464,7 @@ def _smoothed_stage(lam, log_n, budgets, mu, steps):
             # fails the test
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 trial = lam * np.exp(-t * delta)
-                d_new, f_new, e_new, s_new = value(trial)
+                d_new, f_new, e_new, s_new = _smoothed_dual(trial, scaled, budgets, mu)
             if d_new <= d - 1e-4 * t * dec:
                 break
             t *= 0.5

@@ -74,6 +74,27 @@ def test_objective_shape_mismatch():
         objective_value(obj, np.ones((2, 2)))
 
 
+def fbar_gradient(obj, x):
+    """Fbar's gradient in x by the chain rule through the rates y_i =
+    sum_j x_ij xi_ij: rate_gradient(y)_i * xi_ij."""
+    y = np.einsum("ml,ml->m", x, obj.xi_t)
+    return rate_gradient(y, obj.tau, obj.sigma, obj.q)[:, None] * obj.xi_t
+
+
+def test_gradient_sigma_zero():
+    xi = np.array([[1.0, 2.0], [3.0, 4.0]])
+    obj = DeterministicObjective.for_confidence(0.5, 0.0, 0.95, xi)
+    g = fbar_gradient(obj, np.full((2, 2), 0.5))
+    assert np.allclose(g, 0.5 * xi)
+
+
+def test_gradient_zero_xi_entry():
+    xi = np.array([[1.0, 0.0], [2.0, 5.0]])
+    obj = DeterministicObjective.for_confidence(0.5, 0.1, 0.95, xi)
+    g = fbar_gradient(obj, np.array([[0.4, 0.6], [0.7, 0.3]]))
+    assert g[0, 1] == 0.0
+
+
 def test_gradient_matches_finite_differences(rng):
     # the rate-space gradient against central differences of confidence_bound
     # at sigma * q > 0, = 0 (alpha 0.5 or sigma 0) and < 0

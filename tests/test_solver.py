@@ -236,6 +236,32 @@ def test_relaxed_solve_ignores_links_off_the_mask(admitted_congested, seed):
     assert (got.gap, got.stage) == (want.gap, want.stage)
 
 
+def test_w_monotone_within_stage(monkeypatch):
+    # No damped Newton step may raise the smoothed dual D_mu its stage
+    # minimizes: D_mu at each point where a stage solves for a Newton
+    # direction is no higher than at the one before
+    mask, n_t, budgets = admitted_instances(ScenarioConfig(num_users=200), (3,))[3]
+    events = []
+    dual, solve = solver_module._smoothed_dual, np.linalg.solve
+
+    def recording_dual(lam, scaled, budgets, mu):
+        out = dual(lam, scaled, budgets, mu)
+        events.append((mu, out[0]))
+        return out
+
+    def recording_solve(a, b):
+        events.append(None)
+        return solve(a, b)
+
+    monkeypatch.setattr(solver_module, "_smoothed_dual", recording_dual)
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    res = solve_relaxed_ua(mask, n_t, budgets)
+    iterates = [a for a, b in zip(events, events[1:]) if a is not None and b is None]
+    steps = [(a[1], b[1]) for a, b in zip(iterates, iterates[1:]) if a[0] == b[0]]
+    assert len(steps) == res.iterations > 0
+    assert all(b <= a for a, b in steps)
+
+
 def random_relaxed_case(r):
     """Up to 8 users on up to 4 BSs, with budgets from below the uniform
     start's loads (admission territory) to ample."""
