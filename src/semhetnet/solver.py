@@ -148,61 +148,47 @@ def _link_lists(mask, n_t):
     return [pairs[start:end] for start, end in zip([0] + ends[:-1], ends)]
 
 
-def _proven_overload(budgets, count, side=1.0):
-    """Running loads at which a packing of `count` rows proves each BS ends
-    overloaded: N_j * (1 + margin), where the margin exceeds the gap between
-    running sums and `_loads`, each within about m * eps of the exact sum.
-    With side=-1.0, N_j * (1 - margin): a final running load at or below it
-    proves that `_loads` leaves the BS slack. `count` may be a column of
-    counts, one row of thresholds per pass."""
-    return budgets * (1.0 + side * (1e-9 + 2.0 * count * np.finfo(float).eps))
-
-
 def _greedy_pack(order, links, budgets, proof):
     """Greedy packing: each row in `order` goes to the BS with the most room
-    left (first maximum on ties). Returns (cols, loads), each row's BS in
-    `order` and the running per-BS loads as a list, or (None, the BSs
-    proven overloaded so far) once the pass stops.
+    left (first maximum on ties). Returns (room, None), each BS's budget less
+    its running load as a list, once every row is packed, or (None, the BSs
+    overloaded so far) once the pass stops.
 
-    proof = (dry, watched) are two boolean lists over the BSs. Loads only
-    grow, so a running load at `_proven_overload` proves that BS j ends the
-    pass overloaded. The pass stops once a proven BS is `dry` and a proven
-    BS is `watched`; otherwise it packs every row.
+    A BS is overloaded once its running load reaches its budget (room <= 0);
+    loads only grow, so it ends the pass overloaded. proof = (dry, watched)
+    are two boolean lists over the BSs: the pass stops once an overloaded BS
+    is `dry` and an overloaded BS is `watched`.
     """
-    num_bs = len(budgets)
     dry, watched = proof
-    full = _proven_overload(budgets, len(order)).tolist()
     b = budgets.tolist()
-    loads = [0.0] * num_bs
+    loads = [0.0] * len(b)
     room = b[:]  # b[j] - loads[j], kept for each BS
     fails = hits = False
-    cols = []
     for i in order:
         best = None
         for j, n in links[i]:
             spare = room[j] - n
             if best is None or spare > best_spare:
                 best, best_spare, best_n = j, spare, n
-        cols.append(best)
         loads[best] += best_n
         room[best] = b[best] - loads[best]
-        if loads[best] >= full[best]:
+        if room[best] <= 0.0:
             fails = fails or dry[best]
             hits = hits or watched[best]
             if fails and hits:
-                return None, [j for j in range(num_bs) if loads[j] >= full[j]]
-    return cols, loads
+                return None, [j for j, r in enumerate(room) if r <= 0.0]
+    return room, None
 
 
 class _SubsetStarts:
-    """Interior starts for one problem's rows as rows are removed.
+    """Interior-point tests for one problem's rows as rows are removed.
 
-    The uniform rows and their per-BS loads are built once; removing a row
-    subtracts its uniform loads. The packing constants (each row's links and
-    minimum n^T, and the live rows in descending-demand order, ties to the
-    lower row) are built when a uniform start first fails. `start` packs one
-    pass; `proven_victims` packs a run of passes in lockstep and returns the
-    victims of those it proves stop early.
+    The uniform rows' per-BS loads are summed once; removing a row subtracts
+    its uniform loads. The packing constants (each row's links and minimum
+    n^T, and the live rows in descending-demand order, ties to the lower
+    row) are built when a uniform test first fails. `start` packs one pass;
+    `proven_victims` packs a run of passes in lockstep and returns the
+    victims of those that stop early.
     """
 
     def __init__(self, mask, n_t, budgets):
@@ -210,25 +196,17 @@ class _SubsetStarts:
         self.x_unif = mask / mask.sum(axis=1)[:, None]
         self.inside = np.ones(mask.shape[0], dtype=bool)
         self.loads = _loads(self.x_unif, n_t)
-        self.load_err = None  # exact loads until a row is removed
         self.links = self.demand = self.live = None
         self.stopped_early = False  # whether the last `start` pass stopped early
 
-    def rows(self):
-        return self.inside.nonzero()[0]
-
     def remove(self, row):
-        if self.load_err is None:
-            # _loads sums m products to within (m + 1) eps / 2 times their
-            # exact total T_j, in any order. The maintained loads carry that
-            # error once, each of at most m subtractions adds at most about
-            # eps * T_j, and _loads on the live rows carries it once more:
-            # 4 (m + 2) eps times the first loads bounds the gap, with room
-            # for rounding lo and hi (see `uniform_slack`).
-            self.load_err = self.loads * (4.0 * (self.mask.shape[0] + 2) * np.finfo(float).eps)
         self.inside[row] = False
         self.live.remove(row)
         self.loads = self.loads - self.x_unif[row] * self.n_t[row]
+
+    def uniform_slack(self):
+        """Relative slack of the live uniform rows' loads per BS."""
+        return (self.budgets - self.loads) / self.budgets
 
     def hungriest(self):
         """The live row with the largest minimum n^T, ties to the last row:
@@ -250,47 +228,24 @@ class _SubsetStarts:
         demand = self.demand[touching]
         return int(touching[demand == demand.max()].max())
 
-    def uniform_slack(self):
-        """Relative slack of the live uniform rows' loads per BS, as
-        `_loads` on those rows gives it, or bounds with the same signs and
-        the same verdict on min > 1e-9.
-
-        lo and hi take the maintained loads plus and minus their error bound;
-        the slack from `_loads` lies between them, since rounded arithmetic
-        is monotone. Only where the bound straddles 0 or 1e-9 are the live
-        rows summed again.
-        """
-        b = self.budgets
-        if self.load_err is None:
-            return (b - self.loads) / b
-        lo = (b - (self.loads + self.load_err)) / b
-        if lo.min() > 1e-9:
-            return lo
-        hi = (b - (self.loads - self.load_err)) / b
-        if hi.min() <= 1e-9 and ((lo <= 0) == (hi <= 0)).all():
-            return lo
-        rows = self.rows()
-        return (b - _loads(self.x_unif.take(rows, axis=0), self.n_t.take(rows, axis=0))) / b
-
     def upcoming(self, size):
         """The proof inputs of the next `size` passes, each as `start` would
         build it if every pass before it stopped early: replays
         `uniform_slack`, `hungriest` and `remove` on a copy of this state.
-        Returns each pass's victim (its hungriest row), dry BSs and live-row
-        count, and ends before a pass whose uniform start succeeds.
+        Returns each pass's victim (its hungriest row) and dry BSs, and ends
+        before a pass whose uniform rows are interior.
         """
         replay = copy(self)
         replay.inside, replay.live = self.inside.copy(), self.live[:]
-        victims, dry, counts = [], [], []
+        victims, dry = [], []
         while len(victims) < size:
             slack = replay.uniform_slack()
             if slack.min() > 1e-9:
                 break
             dry.append(slack <= 0)
-            counts.append(len(replay.live))
             victims.append(replay.hungriest())
             replay.remove(victims[-1])
-        return victims, dry, counts
+        return victims, dry
 
     def proven_victims(self, size):
         """Victims of the next passes that a lockstep packing proves stop early.
@@ -299,23 +254,21 @@ class _SubsetStarts:
         before it. One sweep over the live rows in demand order packs each
         row in every pass that holds it, as `_greedy_pack` would: onto the
         BS with the most room left, ties to the lower index. Loads only
-        grow, so a pass stops early exactly when its loads reach
-        `_proven_overload` on a dry BS and on a BS its victim can use; passes
-        retire once they are proven. Returns the victims of the leading
-        proven passes, in eviction order. The first pass not proven is left
-        to `start`.
+        grow, so a pass stops early exactly when its loads reach the budget
+        of a dry BS and of a BS its victim can use; passes retire once they
+        are proven. Returns the victims of the leading proven passes, in
+        eviction order. The first pass not proven is left to `start`.
         """
-        victims, dry, counts = self.upcoming(size)
+        victims, dry = self.upcoming(size)
         if not victims:
             return victims
         b, rows = self.budgets, self.live
         cost = np.where(self.mask, self.n_t, np.inf)  # a row's n^T, +inf off its links
-        full = _proven_overload(b, np.array(counts)[:, None])
         # a pass is proven once its loads reach full_dry and full_watched
-        full_dry = np.where(dry, full, np.inf)
-        full_watched = np.where(self.mask[victims], full, np.inf)
+        full_dry = np.where(dry, b, np.inf)
+        full_watched = np.where(self.mask[victims], b, np.inf)
         passes = np.arange(len(victims))  # the unproven passes, in order
-        loads = np.zeros(full.shape)
+        loads = np.zeros(full_dry.shape)
         buf = np.empty_like(loads)
         base = passes * b.size  # each unproven pass's offset in loads.ravel()
         last = {v: k for k, v in enumerate(victims)}  # row v_k is in passes 0..k only
@@ -341,67 +294,42 @@ class _SubsetStarts:
         return victims[:int(proven.argmin())]
 
     def start(self):
-        """Strictly interior start for the live rows: uniform rows, else a
-        blend with a greedy packing that puts the hungriest rows first.
-        Returns (x, None), or (None, overloaded) with the BSs the packing
-        overloads, else those it leaves within 1e-12 of their budget, when
-        no blend is strictly interior: never none, and each carries load.
+        """None where the live rows have a strictly interior point: the
+        uniform rows, or a blend of them with a greedy packing that puts the
+        hungriest rows first. Otherwise the BSs the packing overloads, else
+        those it leaves within 1e-12 of their budget: never none, and each
+        carries load.
 
-        A failing pass ends as soon as its partial packing proves two things:
-        some BS ends without slack in both the uniform start and the packing
-        (so no blend can help), and some BS usable by the hungriest row
-        (largest minimum n^T, ties to the last row) ends overloaded.
-        `overloaded` then lists only the BSs proven so far. A pass the proof
-        does not stop packs every row.
-
-        A full pass reads its verdict from the packing's running loads R
-        when every BS has R_j outside N_j * (1 -+ margin) (see
-        `_proven_overload`): `_loads` on the packed rows then leaves the BSs
-        with R_j above the band overloaded and the others slack, so where
-        one of those overloaded BSs also lacks uniform slack, no blend can
-        help and the pass names exactly the BSs above the band. Any other
-        full pass builds the packed rows as arrays and tests the blends.
+        Loads are linear in the blend, so each blend theta is tested on the
+        relative slacks theta * s_unif + (1 - theta) * s_greedy, with
+        s_greedy from the packing's running loads. A failing pass ends as
+        soon as its packing proves two things: some BS ends without slack in
+        both the uniform rows and the packing (so no blend can help), and
+        some BS usable by the hungriest row (largest minimum n^T, ties to
+        the last row) ends overloaded. It then names only the BSs overloaded
+        so far. A pass the proof does not stop packs every row.
         """
         budgets = self.budgets
         slack_unif = self.uniform_slack()
         if slack_unif.min() > 1e-9:
-            return self.x_unif.take(self.rows(), axis=0), None
+            return None
         if self.live is None:
             self.links = _link_lists(self.mask, self.n_t)
             self.demand = np.where(self.mask, self.n_t, np.inf).min(axis=1)
             order = (-self.demand).argsort(kind="stable")
             self.live = order[self.inside[order]].tolist()
         proof = ((slack_unif <= 0).tolist(), self.mask[self.hungriest()].tolist())
-        cols, out = _greedy_pack(self.live, self.links, budgets, proof)
-        self.stopped_early = cols is None
-        if cols is None:
-            return None, out  # the BSs proven overloaded so far
-        running = np.array(out)
-        over = running >= _proven_overload(budgets, len(cols))
-        under = running <= _proven_overload(budgets, len(cols), -1.0)
-        if (over | under).all() and (over & (slack_unif <= 0)).any():
-            return None, over.nonzero()[0].tolist()
-
-        # take copies the same rows as fancy indexing, a few times faster
-        rows = self.rows()
-        x_unif, n_t = self.x_unif.take(rows, axis=0), self.n_t.take(rows, axis=0)
-
-        def rel_slack(x):
-            return (budgets - _loads(x, n_t)) / budgets
-
-        x_greedy = np.zeros(x_unif.shape)
-        x_greedy[np.searchsorted(rows, self.live), cols] = 1.0
-        slack_greedy = rel_slack(x_greedy)
-        # Loads are linear in x: a BS that both ends leave without slack has
-        # none in any blend, so skip the blends.
-        if not ((slack_greedy <= 0) & (slack_unif <= 0)).any():
-            for theta in (0.5, 0.25, 0.1, 0.01, 1e-3, 1e-4, 0.0):
-                x = theta * x_unif + (1.0 - theta) * x_greedy
-                if rel_slack(x).min() > 1e-12:
-                    return x, None
+        room, overloaded = _greedy_pack(self.live, self.links, budgets, proof)
+        self.stopped_early = room is None
+        if room is None:
+            return overloaded
+        slack_greedy = np.array(room) / budgets
+        for theta in (0.5, 0.25, 0.1, 0.01, 1e-3, 1e-4, 0.0):
+            if (theta * slack_unif + (1.0 - theta) * slack_greedy).min() > 1e-12:
+                return None
         # the BSs the packing overloads, else those the pure packing fails on
         tight = 0.0 if (slack_greedy <= 0).any() else 1e-12
-        return None, (slack_greedy <= tight).nonzero()[0].tolist()
+        return (slack_greedy <= tight).nonzero()[0].tolist()
 
 
 def _smoothed_dual(lam, scaled, budgets, mu):
@@ -579,9 +507,10 @@ def _exact_centre(lam, mask, log_n, n_t, budgets, mu):
     by least squares. A component too full for its users proves that no
     strictly interior point exists (ValueError), or has its prices raised
     until one of its users ties with a link off it. Otherwise the round
-    drops every link whose weight went negative, or else lets into each
-    user's support the cheapest link that undercuts it by more than
-    _COST_TOL; one that closes a cycle of tied links enters by a ratio test.
+    drops every link whose weight went negative, or else lets in one link:
+    the cheapest link of the user whose support it undercuts the most (the
+    first such user on ties), if by more than _COST_TOL. A link that closes
+    a cycle of tied links enters by a ratio test.
 
     Then D(lam) - phi(x) = sum_j h(lam_j slack_j) + sum_ij x_ij (a_ij -
     min_j a_ij), with h(z) = z - 1 - log z and a_ij = lam_j n^T_ij, is a sum
@@ -644,7 +573,7 @@ def _exact_centre(lam, mask, log_n, n_t, budgets, mu):
         weight.update(zip(zip(ei.tolist(), ej.tolist()), x.tolist()))
 
         # drop every link whose weight went negative, else let in the
-        # cheapest link of each user whose support it undercuts
+        # cheapest link of the user whose support it undercuts the most
         neg = (x < 0.0).nonzero()[0].tolist()
         for e in neg:
             untie(int(ei[e]), int(ej[e]))
@@ -653,15 +582,13 @@ def _exact_centre(lam, mask, log_n, n_t, budgets, mu):
         la = log_n + u
         lowest = la.min(axis=1)
         excess = la[idx, prim] - lowest
-        cand = (excess > _COST_TOL).nonzero()[0]
-        if not cand.size:
+        i = int(excess.argmax())
+        if not excess[i] > _COST_TOL:
             break
-        order = np.argsort(-excess[cand], kind="stable")
-        for i, k in zip(cand[order].tolist(), la[cand[order]].argmin(axis=1).tolist()):
-            path = _tree_path(links, i, k, set(links.get(i, [prim[i]])))
-            tie(i, k)
-            if path is None:
-                continue
+        k = int(la[i].argmin())
+        path = _tree_path(links, i, k, set(links.get(i, [prim[i]])))
+        tie(i, k)
+        if path is not None:
             # a cycle: push weight onto the new link, keeping each row sum and
             # each load on the cycle but its last BS's (a ratio test)
             push = {(i, k): 1.0}
@@ -1015,11 +942,10 @@ def _admit(usable, n_t, budgets):
     """Users the relaxed problem can hold with a strictly interior point.
 
     Starts from every user with a usable link. While `_SubsetStarts.start`
-    finds no strictly interior start, blocks the most bandwidth-hungry user
+    finds no strictly interior point, blocks the most bandwidth-hungry user
     (largest minimum usable n^T, ties to the largest index) touching a BS it
-    names overloaded. Returns the admitted-user mask, the blocked users in
-    eviction order, and the admitted users' interior start (None if no
-    user is admitted).
+    names overloaded. Returns the admitted-user mask and the blocked users
+    in eviction order.
 
     A failing pass stops once its partial packing proves that the pass
     fails and that the hungriest admitted user touches a BS the full pass
@@ -1035,13 +961,12 @@ def _admit(usable, n_t, budgets):
     next one, from _BATCH_FIRST up to _BATCH_MAX. A lone early stop among
     full passes does not start a batch: the batch's first pass would be a
     full one, and its sweep would pack every live user for nothing. The
-    evictions and the start are those of one `start` pass per eviction.
+    evictions are those of one `start` pass per eviction.
     """
     admitted = usable.any(axis=1)
     users = admitted.nonzero()[0]
     starts = _SubsetStarts(usable[users], n_t[users], budgets)
     evicted = []
-    start = None
     batch = streak = 0  # next batch size (0: a scalar pass); early stops in a row
     while len(evicted) < users.size:
         if batch and len(starts.live) >= _BATCH_MIN_ROWS:
@@ -1052,8 +977,8 @@ def _admit(usable, n_t, budgets):
             if len(proven) == batch:
                 batch = min(2 * batch, _BATCH_MAX)
                 continue
-        start, overloaded = starts.start()
-        if start is not None:
+        overloaded = starts.start()
+        if overloaded is None:
             break
         victim = starts.victim(overloaded)
         starts.remove(victim)
@@ -1061,7 +986,7 @@ def _admit(usable, n_t, budgets):
         streak = streak + 1 if starts.stopped_early else 0
         batch = _BATCH_FIRST if streak >= _BATCH_AFTER else 0
     admitted[evicted] = False
-    return admitted, tuple(evicted), start
+    return admitted, tuple(evicted)
 
 
 def two_stage(inst):
@@ -1070,17 +995,18 @@ def two_stage(inst):
     Users without a single feasible link that fits inside a budget can never
     be served by a binary association; they are blocked up front and the
     relaxed problem runs on the remaining users over their usable links.
-    If the remaining users admit no strictly interior point, admission
-    blocks, one at a time until one exists, the user with the largest
-    minimum usable n^T among those touching a BS the greedy packing
-    overloads (repair, after rounding, instead moves the user with the
-    largest n^T off the most overloaded BS). The relaxed problem of the
-    admitted users is then solved once; where admission admits nobody, no
-    solve runs and every user is unserved. The users blocked at admission
-    are returned in `evicted`, in order.
+    Until admission's test (`_SubsetStarts.start`) finds a strictly
+    interior point for the remaining users, it blocks, one at a time, the
+    user with the largest minimum usable n^T among those touching a BS the
+    greedy packing's running loads overload (repair, after rounding,
+    instead moves the user with the largest n^T off the most overloaded
+    BS). The relaxed problem of the admitted users is then solved once;
+    where admission admits nobody, no solve runs and every user is
+    unserved. The users blocked at admission are returned in `evicted`, in
+    order.
     """
     usable = usable_links(inst)
-    admitted, evicted, _ = _admit(usable, inst.n_t, inst.budgets)
+    admitted, evicted = _admit(usable, inst.n_t, inst.budgets)
     rows = admitted.nonzero()[0]
     x_star = np.zeros_like(inst.n_t)
     relaxed = RelaxedAssociation(x_star)

@@ -84,7 +84,7 @@ def relaxed_args(inst):
 def has_interior_start(inst):
     """Whether _SubsetStarts finds a strictly interior point for all of
     inst's users (enough for one to exist, but not needed)."""
-    return _SubsetStarts(inst.mask(), inst.n_t, inst.budgets).start()[0] is not None
+    return _SubsetStarts(inst.mask(), inst.n_t, inst.budgets).start() is None
 
 
 def test_forced_association_single_feasible_bs():
@@ -164,7 +164,7 @@ def test_infeasible_instance_names_budget():
     # The only link needs 500 Hz of a 100 Hz budget: no start exists, the
     # packing names BS 0, and two_stage leaves the user unserved, no error
     inst = make_instance(xi=[[1.0]], n_t=[[500.0]], budgets=[100.0], sets=[(0,)])
-    assert _SubsetStarts(inst.mask(), inst.n_t, inst.budgets).start() == (None, [0])
+    assert _SubsetStarts(inst.mask(), inst.n_t, inst.budgets).start() == [0]
     sol = two_stage(inst)
     assert sol.association.unserved == (0,) and sol.evicted == ()
 
@@ -174,7 +174,19 @@ def test_start_names_a_bs_one_ulp_under_budget():
     # overloads nothing, yet no blend keeps 1e-12 of the budget, so the
     # failing pass names BS 0 rather than no BS
     starts = _SubsetStarts(np.ones((3, 1), bool), np.full((3, 1), 0.3), np.array([0.9]))
-    assert starts.start() == (None, [0])
+    assert starts.start() == [0]
+
+
+def test_packing_overloads_a_bs_whose_running_load_reaches_its_budget():
+    # Users 0 and 1 fill BS 0 exactly, to 0.5 + 0.5 = 1.0: the pass stops at
+    # user 1 where BS 0 is dry and watched, and packs every user otherwise,
+    # leaving BS 0 no room
+    links = [[(0, 0.5)], [(0, 0.5)], [(1, 0.25)]]
+    budgets = np.array([1.0, 1.0])
+    assert solver_module._greedy_pack([0, 1, 2], links, budgets, ([True, False], [True, True])) \
+        == (None, [0])
+    assert solver_module._greedy_pack([0, 1, 2], links, budgets, ([False, True], [True, True])) \
+        == ([0.0, 0.75], None)
 
 
 @pytest.mark.parametrize("mask, n_t, budgets", [
@@ -361,6 +373,26 @@ def test_two_stage_certifies_the_hard_cases(num_users, num_pico, num_femto, seed
     sub = replace(sol.relaxed, x_star=sol.relaxed.x_star[rows])
     assert assert_certified(*args, sub) >= phi - 1e-12 * abs(phi)
     assert hashlib.sha256(sol.association.x.tobytes()).hexdigest() == assoc_sha256
+
+
+@pytest.mark.parametrize("num_users, num_pico, num_femto, num_domains, kb_per_bs, budget, seed", [
+    (762, 5, 8, 3, 2, 9341504.749575555, 39605),
+    (477, 1, 10, 2, 1, 9164068.32485028, 476010),
+    (415, 7, 7, 5, 3, 9203600.209961236, 947792),
+], ids=["m762", "m477", "m415"])
+def test_two_stage_finish_certifies_where_many_users_tie(num_users, num_pico, num_femto,
+                                                         num_domains, kb_per_bs, budget, seed):
+    # Cells where a finish that lets in every cheaper link at once moves
+    # about one tied user per round and spends all its rounds at every
+    # smoothing: one link per round certifies each centre
+    inst = build_scenario(ScenarioConfig(num_users=num_users, num_pico=num_pico,
+                                         num_femto=num_femto, num_domains=num_domains,
+                                         kb_per_bs=kb_per_bs, bandwidth_budget_hz=budget),
+                          seed).instance
+    sol = two_stage(inst)
+    rows = sol.relaxed.x_star.any(axis=1)
+    args = usable_links(inst)[rows], inst.n_t[rows], inst.budgets
+    assert_certified(*args, replace(sol.relaxed, x_star=sol.relaxed.x_star[rows]))
 
 
 # ------------------------------------------------------------------ rounding
@@ -1097,27 +1129,25 @@ def array_greedy_pack(mask, n_t, budgets):
     return x_greedy, loads
 
 
-def array_interior_start(mask, n_t, budgets):
-    """Interior start with the greedy packing on numpy rows, the reference
-    for the scalar packing loop."""
-    sizes = mask.sum(axis=1)
-    x_unif = mask / sizes[:, None]
-
-    def min_rel_slack(x):
-        slack = budgets - np.einsum("ml,ml->l", x, n_t)
-        return float((slack / budgets).min())
-
-    if min_rel_slack(x_unif) > 1e-9:
-        return x_unif
-    x_greedy, _ = array_greedy_pack(mask, n_t, budgets)
+def array_interior_start(mask, n_t, budgets, loads_unif=None):
+    """The interior-point test with the greedy packing on numpy rows, the
+    reference for the scalar packing loop: None where the uniform rows (per-BS
+    loads `loads_unif`, by default summed here) or a blend of them with the
+    packing keep every BS's relative slack positive, else the BSs the
+    packing's running loads overload, else those within 1e-12 of a budget.
+    Slacks are linear in the blend, so the blends are tested on them."""
+    if loads_unif is None:
+        loads_unif = np.einsum("ml,ml->l", mask / mask.sum(axis=1)[:, None], n_t)
+    slack_unif = (budgets - loads_unif) / budgets
+    if slack_unif.min() > 1e-9:
+        return None
+    _, loads = array_greedy_pack(mask, n_t, budgets)
+    slack = (budgets - loads) / budgets
     for theta in (0.5, 0.25, 0.1, 0.01, 1e-3, 1e-4, 0.0):
-        x = theta * x_unif + (1.0 - theta) * x_greedy
-        if min_rel_slack(x) > 1e-12:
-            return x
-    slack = budgets - np.einsum("ml,ml->l", x_greedy, n_t)
-    if np.any(slack <= 0):
-        return [int(j) for j in np.flatnonzero(slack <= 0)]
-    return [int(j) for j in np.flatnonzero(slack / budgets <= 1e-12)]
+        if (theta * slack_unif + (1.0 - theta) * slack).min() > 1e-12:
+            return None
+    tight = 0.0 if np.any(slack <= 0) else 1e-12
+    return [int(j) for j in np.flatnonzero(slack <= tight)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -1147,21 +1177,20 @@ def test_interior_start_packing_matches_array_loop(seed):
     pack = solver_module._greedy_pack
 
     def spy(*args):
-        cols, over = pack(*args)
-        packed.append(cols is not None)  # the pass packed every row
-        return cols, over
+        room, over = pack(*args)
+        packed.append(room is not None)  # the pass packed every row
+        return room, over
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver_module, "_greedy_pack", spy)
-        got, overloaded = _SubsetStarts(mask, n_t, budgets).start()
-    if got is not None:
-        assert overloaded is None
-        assert isinstance(want, np.ndarray) and got.tobytes() == want.tobytes()
+        overloaded = _SubsetStarts(mask, n_t, budgets).start()
+    if overloaded is None:
+        assert want is None
     elif packed[0]:
         # the full pass names what the reference names: the BSs without
         # slack, else those that keep at most 1e-12 of their budget, never none
         assert overloaded == want and want
-    else:  # a pass that stops early names the BSs proven so far
+    else:  # a pass that stops early names the BSs overloaded so far
         assert overloaded and set(overloaded) <= set(want)
 
 
@@ -1171,19 +1200,21 @@ def restart_loop_two_stage(inst):
     The reference for two_stage's admission: each pass of the frozen
     `array_interior_start` that ends overloaded blocks the user with the
     largest minimum usable n^T (ties to the largest index) touching an
-    overloaded BS. The relaxed problem is then solved once, from the start
-    of the first pass that succeeds.
+    overloaded BS. The uniform loads are summed once and then kept by
+    subtracting each blocked user's uniform row. The relaxed problem of the
+    users left is then solved once.
     """
     usable = usable_links(inst)
     admissible = usable.any(axis=1)
+    rows = np.flatnonzero(admissible)
+    x_unif = np.zeros(usable.shape)
+    x_unif[rows] = usable[rows] / usable[rows].sum(axis=1)[:, None]
+    loads = np.einsum("ml,ml->l", x_unif[rows], inst.n_t[rows])
     x_star = np.zeros_like(inst.n_t)
     evicted = []
-    start = None
-    while np.any(admissible):
-        rows = np.flatnonzero(admissible)
-        result = array_interior_start(usable[rows], inst.n_t[rows], inst.budgets)
-        if isinstance(result, np.ndarray):
-            start = result
+    while rows.size:
+        result = array_interior_start(usable[rows], inst.n_t[rows], inst.budgets, loads)
+        if result is None:
             x_star[rows] = solve_relaxed_ua(usable[rows], inst.n_t[rows], inst.budgets).x_star
             break
         touching = rows[usable[rows][:, result].any(axis=1)]
@@ -1191,24 +1222,21 @@ def restart_loop_two_stage(inst):
         victim = int(touching[demand == demand.max()].max())
         admissible[victim] = False
         evicted.append(victim)
+        loads = loads - x_unif[victim] * inst.n_t[victim]
+        rows = np.flatnonzero(admissible)
     relaxed = RelaxedAssociation(x_star)
     x, unserved = loop_round_association(x_star, inst.mask())
     assoc = repair_overload(Association(x=x, unserved=unserved), relaxed, inst)
-    return x_star, assoc, tuple(evicted), start
+    return x_star, assoc, tuple(evicted)
 
 
 def assert_matches_restart_loop(inst):
     sol = two_stage(inst)
-    x_star, assoc, evicted, start = restart_loop_two_stage(inst)
+    x_star, assoc, evicted = restart_loop_two_stage(inst)
     assert sol.relaxed.x_star.tobytes() == x_star.tobytes()
     assert sol.association.x.tobytes() == assoc.x.tobytes()
     assert sol.association.unserved == assoc.unserved
     assert sol.evicted == evicted
-    # the start admission hands to the relaxed solve is the reference's
-    _, _, got = _admit(usable_links(inst), inst.n_t, inst.budgets)
-    assert (got is None) == (start is None)
-    if start is not None:
-        assert got.tobytes() == start.tobytes()
     return sol
 
 
@@ -1281,35 +1309,44 @@ def test_admission_stops_failing_passes_early(monkeypatch, seed):
     passes = {"packed": 0, "full": 0}
 
     def spy(*args):
-        cols, over = pack(*args)
+        room, over = pack(*args)
         passes["packed"] += 1
-        passes["full"] += cols is not None  # the pass packed every user
-        return cols, over
+        passes["full"] += room is not None  # the pass packed every user
+        return room, over
 
     monkeypatch.setattr(solver_module, "_greedy_pack", spy)
-    _, evicted, _ = _admit(usable_links(inst), inst.n_t, inst.budgets)
+    _, evicted = _admit(usable_links(inst), inst.n_t, inst.budgets)
     assert passes["full"] < passes["packed"] <= len(evicted) + 1
 
 
+def assert_admission_evicts(n_t, sets, budgets, evicted, batched):
+    inst = make_instance(xi=np.ones(np.shape(n_t)), n_t=n_t, budgets=budgets, sets=sets)
+    with admission_batches(batched):
+        assert assert_matches_restart_loop(inst).evicted == evicted
+
+
 @and_batched("n_t, sets, budgets, evicted", [
-    # Packed in demand order (users 1, 3, 0), BS 0's running load reaches
-    # 1.1 exactly; its row-order sum, 1.0999999999999999, stays below. The
-    # full pass names BS 1 alone, so user 2 goes first: a certificate
-    # without a rounding margin would block user 1.
+    # Packed in demand order (users 1, 3, 0), BS 0's running load reaches its
+    # budget, 1.1, exactly; its row-order sum, 1.0999999999999999, stays
+    # below. A running load at the budget overloads BS 0, which the uniform
+    # rows overload too and the hungriest user, user 1, uses: the first pass
+    # stops there and blocks user 1. Read from the row-order sum, the full
+    # pass would name BS 1 alone and block user 2 first.
     ([[0.1, 1.0], [0.7, 1.0], [0.3, 0.1], [0.3, 1.0]], [(0,), (0,), (0, 1), (0,)],
-     [1.1, 0.1], (2, 1)),
+     [1.1, 0.1], (1,)),
     # The mirror image: packed in demand order (BS 0 takes users 0, 2, 1),
-    # its running load, 0.9999999999999999, stays below its budget, while its
-    # row-order sum reaches 1.0. The full pass names BS 0 with BS 1, so the
-    # hungriest user, user 0, goes first: a verdict read from the running
-    # loads alone would name BS 1 alone and block user 5.
+    # its running load, 0.9999999999999999, stays below its budget, while
+    # its row-order sum reaches 1.0. So the first two passes name BS 1 alone
+    # and block users 5 and 4; the third names BS 0, on which no blend keeps
+    # 1e-12 of the budget, and blocks user 0. Read from the row-order sum,
+    # the first pass would name BS 0 with BS 1 and block user 0 first.
     ([[0.7, 1.0], [0.1, 1.0], [0.2, 1.0], [1.0, 0.5], [1.0, 0.5], [1.0, 0.5]],
-     [(0,), (0,), (0,), (1,), (1,), (1,)], [1.0, 1.0], (0, 5, 4)),
-    # Users 0 and 2 tie on demand. Packing users 0, 2 and 1 proves BS 0
-    # overloaded, which user 0 touches and user 2 does not. BS 1 ends exactly
-    # full, so the full pass names it too and the rule takes the larger
-    # index, user 2: a certificate for the head of the demand order, user 0,
-    # would block user 0.
+     [(0,), (0,), (0,), (1,), (1,), (1,)], [1.0, 1.0], (5, 4, 0)),
+    # Users 0 and 2 tie on demand. Packing users 0, 2 and 1 overloads BS 0,
+    # which user 0 touches and user 2 does not. BS 1 ends exactly full, so
+    # the full pass names it too and the rule takes the larger index, user
+    # 2: a certificate for the head of the demand order, user 0, would
+    # block user 0.
     ([[2.0, 1.0], [1.0, 1.0], [1.0, 2.0]], [(0,), (0,), (1,)], [2.0, 2.0], (2, 0)),
     # Once user 3 is blocked, packing users 1, 0 and 2 overloads BS 1, which
     # the hungriest user, user 1, touches. But the uniform start leaves BS 1
@@ -1319,100 +1356,37 @@ def test_admission_stops_failing_passes_early(monkeypatch, seed):
      [3.0, 6.0], (3,)),
 ], ["rounding-margin", "rounding-margin-below", "tie-to-largest-index", "blend-succeeds"])
 def test_admission_early_stop_edge_cases(n_t, sets, budgets, evicted, batched):
-    inst = make_instance(xi=np.ones(np.shape(n_t)), n_t=n_t, budgets=budgets, sets=sets)
-    with admission_batches(batched):
-        assert assert_matches_restart_loop(inst).evicted == evicted
-
-
-@pytest.mark.parametrize("n_t, sets, budgets, overloaded, rebuilt", [
-    # the first pass of the rounding-margin case: BS 0's running load is its
-    # budget, inside the margin band, so the pass sums its packed rows
-    ([[0.1, 1.0], [0.7, 1.0], [0.3, 0.1], [0.3, 1.0]], [(0,), (0,), (0, 1), (0,)],
-     [1.1, 0.1], [1], True),
-    # ... and of its mirror image, whose running load is one ulp below
-    ([[0.7, 1.0], [0.1, 1.0], [0.2, 1.0], [1.0, 0.5], [1.0, 0.5], [1.0, 0.5]],
-     [(0,), (0,), (0,), (1,), (1,), (1,)], [1.0, 1.0], [0, 1], True),
-    # Users 1-3 load BS 0 to 3.0 of 2.5 and the hungriest, user 0, loads
-    # BS 1 to 5.0 of 10.0: both clear of the band, and BS 0 has no uniform
-    # slack, so the running loads decide the full pass without any sum
-    ([[1.0, 5.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]], [(1,), (0,), (0,), (0,)],
-     [2.5, 10.0], [0], False),
-], ids=["rounding-margin", "rounding-margin-below", "clear-of-band"])
-def test_full_pass_sums_its_rows_only_inside_the_margin_band(monkeypatch, n_t, sets, budgets,
-                                                             overloaded, rebuilt):
-    inst = make_instance(xi=np.ones(np.shape(n_t)), n_t=n_t, budgets=budgets, sets=sets)
-    usable = usable_links(inst)
-    starts = _SubsetStarts(usable, inst.n_t, inst.budgets)
-    sums = []
-    loads = solver_module._loads
-
-    def spy(x, n_t):
-        sums.append(x.shape)
-        return loads(x, n_t)
-
-    monkeypatch.setattr(solver_module, "_loads", spy)
-    start, got = starts.start()
-    assert start is None and not starts.stopped_early
-    assert got == overloaded == array_interior_start(usable, inst.n_t, inst.budgets)
-    assert bool(sums) == rebuilt
+    assert_admission_evicts(n_t, sets, budgets, evicted, batched)
 
 
 @and_batched("n_t, sets, budgets, evicted", [
-    # Once user 1 is blocked, the live users' uniform load on BS 0 sums to
-    # 0.35, while the maintained load, 0.65 - 0.3, is one ulp lower. The
-    # budget puts the relative slack of the sum at 1e-9, which fails the
-    # uniform test, and that of the maintained load above it: the maintained
-    # loads alone would return the uniform start where the reference's
-    # start is a blend.
+    # Once user 1 is blocked, the kept uniform load on BS 0, 0.6499999999999999
+    # - 0.3, is one ulp under the live users' row-order sum, 0.35. The budget
+    # puts the relative slack of the kept load above 1e-9 and that of the sum
+    # below it; the kept load decides, so the uniform rows are interior.
     ([[0.3, 0.2], [0.3, 1.3], [0.1, 1.1], [0.2, 0.1]], [(0, 1), (0,), (0,), (0, 1)],
      [0.35000000034999995, 0.4], (1,)),
-    # The same users with a budget 8 ulps larger: the sum's relative slack
-    # now exceeds 1e-9 by less than the loads' error bound, so the uniform
-    # start is the reference's; the bound's lower end alone would reject it.
+    # The same users with a budget 8 ulps larger: both slacks exceed 1e-9.
     ([[0.3, 0.2], [0.3, 1.3], [0.1, 1.1], [0.2, 0.1]], [(0, 1), (0,), (0,), (0, 1)],
      [0.3500000003500004, 0.4], (1,)),
-    # Once user 2 is blocked, the live users' load, 0.1 + 0.2, is the budget
-    # 0.30000000000000004, while the maintained load, 0.5 - 0.2, is 0.3: only
-    # the sum leaves BS 0 without slack, a dry BS for the early-stop proof.
+    # Once user 2 is blocked, the kept uniform load on BS 0, 0.8999999999999999
+    # - 0.3, is 0.5999999999999999, one ulp under the live users' row-order
+    # sum, 0.6, and the budget again separates their slacks at 1e-9. Here no
+    # blend would help: read from the sum, the packing overloads BS 0 and the
+    # pass blocks user 1 too.
+    ([[0.2, 0.7], [0.3, 0.3], [0.3, 0.2], [0.2, 0.2], [0.1, 0.1], [0.2, 0.2]],
+     [(0,), (0, 1), (0,), (1,), (0, 1), (0,)], [0.6000000005999999, 0.5], (2,)),
+    # Once user 2 is blocked, the kept uniform load on BS 0, 0.5 - 0.2, is
+    # 0.3, under the budget 0.30000000000000004 that the live users' sum,
+    # 0.1 + 0.2, reaches: BS 0 is not dry, so the pass packs both users. Its
+    # running load reaches the budget, so it names BS 0 and blocks user 1.
     ([[0.1], [0.2], [0.2]], [(0,), (0,), (0,)], [0.30000000000000004], (2, 1)),
-    # The same users with a budget 3 ulps larger: the sum leaves BS 0 a
-    # little slack, less than the loads' error bound, so BS 0 is not dry.
+    # The same users with a budget 3 ulps larger: the packing overloads
+    # nothing, but no blend keeps 1e-12 of BS 0's budget.
     ([[0.1], [0.2], [0.2]], [(0,), (0,), (0,)], [0.3000000000000002], (2, 1)),
-], ["at-1e-9", "above-1e-9", "at-0", "above-0"])
-def test_admission_uniform_loads_near_thresholds(monkeypatch, n_t, sets, budgets, evicted,
-                                                 batched):
-    inst = make_instance(xi=np.ones(np.shape(n_t)), n_t=n_t, budgets=budgets, sets=sets)
-    usable = usable_links(inst)
-    pack = solver_module._greedy_pack
-    upcoming = _SubsetStarts.upcoming
-
-    def summed_dry(rows):
-        # the dry BSs of an early-stop proof are those of the summed loads
-        x_unif = usable[rows] / usable[rows].sum(axis=1)[:, None]
-        slack = (inst.budgets - np.einsum("ml,ml->l", x_unif, inst.n_t[rows])) / inst.budgets
-        return (slack <= 0).tolist()
-
-    def spy(order, links, budgets, proof):
-        assert proof[0] == summed_dry(np.sort(order))
-        return pack(order, links, budgets, proof)
-
-    batch_passes = []
-
-    def upcoming_spy(self, size):
-        # so are those of each pass a batch names, on its own live users
-        victims, dry, counts = upcoming(self, size)
-        for k, (pass_dry, count) in enumerate(zip(dry, counts)):
-            rows = np.setdiff1d(self.rows(), victims[:k])
-            assert pass_dry.tolist() == summed_dry(rows) and count == rows.size
-        batch_passes.append(len(victims))
-        return victims, dry, counts
-
-    monkeypatch.setattr(solver_module, "_greedy_pack", spy)
-    monkeypatch.setattr(_SubsetStarts, "upcoming", upcoming_spy)
-    with admission_batches(batched):
-        assert assert_matches_restart_loop(inst).evicted == evicted
-    # batched, a batch names the second pass in every case but above-1e-9
-    assert (sum(batch_passes) > 0) == (batched and budgets != [0.3500000003500004, 0.4])
+], ["at-1e-9", "above-1e-9", "kept-decides-at-1e-9", "at-0", "above-0"])
+def test_admission_uniform_loads_near_thresholds(n_t, sets, budgets, evicted, batched):
+    assert_admission_evicts(n_t, sets, budgets, evicted, batched)
 
 
 def early_stop_run(starts, size):
@@ -1421,8 +1395,8 @@ def early_stop_run(starts, size):
     starts = copy.deepcopy(starts)
     victims = []
     while len(victims) < size:
-        start, overloaded = starts.start()
-        if start is not None or not starts.stopped_early:
+        overloaded = starts.start()
+        if overloaded is None or not starts.stopped_early:
             break
         victims.append(starts.victim(overloaded))
         starts.remove(victims[-1])
@@ -1436,36 +1410,21 @@ def test_batch_proves_exactly_the_passes_that_stop_early(seed):
     usable = usable_links(inst)
     users = np.flatnonzero(usable.any(axis=1))
     starts = _SubsetStarts(usable[users], inst.n_t[users], inst.budgets)
-    start, overloaded = starts.start()
-    while start is None:
+    overloaded = starts.start()
+    while overloaded is not None:
         starts.remove(starts.victim(overloaded))
-        rows, loads = starts.rows(), starts.loads
+        inside, loads = starts.inside.copy(), starts.loads
         for size in (1, 3, 64):
             assert starts.proven_victims(size) == early_stop_run(starts, size)
-        assert np.array_equal(starts.rows(), rows) and starts.loads is loads
-        start, overloaded = starts.start()
+        assert np.array_equal(starts.inside, inside) and starts.loads is loads
+        overloaded = starts.start()
 
 
-def test_batch_proves_each_pass_with_its_own_margin():
-    # Once user 0 is blocked, a batch's second pass packs users 2 and 3 alone.
-    # Their running load, 0.6 + 0.400000001000001, lands exactly on
-    # N * (1 + delta) for 2 live users, so that pass stops early at its last
-    # row. The margin for the first pass's 3 live users is 2 ulps higher.
-    starts = _SubsetStarts(np.ones((4, 1), bool), np.array([[0.9], [0.8], [0.6], [0.400000001000001]]),
-                           np.array([1.0]))
-    _, overloaded = starts.start()
-    starts.remove(starts.victim(overloaded))
-    assert starts.proven_victims(4) == early_stop_run(starts, 4) == [1, 2]
-
-
-@pytest.mark.parametrize("num_users, evictions, evicted_sha256, start_sha256", [
-    (2000, 366, "7872fb3ca0200ff4a7aada558752a5391257f40ba76363c94f8da25bba83e251",
-     "3f4f7528cab91dcc8ed3cb0389c1dff16fa5417e6a247cbb7be062c890e158ab"),
-    (3000, 876, "b4466c269355fd766937c9c1e3cf683efd2d65e17086839f22a4284a7048a260",
-     "fd932bd821c1ebf012f91b2b8ce3f5b5745c86b4bc0f127cdd8fd3b075753b0d"),
+@pytest.mark.parametrize("num_users, evictions, evicted_sha256", [
+    (2000, 366, "7872fb3ca0200ff4a7aada558752a5391257f40ba76363c94f8da25bba83e251"),
+    (3000, 876, "b4466c269355fd766937c9c1e3cf683efd2d65e17086839f22a4284a7048a260"),
 ], ids=["m2000", "m3000"])
-def test_admission_where_it_batches_by_default(monkeypatch, num_users, evictions, evicted_sha256,
-                                               start_sha256):
+def test_admission_where_it_batches_by_default(monkeypatch, num_users, evictions, evicted_sha256):
     # Seed 1 at the default config, where batches decide most passes. The
     # digests are those of one scalar pass per eviction.
     proven = []
@@ -1478,10 +1437,9 @@ def test_admission_where_it_batches_by_default(monkeypatch, num_users, evictions
 
     monkeypatch.setattr(_SubsetStarts, "proven_victims", spy)
     inst = build_scenario(ScenarioConfig(num_users=num_users), 1).instance
-    _, evicted, start = _admit(usable_links(inst), inst.n_t, inst.budgets)
+    _, evicted = _admit(usable_links(inst), inst.n_t, inst.budgets)
     assert len(evicted) == evictions and len(proven) > evictions // 2
     assert hashlib.sha256(np.asarray(evicted, dtype=np.int64).tobytes()).hexdigest() == evicted_sha256
-    assert hashlib.sha256(start.tobytes()).hexdigest() == start_sha256
 
 
 def test_two_stage_bytes_at_m2000():
@@ -1508,7 +1466,7 @@ def test_two_stage_bytes_at_m200():
         stages.append(sol.relaxed.stage)
         for h, a in zip(digests, (sol.relaxed.x_star, sol.association.x, sol.allocation.n)):
             h.update(a.tobytes())
-    assert stages == [(5, 2, "tol", 3), (10, 14, "tol", 8), (6, 2, "tol", 3), (8, 2, "tol", 3),
+    assert stages == [(5, 2, "tol", 3), (10, 9, "tol", 8), (6, 2, "tol", 3), (8, 2, "tol", 3),
                       (8, 2, "tol", 5), (8, 2, "tol", 1), (9, 3, "tol", 5), (5, 2, "tol", 2)]
     assert [h.hexdigest() for h in digests] == [
         "bf2980a48345ff12bc064e3e8b67110b655e3a9cb5717061ef0ab5e7b92e0d3c",
