@@ -8,5 +8,5 @@ class ConfigError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """The relaxed stage reached its cap on Newton steps, or none of its
-    stages certified the analytic centre (the message names the steps)."""
+    """The relaxed stage reached its cap on Newton steps, or its finish did
+    not certify the analytic centre (the message names the failed check)."""

@@ -18,11 +18,11 @@ from .objective import DeterministicObjective, confidence_bound, rate_gradient
 from .semantics import FeasibleSets
 from .topology import bit_rate
 
-_MUS = (1e-2, 1e-3, 1e-4)  # power-mean smoothings of the relaxed stage, one Newton stage each
-_STAGE_TOL = 0.1  # a smoothed stage ends at a squared Newton decrement of this times mu
-_TIE_WINDOW = 3.0  # log-cost gaps up to this many mu make a link a finish's tie candidate
-_COST_TOL = 1e-13  # relative cost differences a finish counts as ties
-_MAX_ROUNDS = 30  # add/drop rounds after which a finish leaves its stage uncertified
+_MU = 1e-2  # the power-mean smoothing of the relaxed stage's Newton solve
+_STAGE_TOL = 0.1  # the Newton solve ends at a squared Newton decrement of this times _MU
+_TIE_WINDOW = 3.0  # log-cost gaps up to this many _MU make a link a finish's tie candidate
+_COST_TOL = 1e-13  # relative cost differences the finish counts as ties
+_MAX_ROUNDS = 100  # add/drop rounds after which the finish raises SolverError
 _MAX_NEWTON = 500  # Newton steps after which the relaxed stage raises SolverError
 
 # Admission decides runs of failing passes in lockstep batches
@@ -77,7 +77,10 @@ def make_instance(gamma, feasible, msg_per_bit, budgets, bit_rate_threshold, tau
 
     msg_per_bit is the bit-to-message coefficient kappa: one value for every
     user or one per user (rows of gamma). Raises ConfigError unless
-    0 < log2(1 + gamma) < inf on every link, so that every n^T is finite.
+    0 < log2(1 + gamma) < inf on every link, so that every n^T is finite,
+    and unless Fbar's sum of squared rates holds every rate: a floor rate
+    (kappa times the threshold) squares to a normal float, and the users'
+    best rates (rate per Hz times the budget) to a finite sum.
     """
     kappa = np.broadcast_to(np.asarray(msg_per_bit, dtype=float), gamma.shape[:1])
     if not np.all(kappa > 0):
@@ -89,7 +92,16 @@ def make_instance(gamma, feasible, msg_per_bit, budgets, bit_rate_threshold, tau
         raise ConfigError(f"SINR {float(gamma[i, j]):g} of user {i} at BS {j} gives no finite, "
                           "positive spectral efficiency log2(1 + SINR)")
     n_t = float(bit_rate_threshold) / se
-    xi_t = kappa[:, None] * bit_rate(n_t, gamma)
+    with np.errstate(over="ignore"):
+        xi_t = kappa[:, None] * bit_rate(n_t, gamma)
+        best = np.square((xi_t / n_t * budgets).max(axis=1, initial=0.0)).sum()
+    floor = xi_t.min(initial=np.inf)
+    if not floor >= math.sqrt(np.finfo(float).tiny):
+        raise ConfigError(f"msg_per_bit times bit_rate_threshold_bps gives a floor rate of "
+                          f"{floor:g} msg/s, whose square underflows")
+    if not np.isfinite(best):
+        raise ConfigError("msg_per_bit times log2(1 + SINR) times the bandwidth budget gives "
+                          "best rates whose squares sum past the largest float")
     obj = DeterministicObjective.for_confidence(tau, sigma, alpha, xi_t)
     return UaInstance(objective=obj, feasible=feasible, budgets=np.asarray(budgets, float), n_t=n_t)
 
@@ -332,17 +344,17 @@ class _SubsetStarts:
         return (slack_greedy <= tight).nonzero()[0].tolist()
 
 
-def _smoothed_dual(lam, scaled, budgets, mu):
-    """D_mu at prices lam, with `scaled` = log n^T / mu (+inf off the mask):
+def _smoothed_dual(lam, scaled, budgets):
+    """D_mu at prices lam, with `scaled` = log n^T / _MU (+inf off the mask):
     returns D_mu and each row's power mean f, weights e and their sum s (see
     `_smoothed_stage`), or raises the ValueError described there."""
     log_lam = np.log(lam)
-    la = scaled + log_lam * (1.0 / mu)
+    la = scaled + log_lam * (1.0 / _MU)
     low = la.min(axis=1)
     e = np.exp(low[:, None] - la)  # 0 off the mask, where log_n is +inf
     s = e.sum(axis=1)
-    lowest = mu * low  # the log of each row's minimum cost
-    f = np.exp(lowest - mu * np.log(s))
+    lowest = _MU * low  # the log of each row's minimum cost
+    f = np.exp(lowest - _MU * np.log(s))
     linear = float(np.add.reduce(lam * budgets))
     if math.isfinite(linear) and linear <= float(np.add.reduce(np.exp(lowest))):
         raise ValueError("the relaxed problem has no strictly interior point")
@@ -350,9 +362,9 @@ def _smoothed_dual(lam, scaled, budgets, mu):
     return d, f, e, s
 
 
-def _smoothed_stage(lam, log_n, budgets, mu, steps):
-    """Damped Newton on the smoothed dual D_mu from lam; returns the last
-    iterate and the Newton steps taken so far.
+def _smoothed_stage(lam, log_n, budgets):
+    """Damped Newton on the smoothed dual D_mu (mu = _MU) from lam; returns
+    the last iterate and the Newton steps taken.
 
     D_mu replaces each row's minimum cost min_j a_ij (a_ij = lam_j n^T_ij)
     in D by its power mean f_i = (sum_j a_ij^(-1/mu))^(-mu), within a factor
@@ -369,10 +381,10 @@ def _smoothed_stage(lam, log_n, budgets, mu, steps):
     sum_i min_j a_ij <= sum_j lam_j loads_j(x) < sum_j lam_j N_j.
     """
     l = budgets.size
-    scaled = log_n * (1.0 / mu)
-    curv = 1.0 + 1.0 / mu
-    d, f, e, s = _smoothed_dual(lam, scaled, budgets, mu)
-    while True:
+    scaled = log_n * (1.0 / _MU)
+    curv = 1.0 + 1.0 / _MU
+    d, f, e, s = _smoothed_dual(lam, scaled, budgets)
+    for steps in range(_MAX_NEWTON + 1):
         c = f / s
         grad = lam * budgets - 1.0 - np.einsum("i,ij->j", c, e)
         rows = (s > 1.0).nonzero()[0]
@@ -382,9 +394,9 @@ def _smoothed_stage(lam, log_n, budgets, mu, steps):
         hess.flat[::l + 1] += curv * np.einsum("i,ij->j", cr, er) + 1.0
         delta = np.linalg.solve(hess, grad)
         dec = float(np.add.reduce(grad * delta))
-        if not dec > _STAGE_TOL * mu:
+        if not dec > _STAGE_TOL * _MU:
             return lam, steps
-        if steps >= _MAX_NEWTON:
+        if steps == _MAX_NEWTON:
             raise SolverError(f"relaxed stage did not converge within {_MAX_NEWTON} Newton steps")
         t = 1.0
         while True:
@@ -392,13 +404,12 @@ def _smoothed_stage(lam, log_n, budgets, mu, steps):
             # fails the test
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 trial = lam * np.exp(-t * delta)
-                d_new, f_new, e_new, s_new = _smoothed_dual(trial, scaled, budgets, mu)
+                d_new, f_new, e_new, s_new = _smoothed_dual(trial, scaled, budgets)
             if d_new <= d - 1e-4 * t * dec:
                 break
             t *= 0.5
             if t < 1e-10:
                 return lam, steps
-        steps += 1
         lam, d, f, e, s = trial, d_new, f_new, e_new, s_new
 
 
@@ -497,14 +508,16 @@ def _forest_prices(links, log_n, room, u):
     return u, short
 
 
-def _exact_centre(lam, mask, log_n, n_t, budgets, mu):
-    """The exact finish after a smoothed stage at prices lam.
+def _exact_centre(lam, mask, log_n, n_t, budgets):
+    """The exact finish after the smoothed stage at prices lam.
 
     Untied users sit on their cheapest links; the tied ones start as
     `_initial_ties` picks them. Each round solves "loads = N - 1/lam, each
     tied row sums to 1, a tied user's links cost the same": the prices in
     closed form (`_forest_prices`), then the tied weights, a linear system,
-    by least squares. A component too full for its users proves that no
+    by least squares (again with each row scaled to a largest coefficient
+    of 1 where a solve short of full rank lost the loads below the rounding
+    of their budgets). A component too full for its users proves that no
     strictly interior point exists (ValueError), or has its prices raised
     until one of its users ties with a link off it. Otherwise the round
     drops every link whose weight went negative, or else lets in one link:
@@ -515,7 +528,8 @@ def _exact_centre(lam, mask, log_n, n_t, budgets, mu):
     Then D(lam) - phi(x) = sum_j h(lam_j slack_j) + sum_ij x_ij (a_ij -
     min_j a_ij), with h(z) = z - 1 - log z and a_ij = lam_j n^T_ij, is a sum
     of nonnegative terms. Returns (x, prices, gap, rounds, tied users) where
-    every slack is positive and gap <= 1e-9 * max(1, |phi|), else None.
+    every slack is positive and gap <= 1e-9 * max(1, |phi|), else raises
+    SolverError naming the failed check (or _MAX_ROUNDS, or a full component).
     """
     m, l = n_t.shape
     idx = np.arange(m)
@@ -523,7 +537,7 @@ def _exact_centre(lam, mask, log_n, n_t, budgets, mu):
     prim = la.argmin(axis=1)
     gaps = la - la.min(axis=1)[:, None]
     gaps[idx, prim] = np.inf
-    links = _initial_ties(gaps, prim.tolist(), _TIE_WINDOW * mu)
+    links = _initial_ties(gaps, prim.tolist(), _TIE_WINDOW * _MU)
     weight = {}  # tied users' weights by (user, BS), as the last round solved them
     u = np.log(lam)
 
@@ -559,7 +573,7 @@ def _exact_centre(lam, mask, log_n, n_t, budgets, mu):
             away = np.where(mask[on] & (d == 0.0), np.exp(u) * n_t[on], np.inf)
             rise = away.min(axis=1) / cost[on, prim[on]]
             if not np.isfinite(rise).any():
-                return None
+                raise SolverError("relaxed finish: a full component has no link off it")
             tie(int(on[rise.argmin()]), int(away[rise.argmin()].argmin()))
         if short:
             continue
@@ -569,7 +583,11 @@ def _exact_centre(lam, mask, log_n, n_t, budgets, mu):
         system[ej, np.arange(ej.size)] = n_t[ei, ej] / budgets[ej]
         system[l + eu, np.arange(ej.size)] = 1.0
         target = np.concatenate((1.0 - (fixed + np.exp(-u)) / budgets, np.ones(len(links))))
-        x = np.linalg.lstsq(system, target, rcond=None)[0] if ej.size else target[:0]
+        x, _, rank, _ = np.linalg.lstsq(system, target, rcond=None)
+        if rank < ej.size:  # loads below their budgets' rounding: rows rescaled to max 1
+            peak = system.max(axis=1)
+            peak[peak == 0.0] = 1.0
+            x = np.linalg.lstsq(system / peak[:, None], target / peak, rcond=None)[0]
         weight.update(zip(zip(ei.tolist(), ej.tolist()), x.tolist()))
 
         # drop every link whose weight went negative, else let in the
@@ -604,7 +622,7 @@ def _exact_centre(lam, mask, log_n, n_t, budgets, mu):
                 weight[e] += ratio * d
             untie(*list(push)[leave])
     else:
-        return None
+        raise SolverError(f"relaxed finish did not certify within {_MAX_ROUNDS} rounds")
 
     free = (~tied).nonzero()[0]
     x_star = np.zeros((m, l))
@@ -612,7 +630,7 @@ def _exact_centre(lam, mask, log_n, n_t, budgets, mu):
     x_star[ei, ej] = x
     slack = budgets - _loads(x_star, n_t)
     if not (slack > 0.0).all():
-        return None
+        raise SolverError("relaxed finish left a slack that is not positive")
     prices = np.exp(u)
     z = prices * slack
     cheapest = np.exp(lowest)
@@ -620,7 +638,7 @@ def _exact_centre(lam, mask, log_n, n_t, budgets, mu):
            + float(np.add.reduce(np.exp(la[free, prim[free]]) - cheapest[free]))
            + float(np.add.reduce(x * (np.exp(la[ei, ej]) - cheapest[ei]))))
     if not gap <= 1e-9 * max(1.0, abs(float(np.add.reduce(np.log(slack))))):
-        return None
+        raise SolverError(f"relaxed finish left a duality gap of {gap:.3g} > 1e-9 max(1, |phi|)")
     return x_star, prices, gap, rounds, len(links)
 
 
@@ -642,19 +660,17 @@ def solve_relaxed_ua(mask, n_t, budgets):
     weight sits on its cheapest links (ch. 5 there).
 
     Damped Newton runs on D with each row minimum smoothed by a power mean
-    (`_smoothed_stage`) at each mu in _MUS, from the last stage's prices or,
-    first, from D's minimizer along the ray through 1/N. After every stage
-    an exact finish (`_exact_centre`) fixes the untied users on their
-    cheapest links and solves for the tied ones; the first stage whose
-    finish certifies the centre ends the solve. `stage` is (Newton steps,
+    (`_smoothed_stage`) from D's minimizer along the ray through 1/N; an
+    exact finish (`_exact_centre`) then fixes the untied users on their
+    cheapest links and solves for the tied ones. `stage` is (Newton steps,
     finish rounds, "tol", tied users). Every sum over users is numpy's own
     reduction, never BLAS, so the bytes do not depend on the BLAS thread
     count.
 
     Raises ValueError for inputs of mismatched shapes or rows that admit no
     strictly interior point (a row without a usable link, or prices that
-    prove it), and SolverError at _MAX_NEWTON Newton steps or when no stage
-    certifies.
+    prove it), and SolverError at _MAX_NEWTON Newton steps or when the
+    finish does not certify.
     """
     mask = np.asarray(mask, dtype=bool)
     n_t = np.asarray(n_t, dtype=float)
@@ -671,16 +687,10 @@ def solve_relaxed_ua(mask, n_t, budgets):
     used = float(np.add.reduce(np.exp(log_n - np.log(budgets)).min(axis=1)))
     if not used < budgets.size:
         raise ValueError("the relaxed problem has no strictly interior point")
-    lam = budgets.size / (budgets.size - used) / budgets
-    steps = 0
-    for mu in _MUS:
-        lam, steps = _smoothed_stage(lam, log_n, budgets, mu, steps)
-        done = _exact_centre(lam, mask, log_n, n_t, budgets, mu)
-        if done is not None:
-            x, prices, gap, rounds, tied = done
-            return RelaxedAssociation(x, iterations=steps, prices=prices, gap=gap,
-                                      stage=(steps, rounds, "tol", tied))
-    raise SolverError(f"relaxed stage certified no stage in {steps} Newton steps")
+    lam, steps = _smoothed_stage(budgets.size / (budgets.size - used) / budgets, log_n, budgets)
+    x, prices, gap, rounds, tied = _exact_centre(lam, mask, log_n, n_t, budgets)
+    return RelaxedAssociation(x, iterations=steps, prices=prices, gap=gap,
+                              stage=(steps, rounds, "tol", tied))
 
 
 def round_association(xs, inst):
@@ -735,7 +745,7 @@ def _repair_budget(x, weights, inst, cand_mask, unserved=()):
             queues[j] = sorted(zip(n_t[users, j].tolist(), users.tolist()))
         demand, i = queues[j].pop()
         x[i, j] = 0
-        loads[j] -= demand
+        loads[j] = loads[j] - demand if queues[j] else 0.0  # an empty BS carries no load
         excess[j] = loads[j] - budgets[j]
         need = n_t[i].tolist()
         for k in np.argsort(-weights[i], kind="stable").tolist():  # ties -> lower BS

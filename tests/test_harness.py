@@ -392,8 +392,15 @@ def scenario_configs(draw):
 @example(ScenarioConfig(num_users=20, macro_power_dbm=400.0))
 @example(ScenarioConfig(num_users=20, region_radius_m=1e9))
 @example(ScenarioConfig(num_users=20, noise_power_dbm=300.0))
+@example(ScenarioConfig(num_users=60, bandwidth_budget_hz=1e-20))  # drains stations to empty
+@example(ScenarioConfig(num_users=20, bandwidth_budget_hz=1e200))  # rates whose squares overflow
+@example(ScenarioConfig(num_users=20, bandwidth_budget_hz=1e300))
+@example(ScenarioConfig(num_users=20, msg_per_bit=1e300))
+@example(ScenarioConfig(num_users=20, msg_per_bit=1e-300))  # floor rates whose squares vanish
+@example(ScenarioConfig(num_users=20, bit_rate_threshold_bps=1e-200))
 def test_config_fuzz_raises_only_documented_errors_and_stays_feasible(config):
-    # the errors the CLI maps to exit codes 2 and 4; anything else exits 1
+    # the errors the CLI maps to exit codes 2 and 4; anything else exits 1.
+    # Every reported Fbar is finite
     try:
         _, outcomes, _ = run_scenario(config)
     except (ConfigError, SolverError):
@@ -402,6 +409,7 @@ def test_config_fuzz_raises_only_documented_errors_and_stays_feasible(config):
         check = harness.solution_feasibility(build_scenario(config, seed),
                                              list(per_method.values()))
         assert check.passed, check.detail
+        assert all(math.isfinite(out.report.fbar) for out in per_method.values())
 
 
 def test_cli_budgets_that_fit_no_user_solve_with_every_user_unserved(tmp_path):
@@ -416,6 +424,38 @@ def test_cli_budgets_that_fit_no_user_solve_with_every_user_unserved(tmp_path):
         assert entry["served"] == 0 and entry["unserved"] == list(range(DESK["num_users"]))
         assert entry["relaxed_stage"] is None
     assert report[0]["methods"][0]["admission_evicted"] == []  # blocked up front
+
+
+def test_cli_budgets_below_float_residues_solve_with_every_user_unserved(tmp_path):
+    # A 1e-20 Hz budget is below the float residue a drained station's load
+    # keeps once its last user leaves: repair empties every station and the
+    # solve exits 0 with every user unserved
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**DESK, "num_users": 60, "bandwidth_budget_hz": 1e-20,
+                                "seeds": [1, 2, 3, 4, 5],
+                                "methods": list(ScenarioConfig().methods)}))
+    assert cli_main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 0
+    for run in json.loads((tmp_path / "report.json").read_text()):
+        for entry in run["methods"]:
+            assert entry["served"] == 0 and entry["unserved"] == list(range(60))
+
+
+@pytest.mark.parametrize("config, names", [
+    ({"bandwidth_budget_hz": 1e200}, "bandwidth budget"),
+    ({"bandwidth_budget_hz": 1e300}, "bandwidth budget"),
+    ({"msg_per_bit": 1e300}, "msg_per_bit"),
+    ({"msg_per_bit": 1e-300}, "msg_per_bit"),
+    ({"bit_rate_threshold_bps": 1e-200}, "bit_rate_threshold_bps"),
+], ids=["budget-1e200", "budget-1e300", "kappa-1e300", "kappa-1e-300", "threshold-1e-200"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_rates_the_objective_cannot_square_exit_2(tmp_path, capsys, config, names):
+    # Fbar sums squared rates: a floor rate whose square underflows, or best
+    # rates whose squares sum to an overflow, is a config error naming the
+    # quantity, not an infinite Fbar or a traceback
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**DESK, **config, "methods": list(ScenarioConfig().methods)}))
+    assert cli_main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert names in capsys.readouterr().err
 
 
 def test_cli_huge_message_rates_solve_feasibly(tmp_path):
@@ -437,6 +477,17 @@ def test_cli_relaxed_stage_out_of_iterations_exits_4(tmp_path, monkeypatch, caps
     path.write_text(json.dumps(DESK))
     assert cli_main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 4
     assert "did not converge within 0 Newton steps" in capsys.readouterr().err
+
+
+def test_cli_finish_at_its_round_cap_exits_4(tmp_path, monkeypatch, capsys):
+    # M = 200 seed 2 needs 9 finish rounds: a finish capped at one raises
+    # SolverError naming the cap, and the solve exits 4
+    monkeypatch.setattr(solver, "_MAX_ROUNDS", 1)
+    with pytest.raises(SolverError, match="did not certify within 1 rounds"):
+        solver.two_stage(build_scenario(ScenarioConfig(), 2).instance)
+    assert cli_main(["solve", "--seed", "2", "--methods", "two-stage",
+                     "--out", str(tmp_path)]) == 4
+    assert "did not certify within 1 rounds" in capsys.readouterr().err
 
 
 def test_validate_all_pass_on_desk_config():
