@@ -20,6 +20,7 @@ from .topology import bit_rate
 
 _MU = 1e-2  # the power-mean smoothing of the relaxed stage's Newton solve
 _STAGE_TOL = 0.1  # the Newton solve ends at a squared Newton decrement of this times _MU
+_TIE_WINDOW = 3.0  # log-cost gaps up to this many _MU make a link a finish's tie candidate
 _COST_TOL = 1e-13  # relative cost differences the finish counts as ties
 _MAX_ROUNDS = 100  # add/drop rounds after which the finish raises SolverError
 _MAX_NEWTON = 500  # Newton steps after which the relaxed stage raises SolverError
@@ -438,6 +439,29 @@ def _tree_path(links, skip, start, goals):
     return None
 
 
+def _initial_ties(gaps, prim, window):
+    """The tied users' BSs for a finish's first round, each user's cheapest
+    first: candidate links (log-cost gap to the row's cheapest at most
+    `window`) by increasing gap, each kept while the tied links stay a
+    forest, as a union-find over the BSs checks."""
+    ci, cj = (gaps <= window).nonzero()
+    order = np.argsort(gaps[ci, cj], kind="stable")
+    parent = list(range(gaps.shape[1]))
+
+    def find(j):
+        while parent[j] != j:
+            j = parent[j]
+        return j
+
+    links = {}
+    for i, j in zip(ci[order].tolist(), cj[order].tolist()):
+        a, b = find(j), find(prim[i])
+        if a != b:
+            parent[a] = b
+            links.setdefault(i, [prim[i]]).append(j)
+    return links
+
+
 def _forest_prices(links, log_n, room, u):
     """Log-prices that solve a finish's square system on each component of
     the tied forest, and the components where none exists.
@@ -487,19 +511,20 @@ def _forest_prices(links, log_n, room, u):
 def _exact_centre(lam, mask, log_n, n_t, budgets):
     """The exact finish after the smoothed stage at prices lam.
 
-    Every user starts untied on its cheapest link at lam; the rounds bring
-    the ties in. Untied users sit on their cheapest links. Each round solves
-    "loads = N - 1/lam, each tied row sums to 1, a tied user's links cost
-    the same": the prices in closed form (`_forest_prices`), then the tied
-    weights, a linear system, by least squares with each row scaled to a
-    largest coefficient of 1, so that loads below the rounding of their
-    budgets keep their rank. A component too full for its users proves that
-    no strictly interior point exists (ValueError), or has its prices raised
-    until one of its users ties with a link off it. Otherwise the round
-    drops every link whose weight went negative, or else lets in one link:
-    the cheapest link of the user whose support it undercuts the most (the
-    first such user on ties), if by more than _COST_TOL. A link that closes
-    a cycle of tied links enters by a ratio test.
+    Untied users sit on their cheapest links; the tied ones start as
+    `_initial_ties` picks them, so that a centre with many tied users does
+    not take a round for each. Each round solves "loads = N - 1/lam, each
+    tied row sums to 1, a tied user's links cost the same": the prices in
+    closed form (`_forest_prices`), then the tied weights, a linear system,
+    by least squares with each row scaled to a largest coefficient of 1, so
+    that loads below the rounding of their budgets keep their rank. A
+    component too full for its users proves that no strictly interior point
+    exists (ValueError), or has its prices raised until one of its users
+    ties with a link off it. Otherwise the round drops every link whose
+    weight went negative, or else lets in one link: the cheapest link of the
+    user whose support it undercuts the most (the first such user on ties),
+    if by more than _COST_TOL. A link that closes a cycle of tied links
+    enters by a ratio test.
 
     Then D(lam) - phi(x) = sum_j h(lam_j slack_j) + sum_ij x_ij (a_ij -
     min_j a_ij), with h(z) = z - 1 - log z and a_ij = lam_j n^T_ij, is a sum
@@ -509,8 +534,11 @@ def _exact_centre(lam, mask, log_n, n_t, budgets):
     """
     m, l = n_t.shape
     idx = np.arange(m)
-    prim = (log_n + np.log(lam)).argmin(axis=1)
-    links = {}  # tied users' BSs by user, the one it sat on first
+    la = log_n + np.log(lam)
+    prim = la.argmin(axis=1)
+    gaps = la - la.min(axis=1)[:, None]
+    gaps[idx, prim] = np.inf
+    links = _initial_ties(gaps, prim.tolist(), _TIE_WINDOW * _MU)
     weight = {}  # tied users' weights by (user, BS), as the last round solved them
     u = np.log(lam)
 
@@ -632,10 +660,9 @@ def solve_relaxed_ua(mask, n_t, budgets):
 
     Damped Newton runs on D with each row minimum smoothed by a power mean
     (`_smoothed_stage`) from D's minimizer along the ray through 1/N; an
-    exact finish (`_exact_centre`) then starts from every user on its
-    cheapest link at those prices, brings in the ties round by round and
-    solves for the tied users' weights. `stage` is (Newton steps, finish
-    rounds, "tol", tied users). Every sum over users is numpy's own
+    exact finish (`_exact_centre`) then fixes the untied users on their
+    cheapest links and solves for the tied ones. `stage` is (Newton steps,
+    finish rounds, "tol", tied users). Every sum over users is numpy's own
     reduction, never BLAS, so the bytes do not depend on the BLAS thread
     count.
 
